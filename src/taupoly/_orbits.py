@@ -1,18 +1,21 @@
 """Vectorized reflection-group enumeration.
 
-Group elements are visited once each by breadth-first search over the
-orbit of the regular weight rho = (1, ..., 1): the stabilizer of rho is
-trivial, so orbit points and group elements are in bijection.  Points are
-stored in fundamental-weight coordinates (bounded by the Coxeter number,
-so int8 is safe) and deduplicated through a packed int64 key.
+Whole-group statistics visit each element once by breadth-first search
+over the orbit of the regular weight rho = (1, ..., 1): the stabilizer of
+rho is trivial, so orbit points and group elements are in bijection.
+Points are stored in fundamental-weight coordinates (bounded by the
+Coxeter number, so int8 is safe) and deduplicated through a packed int64
+key.
 
-Matrix ranks over the integers are needed in bulk by the absolute-order
-enumeration.  They are computed by Gaussian elimination modulo one or two
-primes just under 2**31.  A nonzero integer minor of the matrices in scope
-is bounded by Hadamard's inequality well below the product of the primes,
-so a minor vanishing modulo every prime used is genuinely zero and the
-modular rank equals the rational rank.  This keeps the whole elimination
-in vectorized int64 arithmetic.
+The absolute-order interval [1, c] below a Coxeter element is walked
+level by level from c down to the identity, visiting only its Catalan(W)
+elements.  The elements covered by w are the t*w for the reflections t
+whose root lies in Im(w - I) (Carter's lemma).  Membership of every
+positive root is read off one row reduction of the augmented matrix
+[w - I | roots], done in vectorized int64 arithmetic modulo two primes
+just under 2**31.  A root outside Im(w - I) has a nonzero integer minor
+which Hadamard's inequality bounds below the product of the primes, so it
+cannot vanish modulo both and the two-prime test is exact.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ import math
 from typing import Callable, Iterator
 
 import numpy as np
+
+from .errors import ConsistencyError
 
 _P1 = 2147483647  # 2**31 - 1, prime
 _P2 = 2147483629  # prime
@@ -74,46 +79,28 @@ def _keys_of(points: np.ndarray) -> np.ndarray:
     return ((points.astype(np.int64) + _KEY_OFFSET) * powers).sum(axis=1)
 
 
-def orbit_levels(
-    cartan: np.ndarray, *, with_matrices: bool = False
-) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
-    """Yield BFS levels of the rho-orbit as (points, matrices or None).
-
-    Points are (k, n) int8 in fundamental-weight coordinates; matrices,
-    when requested, are the group elements in simple-root coordinates
-    (k, n, n) int16, aligned row-for-row with the points.  Applying the
-    i-th simple reflection to a point prepends s_i to the group element,
-    so the matrices are built by left multiplication in step.
-    """
+def orbit_levels(cartan: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield BFS levels of the rho-orbit as (k, n) int8 points in
+    fundamental-weight coordinates."""
     C = np.asarray(cartan, dtype=np.int16)
     n = C.shape[0]
-    simple_mats = [m.astype(np.int16) for m in simple_reflection_matrices(C.astype(np.int64))]
-
     pts = np.ones((1, n), dtype=np.int8)
-    mats = np.eye(n, dtype=np.int16)[None, :, :] if with_matrices else None
     visited = np.sort(_keys_of(pts))
 
     while pts.shape[0]:
-        yield pts, mats
+        yield pts
         cand_pts = []
-        cand_mats = []
         for i in range(n):
             nxt = pts.astype(np.int16).copy()
             nxt -= pts[:, i : i + 1].astype(np.int16) * C[i][None, :]
             cand_pts.append(nxt.astype(np.int8))
-            if with_matrices:
-                cand_mats.append(np.matmul(simple_mats[i], mats))
         allpts = np.concatenate(cand_pts, axis=0)
         keys = _keys_of(allpts)
         uniq_keys, first = np.unique(keys, return_index=True)
         pos = np.searchsorted(visited, uniq_keys)
         pos = np.minimum(pos, len(visited) - 1)
         fresh = visited[pos] != uniq_keys
-        take = first[fresh]
-        pts = allpts[take]
-        if with_matrices:
-            allmats = np.concatenate(cand_mats, axis=0)
-            mats = allmats[take]
+        pts = allpts[first[fresh]]
         visited = np.sort(np.concatenate([visited, uniq_keys[fresh]]))
 
 
@@ -127,7 +114,7 @@ def descent_distribution(cartan: np.ndarray, progress: Callable[[int], None] | N
     n = np.asarray(cartan).shape[0]
     hist = np.zeros(n + 1, dtype=object)
     total = 0
-    for pts, _ in orbit_levels(cartan, with_matrices=False):
+    for pts in orbit_levels(cartan):
         counts = (pts < 0).sum(axis=1)
         binned = np.bincount(counts, minlength=n + 1)
         for j, v in enumerate(binned):
@@ -138,19 +125,22 @@ def descent_distribution(cartan: np.ndarray, progress: Callable[[int], None] | N
     return [int(v) for v in hist]
 
 
-def _rank_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
-    """Ranks of a batch of small integer matrices modulo a prime.
+def _eliminate_mod_p(mats: np.ndarray, p: int, pivot_cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-reduce a batch of small integer matrices modulo a prime.
 
-    Pivot rows are marked used instead of swapped, and elimination uses
-    cross multiplication (row*pivot - factor*pivotrow) so no modular
-    inverses are needed.  All products stay below p**2 < 2**63.
+    Pivots are taken only in the first ``pivot_cols`` columns.  Returns the
+    reduced matrices and the (batch, rows) mask of pivot rows; every other
+    row is zero in the pivot columns, and the mask's row count is the rank
+    of that left block modulo p.  Pivot rows are marked used instead of
+    swapped, and elimination uses cross multiplication
+    (row*pivot - factor*pivotrow) so no modular inverses are needed.  All
+    products stay below p**2 < 2**63.
     """
     A = np.mod(mats.astype(np.int64), p)
-    bsz, n, _ = A.shape
-    rank = np.zeros(bsz, dtype=np.int64)
-    used = np.zeros((bsz, n), dtype=bool)
+    bsz, rows, _ = A.shape
+    used = np.zeros((bsz, rows), dtype=bool)
     bidx = np.arange(bsz)
-    for col in range(n):
+    for col in range(pivot_cols):
         colv = A[:, :, col]
         eligible = ~used & (colv != 0)
         has = eligible.any(axis=1)
@@ -165,73 +155,87 @@ def _rank_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
         A -= factors[:, :, None] * pivot_row[:, None, :]
         np.mod(A, p, out=A)
         used[bidx, piv] |= has
-        rank += has
-    return rank
+    return A, used
 
 
 def _hadamard_bound(max_entry: int, n: int) -> int:
+    """Bound on |det| of an n x n integer matrix with entries of at most
+    ``max_entry`` in absolute value; it also bounds every smaller minor."""
     norm_sq = n * max_entry * max_entry
     return math.isqrt(norm_sq**n) + 1
 
 
-def batched_rank(mats: np.ndarray) -> np.ndarray:
-    """Exact integer ranks of a batch of (B, n, n) small-entry matrices."""
-    n = mats.shape[1]
-    max_entry = int(np.abs(mats).max(initial=0))
-    bound = _hadamard_bound(max_entry, n)
-    ranks = _rank_mod_p(mats, _P1)
-    if bound >= _P1:
-        # one prime cannot certify; a minor could vanish mod P1 only
-        if bound >= _P1 * _P2:
-            raise ValueError("matrix entries too large for two-prime rank")
-        ranks = np.maximum(ranks, _rank_mod_p(mats, _P2))
-    return ranks
+def _as_int8(mats: np.ndarray) -> np.ndarray:
+    if np.abs(mats).max(initial=0) > np.iinfo(np.int8).max:
+        raise ConsistencyError("group element entry does not fit in int8")
+    return mats.astype(np.int8)
 
 
-def interval_length_distribution(
+def _root_members(shifted: np.ndarray, roots: np.ndarray, k: int) -> np.ndarray:
+    """(batch, roots) mask of the positive roots lying in the column space
+    of each ``w - I`` in ``shifted``; every w must have reflection length k.
+
+    Reducing ``[w - I | I]`` records the row operations in the right
+    block; applied to the roots they give the reduced ``[w - I | roots]``.
+    A root is a member when every pivot-free row of that is zero in its
+    column, modulo both primes.  Entries of the product stay below
+    n * max(root entry) * p, under 2**37 for ADE roots (entries <= 6).
+    """
+    bsz, n, _ = shifted.shape
+    max_entry = max(int(np.abs(shifted).max(initial=0)), int(roots.max(initial=0)))
+    if _hadamard_bound(max_entry, n) >= _P1 * _P2:
+        raise ConsistencyError("matrix entries too large for the two-prime membership test")
+    eye = np.broadcast_to(np.eye(n, dtype=np.int64), (bsz, n, n))
+    aug = np.concatenate([shifted, eye], axis=2)
+    members = np.ones((bsz, roots.shape[0]), dtype=bool)
+    for p in (_P1, _P2):
+        reduced, used = _eliminate_mod_p(aug, p, n)
+        if (used.sum(axis=1) != k).any():
+            raise ConsistencyError(f"an element at interval level {k} has another reflection length")
+        image = np.mod(reduced[:, :, n:] @ roots.T, p)
+        stray = (image != 0) & ~used[:, :, None]
+        members &= ~stray.any(axis=1)
+    return members
+
+
+def interval_walk(
     cartan: np.ndarray,
     coxeter_matrix: np.ndarray,
-    *,
-    chunk: int = 1 << 13,
     progress: Callable[[int], None] | None = None,
 ) -> list[int]:
-    """Distribution of reflection length over the absolute-order interval.
+    """Distribution of reflection length over the absolute-order interval [1, c].
 
-    Enumerates the whole group; keeps elements w with
-    ``rank(w - I) + rank(c - w) == n`` (the interval membership test, since
-    ``rank(w^{-1}c - I) = rank(c - w)``), and histograms ``rank(w - I)``,
-    the reflection length of w.
+    Walks down from ``{c}`` one reflection length at a time: the level
+    below k is every s_alpha * w with w at level k and alpha a positive
+    root in Im(w - I), deduplicated.  Entry k of the result is the size of
+    level k; ``progress`` gets the running element count after each level.
+    Raises ConsistencyError if a level's reflection lengths are not what
+    the walk assumes or the last level is not the identity.
     """
-    C = np.asarray(cartan)
+    C = np.asarray(cartan, dtype=np.int64)
     n = C.shape[0]
+    roots = np.array(positive_roots(C), dtype=np.int64)  # (N, n)
+    covectors = roots @ C  # row j is (C alpha_j)^T; C is symmetric
     eye = np.eye(n, dtype=np.int64)
-    cox = coxeter_matrix.astype(np.int64)
+    level = _as_int8(np.asarray(coxeter_matrix)[None, :, :])
     hist = [0] * (n + 1)
-    total = 0
-    for pts, mats in orbit_levels(C, with_matrices=True):
-        assert mats is not None
-        for start in range(0, mats.shape[0], chunk):
-            block = mats[start : start + chunk].astype(np.int64)
-            r1 = batched_rank(block - eye[None, :, :])
-            # full reflection length forces w == c (the only element with
-            # a zero complementary length); test that directly
-            full = r1 == n
-            if full.any():
-                hist[n] += int((block[full] == cox).all(axis=(1, 2)).sum())
-            partial = ~full
-            if partial.any():
-                sub = block[partial]
-                r2 = batched_rank(cox[None, :, :] - sub)
-                keep = r1[partial] + r2 == n
-                if keep.any():
-                    lengths, counts = np.unique(r1[partial][keep], return_counts=True)
-                    for length, count in zip(lengths, counts):
-                        hist[int(length)] += int(count)
-        total += mats.shape[0]
+    visited = 0
+    for k in range(n, -1, -1):
+        hist[k] = level.shape[0]
+        visited += level.shape[0]
         if progress is not None:
-            progress(total)
+            progress(visited)
+        if k == 0:
+            break
+        w = level.astype(np.int64)
+        b, j = np.nonzero(_root_members(w - eye[None, :, :], roots, k))
+        # s_alpha w = w - alpha ((C alpha)^T w)
+        rows = np.einsum("mi,mij->mj", covectors[j], w[b])
+        children = _as_int8(w[b] - roots[j][:, :, None] * rows[:, None, :])
+        # each matrix as one n*n-byte key: a 1-D byte sort, far cheaper
+        # than np.unique(axis=0) over n*n int8 fields
+        keys = children.reshape(-1, n * n).view(np.dtype((np.void, n * n))).ravel()
+        level = children[np.unique(keys, return_index=True)[1]]
+    if hist[0] != 1 or not (level[0] == eye).all():
+        raise ConsistencyError("the interval walk did not end at the identity")
     return hist
-
-
-def group_order_by_orbit(cartan: np.ndarray) -> int:
-    return sum(pts.shape[0] for pts, _ in orbit_levels(cartan))

@@ -8,7 +8,8 @@ serialized as decimal strings so nothing is ever squeezed through a
 floating-point JSON number.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 usage error,
-3 feature disabled (full E8 enumeration without --enable-e8).
+3 feature disabled (full E8 enumeration without --enable-e8), 4 internal
+consistency failure (a bug, never bad input).
 
 The environment variable TAUPOLY_THREADS caps the worker threads used
 for independent table rows; results are identical at any setting.
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 
 from . import formulas, hereditary, lattice, series, tables, weyl
 from .dynkin import DynkinDiagram, parse_diagram, parse_union
-from .errors import FeatureDisabled, TaupolyError, UsageError
+from .errors import ConsistencyError, FeatureDisabled, TaupolyError, UsageError
 from .formulas import PATH, PREPROJECTIVE, AlgebraSpec
 from .polynomials import Polynomial
 
@@ -33,6 +34,11 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_FEATURE_DISABLED = 3
+EXIT_INTERNAL = 4
+
+# z^n of a generating function carries rank n - 1, and the type A
+# formulas stop at formulas._MAX_RANK["A"].
+MAX_GENFUN_ORDER = formulas._MAX_RANK["A"] + 1
 
 
 def thread_count() -> int:
@@ -325,12 +331,16 @@ _GENFUN_CHECKS = {
 }
 
 
+def _check_genfun_order(order: int) -> None:
+    if order > MAX_GENFUN_ORDER:
+        raise UsageError(f"genfun order must be at most {MAX_GENFUN_ORDER}, got {order}")
+
+
 def cmd_genfun(args) -> Report:
     name = args.name
     if name not in _GENFUN_FAMILIES:
         raise UsageError(f"genfun name must be one of {sorted(_GENFUN_FAMILIES)}")
-    if args.order > 14:
-        raise UsageError("genfun order capped at 14")
+    _check_genfun_order(args.order)
     family_fn, _ = _GENFUN_FAMILIES[name]
     polys = family_fn(args.order + 1)
     report = Report(command=f"genfun {name} --order {args.order}")
@@ -539,6 +549,8 @@ def _catalan_count(d: DynkinDiagram) -> int:
 def cmd_verify(args) -> Report:
     report = Report(command=f"verify --suite {args.suite}")
     suite = args.suite
+    if suite in ("genfun", "all"):
+        _check_genfun_order(args.order)
     if suite in ("tables", "all"):
         _suite_tables(report)
     if suite in ("examples", "all"):
@@ -648,6 +660,9 @@ def main(argv: list[str] | None = None) -> int:
     except FeatureDisabled as exc:
         print(f"feature disabled: {exc}", file=sys.stderr)
         return EXIT_FEATURE_DISABLED
+    except ConsistencyError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except TaupolyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -37,15 +37,23 @@ class FeatureDisabled(TaupolyError):
     """A computation gated behind an explicit opt-in flag (full E8 enumeration)."""
 
 
-class NegativeExt(TaupolyError):
+class ConsistencyError(TaupolyError):
+    """Internal consistency failure: a result the code relies on did not hold.
+
+    Never caused by user input; the run aborts instead of reporting a
+    number built on it.
+    """
+
+
+class NegativeExt(ConsistencyError):
     """Internal consistency failure: an extension-space dimension came out negative."""
 
 
-class ConventionError(TaupolyError):
+class ConventionError(ConsistencyError):
     """Internal consistency failure: a sign or transpose convention failed validation."""
 
 
-class ImpurityError(TaupolyError):
+class ImpurityError(ConsistencyError):
     """A compatibility complex produced a maximal face of the wrong size.
 
     This should be unreachable for the hereditary algebras in scope; the run

@@ -17,11 +17,13 @@ Each statistic has at least two independent routes:
   orbit of the regular weight;
 * type E descent counts can only be enumerated, via the weight orbit;
 * type A Narayana numbers come from the closed binomial formula, while
-  types D and E (and the type A oracle) enumerate the group as reflection
-  matrices and use the codimension formula for reflection length.
+  types D and E (and the type A oracle) walk the absolute-order interval
+  down from a Coxeter element, visiting only its Catalan(W) elements; the
+  tests check the walk against whole-group enumeration with the
+  codimension formula for reflection length.
 
-Full E8 enumeration (696,729,600 elements) is feature gated; nothing in
-the primary tables needs it.
+Full E8 enumeration (696,729,600 elements) is feature gated, and so is
+the E8 interval walk; nothing in the primary tables needs either.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _orbits
+from ._linalg import integer_rank
 from .dynkin import DynkinDiagram, as_union
 from .errors import FeatureDisabled, RankTooLarge
 from .polynomials import ONE, Polynomial
@@ -215,30 +218,7 @@ def absolute_length(matrix) -> int:
     n = len(rows)
     for i in range(n):
         rows[i][i] -= 1
-    return _int_rank(rows)
-
-
-def _int_rank(rows: list[list[int]]) -> int:
-    """Rank over the rationals by fraction-free integer elimination."""
-    m = len(rows)
-    if m == 0:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, m) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pivot = rows[rank][col]
-        for r in range(rank + 1, m):
-            f = rows[r][col]
-            if f:
-                rows[r] = [a * pivot - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
+    return integer_rank(rows)
 
 
 def default_coxeter_order(d: DynkinDiagram) -> tuple[int, ...]:
@@ -287,9 +267,12 @@ def narayana_oracle(
 ) -> Polynomial:
     """Reflection-length distribution over the interval below a Coxeter element.
 
-    Enumerates the whole group as matrices and keeps the elements w whose
-    reflection lengths satisfy l(w) + l(w^{-1}c) = rank, the standard
-    membership test for the absolute-order interval [id, c].
+    Walks the absolute-order interval [id, c] down from c, one reflection
+    length at a time, so only its Catalan(W) elements are visited (see
+    ``_orbits.interval_walk``).  ``progress``, if given, is called after
+    each level with the number of elements visited so far.  The tests
+    check the walk against the whole-group membership rule
+    l(w) + l(w^{-1}c) = rank on small groups.
     """
     if d.family == "E" and d.rank == 8 and not enable_e8:
         raise FeatureDisabled("the E8 absolute-order oracle requires enable_e8")
@@ -297,7 +280,7 @@ def narayana_oracle(
         raise RankTooLarge(f"absolute-order oracle capped at rank {_NARAYANA_ORACLE_MAX}")
     cartan = cartan_matrix(d)
     cox = coxeter_element_matrix(d, coxeter_order)
-    hist = _orbits.interval_length_distribution(cartan, cox, progress=progress)
+    hist = _orbits.interval_walk(cartan, cox, progress=progress)
     return Polynomial(hist)
 
 

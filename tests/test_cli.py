@@ -217,3 +217,33 @@ def test_tables_suite_is_thread_count_invariant(capsys, monkeypatch):
     _, threaded = run(capsys, "--format", "json", "verify", "--suite", "tables")
     assert serial == threaded
     assert json.loads(serial)["exit_status"] == 0
+
+
+def test_internal_consistency_failure_exits_4(capsys, monkeypatch):
+    from taupoly import _orbits
+
+    # a bound the two-prime test cannot certify trips the walk's check
+    monkeypatch.setattr(_orbits, "_hadamard_bound", lambda max_entry, n: _orbits._P1 * _orbits._P2)
+    assert cli.main(["narayana", "D4", "--oracle"]) == cli.EXIT_INTERNAL == 4
+    assert "internal error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["genfun", "ord-d-path-A", "--order", "13"], ["verify", "--suite", "genfun", "--order", "13"]],
+    ids=["genfun", "verify"],
+)
+def test_genfun_order_cap_fails_fast(capsys, argv):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert "at most 12" in captured.err
+    assert captured.out == ""
+
+
+def test_genfun_order_12_runs(capsys):
+    code, payload = run_json(capsys, "genfun", "ord-d-path-A", "--order", "12", "--verify")
+    assert code == 0
+    assert len(payload["results"]["terms"]) == 13
+    code, payload = run_json(capsys, "verify", "--suite", "genfun", "--order", "12")
+    assert code == 0
+    assert len(payload["checks"]) == 7

@@ -3,7 +3,8 @@ import pytest
 
 from taupoly import _orbits
 from taupoly.dynkin import DiagramUnion, DynkinDiagram, parse_union
-from taupoly.errors import FeatureDisabled, RankTooLarge
+from taupoly._linalg import integer_inverse
+from taupoly.errors import ConsistencyError, FeatureDisabled, RankTooLarge
 from taupoly.polynomials import ONE, Polynomial
 from taupoly.weyl import (
     absolute_length,
@@ -103,6 +104,46 @@ def test_narayana_coxeter_order_independence():
     assert narayana_oracle(d4, coxeter_order=(-1, 1, 3, 2)) == narayana_oracle(
         d4, coxeter_order=(2, -1, 1, 3)
     )
+    for d in (D(6), E(6)):
+        default = narayana_oracle(d)
+        assert narayana_oracle(d, coxeter_order=d.vertices) == default
+        assert narayana_oracle(d, coxeter_order=d.vertices[::-1]) == default
+
+
+def _interval_histograms_by_enumeration(d, orders):
+    """Reflection lengths over [1, c], for the Coxeter element c of each
+    order, by the whole-group membership rule l(w) + l(w^{-1} c) = rank;
+    independent of the interval walk."""
+    coxes = [coxeter_element_matrix(d, order) for order in orders]
+    hists = [[0] * (d.rank + 1) for _ in orders]
+    for w in all_group_matrices(d):
+        w_inv = np.array(integer_inverse(w.tolist()), dtype=np.int64)
+        length = absolute_length(w)
+        for hist, cox in zip(hists, coxes):
+            if length + absolute_length(w_inv @ cox) == d.rank:
+                hist[length] += 1
+    return [Polynomial(hist) for hist in hists]
+
+
+@pytest.mark.parametrize("d", [A(1), A(2), A(3), A(4), D(4), D(5)], ids=str)
+def test_interval_walk_matches_whole_group_enumeration(d):
+    orders = (default_coxeter_order(d), d.vertices, d.vertices[::-1])
+    expected = _interval_histograms_by_enumeration(d, orders)
+    assert [narayana_oracle(d, coxeter_order=order) for order in orders] == expected
+
+
+def test_interval_walk_rejects_a_start_below_full_length():
+    cartan = cartan_matrix(D(4))
+    reflection = _orbits.simple_reflection_matrices(cartan)[0]
+    with pytest.raises(ConsistencyError, match="another reflection length"):
+        _orbits.interval_walk(cartan, reflection)
+
+
+def test_interval_walk_reports_progress_per_level():
+    seen = []
+    hist = narayana_oracle(D(4), progress=seen.append)
+    assert seen == [1, 13, 37, 49, 50]
+    assert hist(1) == seen[-1]
 
 
 def test_absolute_length_basics():
