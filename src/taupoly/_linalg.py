@@ -29,38 +29,43 @@ def integer_rank(rows: list[list[int]]) -> int:
     return rank
 
 
-def rational_inverse(matrix: list[list[int]]) -> list[list[Fraction]]:
-    """Inverse of a square integer matrix, exact; raises on singular input."""
+def rational_solve(matrix: list[list[int]], rhs: list[int]) -> list[Fraction]:
+    """The solution x of matrix . x = rhs, exact; raises on singular input.
+
+    Elimination touches only rows with a nonzero entry below the pivot,
+    so a Cartan matrix of a tree in its vertex order takes about n^2
+    steps, not n^3.
+
+    >>> rational_solve([[2, -1], [-1, 2]], [1, 1])
+    [Fraction(1, 1), Fraction(1, 1)]
+    """
     n = len(matrix)
-    aug = [
-        [Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(matrix)
-    ]
+    rows = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
     for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
         if piv is None:
             raise ZeroDivisionError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pivot = aug[col][col]
-        aug[col] = [v / pivot for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+        rows[col], rows[piv] = rows[piv], rows[col]
+        for r in range(col + 1, n):
+            if rows[r][col]:
+                f = rows[r][col] / rows[col][col]
+                rows[r] = [a - f * b if b else a for a, b in zip(rows[r], rows[col])]
+    x = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        tail = sum(rows[i][j] * x[j] for j in range(i + 1, n) if rows[i][j])
+        x[i] = (rows[i][n] - tail) / rows[i][i]
+    return x
 
 
 def integer_inverse(matrix: list[list[int]]) -> list[list[int]]:
     """Inverse of a unimodular integer matrix, as integers."""
-    inv = rational_inverse(matrix)
+    n = len(matrix)
+    columns = [rational_solve(matrix, [int(i == j) for i in range(n)]) for j in range(n)]
     out = []
-    for row in inv:
-        ints = []
-        for v in row:
-            if v.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            ints.append(int(v))
-        out.append(ints)
+    for row in zip(*columns):
+        if any(v.denominator != 1 for v in row):
+            raise ValueError("matrix is not unimodular")
+        out.append([int(v) for v in row])
     return out
 
 

@@ -1,28 +1,24 @@
 """Command-line surface.
 
 Commands compute polynomials, reproduce the published tables, run the
-brute-force oracles against the closed formulas, and verify the
+brute-force oracles against the link-recursion engine, and verify the
 generating-function identities.  Every run emits a report: results plus a
 list of named checks with expected/actual values.  All integers are
 serialized as decimal strings so nothing is ever squeezed through a
 floating-point JSON number.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 usage error,
-3 feature disabled (full E8 enumeration without --enable-e8), 4 internal
-consistency failure (a bug, never bad input).
-
-The environment variable TAUPOLY_THREADS caps the worker threads used
-for independent table rows; results are identical at any setting.
+3 feature disabled (an E8 --oracle enumeration without --enable-e8),
+4 internal consistency failure (a bug, never bad input).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from math import comb
 
 from . import formulas, hereditary, lattice, series, tables, weyl
 from .dynkin import DynkinDiagram, parse_diagram, parse_union
@@ -39,15 +35,6 @@ EXIT_INTERNAL = 4
 # z^n of a generating function carries rank n - 1, and the type A
 # formulas stop at formulas._MAX_RANK["A"].
 MAX_GENFUN_ORDER = formulas._MAX_RANK["A"] + 1
-
-
-def thread_count() -> int:
-    raw = os.environ.get("TAUPOLY_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"TAUPOLY_THREADS must be an integer, got {raw!r}")
-    return max(1, min(value, os.cpu_count() or 1))
 
 
 @dataclass
@@ -155,11 +142,11 @@ def cmd_poly(args) -> Report:
     spec = AlgebraSpec(family, diagram)
     kind = args.kind
     if kind == "d":
-        poly = formulas.d_polynomial(spec, enable_e8=args.enable_e8)
+        poly = formulas.d_polynomial(spec)
     elif kind == "h":
-        poly = formulas.h_polynomial(spec, enable_e8=args.enable_e8)
+        poly = formulas.h_polynomial(spec)
     elif kind == "f":
-        poly = formulas.f_polynomial(spec, enable_e8=args.enable_e8)
+        poly = formulas.f_polynomial(spec)
     else:
         raise UsageError(f"kind must be d, f or h, got {kind!r}")
     report = Report(command=f"poly --family {family} --diagram {diagram} --kind {kind}")
@@ -225,33 +212,31 @@ def cmd_dim_orbit(args) -> Report:
     if _family_arg(args.family) != PREPROJECTIVE:
         raise UsageError("dim-orbit models the doubled-quiver projectives; use --family ppa")
     dfam = args.type.upper()
-    n = args.rank
-    report = Report(command=f"dim-orbit --type {dfam} --rank {n}")
-    if dfam == "A":
-        if args.vertex is None:
-            values = {ell: lattice.dim_orbit_ppa_A(n, ell) for ell in range(1, n + 1)}
-            report.results["totals"] = values
-        elif args.oracle:
-            total, count = lattice.dim_orbit_ppa_A_oracle(n, args.vertex)
-            report.results["total"] = total
-            report.results["path_count"] = count
-        else:
-            report.results["total"] = lattice.dim_orbit_ppa_A(n, args.vertex)
-    elif dfam == "D":
-        if args.vertex is None:
-            raise UsageError("type D needs --vertex (use -1, 1, or 2..n-1)")
-        ell = args.vertex
-        if args.oracle:
-            if ell in (1, -1):
-                total, count = lattice.dim_orbit_ppa_D_oracle_pm1(n)
-            else:
-                total, count = lattice.dim_orbit_ppa_D_oracle_mid(n, ell)
-            report.results["total"] = total
-            report.results["count"] = count
-        else:
-            report.results["total"] = lattice.dim_orbit_ppa_D(n, ell)
-    else:
+    if dfam not in ("A", "D"):
         raise UsageError("dim-orbit supports --type A or D")
+    n = args.rank
+    diagram = DynkinDiagram(dfam, n)
+    ell = args.vertex
+    report = Report(command=f"dim-orbit --type {dfam} --rank {n}")
+    if ell is None:
+        if dfam == "D":
+            raise UsageError("type D needs --vertex (use -1, 1, or 2..n-1)")
+        report.results["totals"] = {
+            v: formulas.orbit_dim_total(PREPROJECTIVE, diagram, v) for v in diagram.vertices
+        }
+    elif not args.oracle:
+        report.results["total"] = formulas.orbit_dim_total(PREPROJECTIVE, diagram, ell)
+    elif dfam == "A":
+        total, count = lattice.dim_orbit_ppa_A_oracle(n, ell)
+        report.results["total"] = total
+        report.results["path_count"] = count
+    else:
+        if ell in (1, -1):
+            total, count = lattice.dim_orbit_ppa_D_oracle_pm1(n)
+        else:
+            total, count = lattice.dim_orbit_ppa_D_oracle_mid(n, ell)
+        report.results["total"] = total
+        report.results["count"] = count
     return report
 
 
@@ -303,7 +288,7 @@ def cmd_table(args) -> Report:
 
 def cmd_aggregates(args) -> Report:
     spec = AlgebraSpec(_family_arg(args.family), parse_diagram(args.diagram))
-    got = formulas.aggregate_dims(spec, enable_e8=args.enable_e8)
+    got = formulas.aggregate_dims(spec)
     report = Report(command=f"aggregates {spec}")
     report.results["indecomposable_total"] = got[0]
     report.results["maximal_total"] = got[1]
@@ -361,18 +346,8 @@ def cmd_genfun(args) -> Report:
 
 
 def _suite_tables(report: Report) -> None:
-    workers = thread_count()
-
-    def one(k: int):
-        return k, formulas.reproduce_table(k)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            computed = dict(pool.map(one, range(1, 7)))
-    else:
-        computed = dict(one(k) for k in range(1, 7))
     for k in range(1, 7):
-        report.add_check(f"table-{k}", formulas.golden_table(k), computed[k])
+        report.add_check(f"table-{k}", formulas.golden_table(k), formulas.reproduce_table(k))
 
 
 def _suite_examples(report: Report) -> None:
@@ -401,32 +376,35 @@ def _suite_oracles(report: Report, max_rank: int) -> None:
                 and complex_.f_polynomial() == formulas.f_polynomial(spec)
             )
             report.add_pass_fail(f"complex-vs-formula-A{n}-{orientation or 'o'}", ok)
-    # lattice enumerations against the closed formulas
+    # lattice enumerations against the engine's orbit totals
+    def ppa_dim(dfam: str, n: int, ell: int) -> int:
+        return formulas.orbit_dim_total(PREPROJECTIVE, DynkinDiagram(dfam, n), ell)
+
     rect_ok = all(
-        lattice.dim_orbit_ppa_A_oracle(n, ell)
-        == (lattice.dim_orbit_ppa_A(n, ell), _binom(n + 1, ell))
+        lattice.dim_orbit_ppa_A_oracle(n, ell) == (ppa_dim("A", n, ell), comb(n + 1, ell))
         for n in range(1, 13)
         for ell in range(1, n + 1)
     )
     report.add_pass_fail("rectangle-paths-vs-formula-n<=12", rect_ok)
     corner_ok = all(
-        lattice.dim_orbit_ppa_D_oracle_pm1(n) == (lattice.dim_orbit_ppa_D(n, 1), 2 ** (n - 1))
+        lattice.dim_orbit_ppa_D_oracle_pm1(n) == (ppa_dim("D", n, ell), 2 ** (n - 1))
         for n in range(4, 13)
+        for ell in (1, -1)
     )
     report.add_pass_fail("corner-paths-vs-formula-n<=12", corner_ok)
     sign_ok = all(
         lattice.dim_orbit_ppa_D_oracle_mid(n, ell)
-        == (lattice.dim_orbit_ppa_D(n, ell), 2 ** (n - ell) * _binom(n, ell))
+        == (ppa_dim("D", n, ell), 2 ** (n - ell) * comb(n, ell))
         for n in range(4, 13)
         for ell in range(2, n)
     )
     report.add_pass_fail("sign-sequences-vs-formula-n<=12", sign_ok)
-    # translate-orbit reproduction of the E-family projective dimensions
+    # translate orbits against the engine's path-family orbit totals
     for rank in (6, 7, 8):
-        got = tuple(
-            hereditary.tau_orbit_dims_all(DynkinDiagram("E", rank)).values()
-        )
-        report.add_check(f"tau-orbit-E{rank}", tables.E_PPA_PROJECTIVE_DIMS[rank], got)
+        diagram = DynkinDiagram("E", rank)
+        engine = tuple(formulas.orbit_dim_total(PATH, diagram, ell) for ell in diagram.vertices)
+        orbit = tuple(hereditary.tau_orbit_dims_all(diagram).values())
+        report.add_check(f"tau-orbit-E{rank}", engine, orbit)
     # Narayana closed formula vs oracle on small ranks
     for rank in range(1, min(max_rank, 5) + 1):
         report.add_check(
@@ -434,12 +412,6 @@ def _suite_oracles(report: Report, max_rank: int) -> None:
             weyl.narayana_a(rank),
             weyl.narayana_oracle(DynkinDiagram("A", rank)),
         )
-
-
-def _binom(n: int, k: int) -> int:
-    from math import comb
-
-    return comb(n, k)
 
 
 def _suite_genfun(report: Report, order: int) -> None:
@@ -461,55 +433,38 @@ def _suite_aggregates(report: Report) -> None:
                 formulas.expected_aggregates(spec),
                 formulas.aggregate_totals_closed(spec),
             )
-            # the polynomial route agrees; skipped for path D9, whose
-            # polynomial needs the largest interval enumeration
-            if (family, dfam, n) != (PATH, "D", 9):
-                report.add_check(
-                    f"aggregates-poly-route-{family}-{dfam}{n}",
-                    formulas.aggregate_totals_closed(spec),
-                    formulas.aggregate_dims(spec),
-                )
+            report.add_check(
+                f"aggregates-poly-route-{family}-{dfam}{n}",
+                formulas.aggregate_totals_closed(spec),
+                formulas.aggregate_dims(spec),
+            )
 
 
 def _suite_structural(report: Report, max_rank: int) -> None:
-    # palindromicity and unimodality of every shifted dimension polynomial
-    # (path D9 and E8 sit in the tables suite; they need the two largest
-    # interval enumerations)
-    specs = [
-        AlgebraSpec(family, DynkinDiagram(dfam, n))
-        for family, d_ranks, e_ranks in (
-            (PREPROJECTIVE, range(4, 10), (6, 7, 8)),
-            (PATH, range(4, 9), (6, 7)),
-        )
-        for dfam, ranks in (("A", range(1, 10)), ("D", d_ranks), ("E", e_ranks))
+    diagrams = [
+        DynkinDiagram(dfam, n)
+        for dfam, ranks in (("A", range(1, 10)), ("D", range(4, 10)), ("E", (6, 7, 8)))
         for n in ranks
     ]
+    # palindromicity and unimodality of every shifted dimension polynomial
     ok = True
-    for spec in specs:
-        n = spec.diagram.rank
-        shifted = formulas.d_polynomial(spec).shifted(-1)
-        if not (shifted.is_palindromic(n - 1) and shifted.is_unimodal()):
-            ok = False
+    for family in (PREPROJECTIVE, PATH):
+        for diagram in diagrams:
+            n = diagram.rank
+            shifted = formulas.d_polynomial(AlgebraSpec(family, diagram)).shifted(-1)
+            if not (shifted.is_palindromic(n - 1) and shifted.is_unimodal()):
+                ok = False
     report.add_pass_fail("all-shifted-d-palindromic-unimodal", ok)
-    # descent and Narayana polynomials: palindromic, correct totals.
-    # Narayana ranges stop where the enumeration gets expensive; the
-    # larger ranks are covered by the tables suite.
+    # descent and Narayana polynomials: palindromic, correct totals
     stats_ok = True
-    for dfam, eul_ranks, nar_ranks in (
-        ("A", range(1, 10), range(1, 10)),
-        ("D", range(4, 9), range(4, 8)),
-        ("E", (6, 7), (6,)),
-    ):
-        for n in eul_ranks:
-            diagram = DynkinDiagram(dfam, n)
-            eul = weyl.eulerian_poly(diagram)
-            if not eul.is_palindromic(n) or eul(1) != diagram.group_order():
-                stats_ok = False
-        for n in nar_ranks:
-            diagram = DynkinDiagram(dfam, n)
-            nar = weyl.narayana_poly(diagram)
-            if not nar.is_palindromic(n) or nar(1) != _catalan_count(diagram):
-                stats_ok = False
+    for diagram in diagrams:
+        n = diagram.rank
+        eul = weyl.eulerian_poly(diagram)
+        if not eul.is_palindromic(n) or eul(1) != diagram.group_order():
+            stats_ok = False
+        nar = weyl.narayana_poly(diagram)
+        if not nar.is_palindromic(n) or nar(1) != formulas.catalan_count(diagram):
+            stats_ok = False
     report.add_pass_fail("group-statistics-palindromic-with-known-totals", stats_ok)
     # purity and maximal-face counts of the complexes
     purity_ok = True
@@ -519,7 +474,7 @@ def _suite_structural(report: Report, max_rank: int) -> None:
             complex_ = hereditary.tau_rigid_complex(
                 hereditary.OrientedQuiver.line(n, orientation)
             )
-            if complex_.maximal_face_count != _binom(2 * (n + 1), n + 1) // (n + 2):
+            if complex_.maximal_face_count != comb(2 * (n + 1), n + 1) // (n + 2):
                 purity_ok = False
     report.add_pass_fail("complex-purity-and-maximal-face-counts", purity_ok)
     # product rule and link decomposition on oracle instances
@@ -542,8 +497,10 @@ def _suite_structural(report: Report, max_rank: int) -> None:
     report.add_pass_fail("link-decomposition-identity", link_ok)
 
 
-def _catalan_count(d: DynkinDiagram) -> int:
-    return formulas.catalan_count(d)
+def _check_max_rank(max_rank: int) -> None:
+    cap = hereditary._COMPLEX_RANK_CAP
+    if not 1 <= max_rank <= cap:
+        raise UsageError(f"--max-rank must be between 1 and {cap}, got {max_rank}")
 
 
 def cmd_verify(args) -> Report:
@@ -551,6 +508,8 @@ def cmd_verify(args) -> Report:
     suite = args.suite
     if suite in ("genfun", "all"):
         _check_genfun_order(args.order)
+    if suite in ("oracles", "structural", "all"):
+        _check_max_rank(args.max_rank)
     if suite in ("tables", "all"):
         _suite_tables(report)
     if suite in ("examples", "all"):
@@ -579,7 +538,9 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="taupoly", description=__doc__)
     parser.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
-    parser.add_argument("--enable-e8", action="store_true", help="allow full E8 enumeration")
+    parser.add_argument(
+        "--enable-e8", action="store_true", help="allow the E8 --oracle enumerations"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("poly", help="compute a polynomial of an algebra")

@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
 
 from .errors import NotAVertex, UsageError
 
@@ -67,9 +68,9 @@ class DynkinDiagram:
         """Order of the associated reflection group."""
         n = self.rank
         if self.family == "A":
-            return _factorial(n + 1)
+            return factorial(n + 1)
         if self.family == "D":
-            return 2 ** (n - 1) * _factorial(n)
+            return 2 ** (n - 1) * factorial(n)
         return {6: 51840, 7: 2903040, 8: 696729600}[n]
 
     def positive_root_count(self) -> int:
@@ -120,13 +121,6 @@ class DiagramUnion:
 
 def rank(u: DiagramUnion) -> int:
     return u.rank
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 def _classify_tree(vertices: frozenset[int], adjacency: dict[int, set[int]]) -> DynkinDiagram:

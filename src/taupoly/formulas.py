@@ -5,28 +5,30 @@ way: group the indecomposables into per-vertex orbits, multiply each
 orbit's dimension total by the face-count polynomial of the diagram with
 that vertex deleted, and sum over vertices,
 
-    d = sum over vertices of  (orbit dimension total) * P(deleted; t+1),
+    d = sum over vertices l of Dim_l * P(diagram minus l; t+1),
 
-where P is the descent polynomial for the doubled-quiver family and the
-Narayana polynomial for the path-algebra family.  The orbit totals come
-from the lattice models (types A and D), from embedded constants (type E
-doubled-quiver), or from the translate-orbit iteration (type E path).
+where P is the descent polynomial for the preprojective family and the
+Narayana polynomial for the path family; P(.; t+1) is the face-count
+polynomial that ``weyl.face_polynomial`` computes by the link recursion.
+The orbit total is one height formula for every type: with ht(w_l) the
+height of the fundamental weight at l (the column-l sum of the inverse
+Cartan matrix), Dim_l = [W : W(diagram minus l)] * ht(w_l) for the
+preprojective family and 2 * ht(w_l) for the path family.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
-from . import lattice, tables, weyl
+from . import tables, weyl
+from ._linalg import rational_solve
 from .dynkin import DiagramUnion, DynkinDiagram, delete_vertex
-from .errors import RankOutOfRange, UsageError
-from .hereditary import OrientedQuiver, tau_orbit_dim
+from .errors import ConsistencyError, NotAVertex, RankOutOfRange, UsageError
 from .polynomials import ZERO, Polynomial
-
-PREPROJECTIVE = "preprojective"
-PATH = "path"
+from .weyl import PATH, PREPROJECTIVE
 
 _MAX_RANK = {"A": 11, "D": 11, "E": 8}
 
@@ -51,53 +53,42 @@ class AlgebraSpec:
         return f"{self.family} {self.diagram}"
 
 
-_proj_dim_lock = threading.Lock()
-_proj_dim_cache: dict[tuple[str, int], dict[int, int]] = {}
+@lru_cache(maxsize=None)
+def _weight_heights(d: DynkinDiagram) -> tuple[Fraction, ...]:
+    """ht(w_l) for each vertex l in order: the column sums of C^-1, which
+    equal its row sums C^-1 (1, ..., 1) since C is symmetric."""
+    return tuple(rational_solve(weyl.cartan_matrix(d).tolist(), [1] * d.rank))
 
 
-def orbit_dim_total(spec: AlgebraSpec, ell: int) -> int:
+def orbit_dim_total(family: str, d: DynkinDiagram, ell: int) -> int:
     """Dimension total of the per-vertex orbit of indecomposables.
 
-    Doubled-quiver family: the sum of dimensions of all rigid submodules
-    of the projective at ``ell``.  Path family: the dimension of the
-    doubled-quiver projective itself, i.e. the translate-orbit total.
+    Preprojective family: the sum of dimensions of all rigid submodules
+    of the projective at ``ell``, [W : W(d minus ell)] * ht(w_ell).  Path
+    family: the dimension of the preprojective projective itself, i.e.
+    the translate-orbit total, 2 * ht(w_ell).
+
+    >>> orbit_dim_total(PREPROJECTIVE, DynkinDiagram("D", 4), 2)
+    120
+    >>> orbit_dim_total(PATH, DynkinDiagram("D", 4), 2)
+    10
     """
-    d = spec.diagram
-    if spec.family == PREPROJECTIVE:
-        if d.family == "A":
-            return lattice.dim_orbit_ppa_A(d.rank, ell)
-        if d.family == "D":
-            return lattice.dim_orbit_ppa_D(d.rank, ell)
-        return tables.E_PPA_SUBMODULE_DIM_TOTALS[d.rank][ell - 1]
-    if d.family == "A":
-        return lattice.dim_projective_ppa_A(d.rank, ell)
-    if d.family == "D":
-        return lattice.dim_projective_ppa_D(d.rank, ell)
-    return _e_projective_dim(d.rank, ell)
-
-
-def _e_projective_dim(rank: int, ell: int) -> int:
-    key = ("E", rank)
-    with _proj_dim_lock:
-        cached = _proj_dim_cache.get(key)
-    if cached is None:
-        q = OrientedQuiver.from_diagram(DynkinDiagram("E", rank))
-        cached = {v: tau_orbit_dim(q, v) for v in q.vertices}
-        with _proj_dim_lock:
-            _proj_dim_cache.setdefault(key, cached)
-    return cached[ell]
-
-
-def _vertex_factor(spec: AlgebraSpec, union: DiagramUnion, enable_e8: bool) -> Polynomial:
-    if spec.family == PREPROJECTIVE:
-        base = weyl.eulerian_poly(union, enable_e8=enable_e8)
+    if ell not in d.vertices:
+        raise NotAVertex(f"{d} has no vertex {ell}")
+    if family == PREPROJECTIVE:
+        factor = weyl.coset_count(d, ell)
+    elif family == PATH:
+        factor = 2
     else:
-        base = weyl.narayana_poly(union, enable_e8=enable_e8)
-    return base.shifted(1)
+        raise UsageError(f"family must be {PREPROJECTIVE!r} or {PATH!r}")
+    total = factor * _weight_heights(d)[d.vertices.index(ell)]
+    if total.denominator != 1:
+        raise ConsistencyError(f"{family} orbit total of {d} at {ell} is {total}, not an integer")
+    return int(total)
 
 
-def d_polynomial(spec: AlgebraSpec, *, enable_e8: bool = False) -> Polynomial:
-    """Dimension polynomial of the algebra, assembled from closed data.
+def d_polynomial(spec: AlgebraSpec) -> Polynomial:
+    """Dimension polynomial of the algebra, assembled by the link recursion.
 
     >>> from taupoly.dynkin import parse_diagram
     >>> str(d_polynomial(AlgebraSpec("preprojective", parse_diagram("A3"))))
@@ -108,31 +99,30 @@ def d_polynomial(spec: AlgebraSpec, *, enable_e8: bool = False) -> Polynomial:
     d = spec.diagram
     out = ZERO
     for ell in d.vertices:
-        total = orbit_dim_total(spec, ell)
-        out = out + total * _vertex_factor(spec, delete_vertex(d, ell), enable_e8)
+        link = weyl.face_polynomial(spec.family, delete_vertex(d, ell))
+        out = out + orbit_dim_total(spec.family, d, ell) * link
     return out
 
 
-def h_polynomial(spec: AlgebraSpec, *, enable_e8: bool = False) -> Polynomial:
-    """Descent polynomial (doubled-quiver family) or Narayana polynomial
+def f_polynomial(spec: AlgebraSpec) -> Polynomial:
+    """Face-count polynomial of the algebra's complex of rigid objects."""
+    return weyl.face_polynomial(spec.family, spec.diagram)
+
+
+def h_polynomial(spec: AlgebraSpec) -> Polynomial:
+    """Descent polynomial (preprojective family) or Narayana polynomial
     (path family) of the full diagram."""
-    if spec.family == PREPROJECTIVE:
-        return weyl.eulerian_poly(spec.diagram, enable_e8=enable_e8)
-    return weyl.narayana_poly(spec.diagram, enable_e8=enable_e8)
+    return f_polynomial(spec).shifted(-1)
 
 
-def f_polynomial(spec: AlgebraSpec, *, enable_e8: bool = False) -> Polynomial:
-    return h_polynomial(spec, enable_e8=enable_e8).shifted(1)
-
-
-def aggregate_dims(spec: AlgebraSpec, *, enable_e8: bool = False) -> tuple[int, int]:
+def aggregate_dims(spec: AlgebraSpec) -> tuple[int, int]:
     """(leading, constant) coefficients of the dimension polynomial.
 
     The leading coefficient sums the dimensions of all indecomposable
     rigid objects; the constant term sums the dimensions of the maximal
     ones.
     """
-    poly = d_polynomial(spec, enable_e8=enable_e8)
+    poly = d_polynomial(spec)
     n = spec.diagram.rank
     return poly.coefficient(n - 1), poly.coefficient(0)
 
@@ -170,7 +160,7 @@ def aggregate_totals_closed(spec: AlgebraSpec) -> tuple[int, int]:
     leading = 0
     constant = 0
     for ell in d.vertices:
-        total = orbit_dim_total(spec, ell)
+        total = orbit_dim_total(spec.family, d, ell)
         leading += total
         constant += total * _union_maximal_count(spec, delete_vertex(d, ell))
     return leading, constant

@@ -1,7 +1,8 @@
 """Lattice-path and sign-sequence models for submodule dimension totals.
 
-Three combinatorial models, each with a closed formula and an exhaustive
-enumeration oracle:
+Three combinatorial models, each an exhaustive enumeration oracle for the
+per-vertex totals that ``formulas.orbit_dim_total`` computes from weight
+heights:
 
 * rectangle paths with the area-below statistic (type A vertices);
 * corner paths in a staircase region (type D, the two fork vertices);
@@ -19,7 +20,6 @@ counting identities alongside the weighted sums.
 from __future__ import annotations
 
 import itertools
-from math import comb
 from typing import Iterator, NamedTuple
 
 from .errors import MalformedPath, RankOutOfRange
@@ -59,18 +59,6 @@ def area_rect(path: tuple[int, ...], s: int, t: int) -> int:
     return area
 
 
-def dim_orbit_ppa_A(n: int, ell: int) -> int:
-    """Closed formula for the total area over all ({ell}, n-ell+1) paths.
-
-    Equals the sum of dimensions of the submodules of the ell-th
-    indecomposable projective over the type A preprojective algebra.
-    """
-    if not 1 <= ell <= n:
-        raise RankOutOfRange(f"vertex {ell} not in A{n}")
-    p, q = n - 1, n - ell
-    return (p + 1) * (p + 2) // 2 * comb(p, q)
-
-
 def dim_orbit_ppa_A_oracle(n: int, ell: int) -> OracleSum:
     """Enumerate the rectangle paths and sum their areas.
 
@@ -87,21 +75,6 @@ def dim_orbit_ppa_A_oracle(n: int, ell: int) -> OracleSum:
         total += area_rect(path, s, t)
         count += 1
     return OracleSum(total, count)
-
-
-def dim_orbit_ppa_D(n: int, ell: int) -> int:
-    """Closed formula for type D submodule dimension totals per vertex.
-
-    Vertices +1 and -1 give n(n-1)2^(n-3); a tail vertex ell in 2..n-1
-    gives (n-ell)(n+ell-1) 2^(n-ell-1) binom(n, ell).
-    """
-    if n < 4:
-        raise RankOutOfRange(f"D{n} needs n >= 4")
-    if ell in (1, -1):
-        return n * (n - 1) * 2 ** (n - 3)
-    if 2 <= ell <= n - 1:
-        return (n - ell) * (n + ell - 1) * 2 ** (n - ell - 1) * comb(n, ell)
-    raise RankOutOfRange(f"vertex {ell} not in D{n}")
 
 
 def corner_paths(length: int) -> Iterator[tuple[int, ...]]:
@@ -171,7 +144,7 @@ def sequence_weight(u: tuple[int, ...], n: int) -> int:
 
 
 def dim_orbit_ppa_D_oracle_mid(n: int, ell: int) -> OracleSum:
-    """Enumerate the sign sequences; total must match dim_orbit_ppa_D."""
+    """Enumerate the sign sequences and sum their weights."""
     if not 2 <= ell <= n - 1:
         raise RankOutOfRange(f"tail vertex {ell} not in 2..{n - 1}")
     if n > 14:
@@ -183,20 +156,3 @@ def dim_orbit_ppa_D_oracle_mid(n: int, ell: int) -> OracleSum:
         count += 1
     return OracleSum(total, count)
 
-
-def dim_projective_ppa_A(n: int, ell: int) -> int:
-    """Dimension of the ell-th indecomposable projective, type A: ell(n-ell+1)."""
-    if not 1 <= ell <= n:
-        raise RankOutOfRange(f"vertex {ell} not in A{n}")
-    return ell * (n - ell + 1)
-
-
-def dim_projective_ppa_D(n: int, ell: int) -> int:
-    """Dimension of the ell-th indecomposable projective, type D."""
-    if n < 4:
-        raise RankOutOfRange(f"D{n} needs n >= 4")
-    if ell in (1, -1):
-        return n * (n - 1) // 2
-    if 2 <= ell <= n - 1:
-        return (n - ell) * (n + ell - 1)
-    raise RankOutOfRange(f"vertex {ell} not in D{n}")

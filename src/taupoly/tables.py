@@ -114,24 +114,15 @@ TABLES = {
 }
 
 # Per-vertex totals of submodule dimensions of the indecomposable
-# projectives over the type E doubled-quiver algebras.  Computed
-# externally by repeated ideal multiplication in the algebra; they are
-# cross-validated indirectly through the table rows above and through the
-# identity d_(n-1) = sum_l Dim_l * (order of the deleted-vertex group).
+# projectives over the type E preprojective algebras, computed outside
+# this package by repeated ideal multiplication in the algebra.  The
+# engine derives them from weight heights; the tests compare the two,
+# since the grids above fix only sums over symmetric vertex pairs.
 E_PPA_SUBMODULE_DIM_TOTALS = {
     6: (216, 3240, 15120, 792, 3240, 216),
     7: (2142, 66528, 483840, 14112, 151200, 19656, 756),
     8: (99360, 6289920, 65318400, 1175040, 26611200, 5080320, 383040, 6960),
 }
 
-# Dimensions of the indecomposable projectives over the same algebras,
-# reproducible independently via the translate-orbit iteration.
-E_PPA_PROJECTIVE_DIMS = {
-    6: (16, 30, 42, 22, 30, 16),
-    7: (34, 66, 96, 49, 75, 52, 27),
-    8: (92, 182, 270, 136, 220, 168, 114, 58),
-}
-
-# Group orders and maximal-object counts for the structural checks.
-GROUP_ORDER_E = {6: 51840, 7: 2903040, 8: 696729600}
+# Maximal-object counts for the structural checks.
 CATALAN_COUNT_E = {6: 833, 7: 4160, 8: 25080}

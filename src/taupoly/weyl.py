@@ -1,52 +1,63 @@
-"""Descent and reflection-length statistics of finite reflection groups.
+"""Face, descent and Narayana polynomials of finite reflection groups.
 
-The two generating polynomials computed here are
+The engine is one link recursion over deleted diagrams.  Let
+Phi(x) = sum over k of (number of k-element faces) x^k for the complex of
+a diagram: the Coxeter complex for the preprojective family, the cluster
+complex for the path family.  Phi of the empty diagram is 1 and Phi of a
+union is the product over its components.  The link of a vertex of type
+l is the complex of the diagram with l deleted, so counting pairs
+(face, vertex in it) gives, for a connected diagram of rank n,
 
-* the descent-count distribution over the whole group (the h-vector of
-  the Coxeter complex), and
-* the reflection-length distribution over the absolute-order interval
-  below a Coxeter element (the Fuss-Catalan / Narayana refinement).
+    k Phi_k = sum over vertices l of N_l * [x^(k-1)] Phi(diagram minus l),
 
-Each statistic has at least two independent routes:
+for k = 1..n, where N_l counts the complex's vertices of type l:
 
-* type A descent counts come from the classical triangle recurrence, with
-  direct enumeration of permutations as the oracle;
-* type D descent counts come from the signed-permutation model with an
-  even number of sign changes, cross-checked against the type B triangle
-  identity and against a third model, breadth-first traversal of the
-  orbit of the regular weight;
-* type E descent counts can only be enumerated, via the weight orbit;
-* type A Narayana numbers come from the closed binomial formula, while
-  types D and E (and the type A oracle) walk the absolute-order interval
-  down from a Coxeter element, visiting only its Catalan(W) elements; the
-  tests check the walk against whole-group enumeration with the
-  codimension formula for reflection length.
+* preprojective: N_l = |W| / |W(diagram minus l)|, the cosets of the
+  maximal parabolic subgroup;
+* path: N_l = (h + 2) / 2 with h the Coxeter number, applied as
+  2k Phi_k = (h + 2) * sum so that nothing is ever a fraction.
 
-Full E8 enumeration (696,729,600 elements) is feature gated, and so is
-the E8 interval walk; nothing in the primary tables needs either.
+The face polynomial is Phi with its coefficients reversed, and its shift
+by -1 is the h-polynomial: the descent polynomial of the Weyl group
+(preprojective) or the W-Narayana polynomial (path).  Every division is
+checked to be exact, and a failure raises ``ConsistencyError``.
+
+Everything else here is an oracle, kept independent of the engine for
+the tests and the ``--oracle`` routes:
+
+* descent counts by enumerating permutations (type A) and even-signed
+  permutations (type D), by the classical triangle recurrences, and by
+  breadth-first traversal of the regular-weight orbit (every type);
+* Narayana polynomials by the closed binomial formula (type A) and by
+  walking the absolute-order interval down from a Coxeter element,
+  visiting only its Catalan(W) elements; the tests check the walk against
+  whole-group enumeration with the codimension formula for reflection
+  length.
+
+The E8 orbit (696,729,600 elements) and the E8 interval walk are feature
+gated; the engine needs neither.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 from functools import lru_cache
+from math import comb, prod
 
 import numpy as np
 
 from . import _orbits
 from ._linalg import integer_rank
-from .dynkin import DynkinDiagram, as_union
-from .errors import FeatureDisabled, RankTooLarge
+from .dynkin import DynkinDiagram, as_union, delete_vertex
+from .errors import ConsistencyError, FeatureDisabled, RankTooLarge, UsageError
 from .polynomials import ONE, Polynomial
+
+PREPROJECTIVE = "preprojective"
+PATH = "path"
 
 _EULERIAN_ORACLE_MAX_A = 9
 _EULERIAN_ORACLE_MAX_D = 8
 _NARAYANA_ORACLE_MAX = 8
-
-_memo_lock = threading.Lock()
-_eulerian_memo: dict[tuple[str, int], Polynomial] = {}
-_narayana_memo: dict[tuple[str, int], Polynomial] = {}
 
 
 def cartan_matrix(d: DynkinDiagram) -> np.ndarray:
@@ -59,6 +70,61 @@ def cartan_matrix(d: DynkinDiagram) -> np.ndarray:
         C[index[a], index[b]] = -1
         C[index[b], index[a]] = -1
     return C
+
+
+# ---------------------------------------------------------------------------
+# The engine: link recursion for the face counts
+# ---------------------------------------------------------------------------
+
+
+def _exact_quotient(numerator: int, denominator: int, what: str) -> int:
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise ConsistencyError(f"{what}: {numerator} is not divisible by {denominator}")
+    return quotient
+
+
+def coset_count(d: DynkinDiagram, ell: int) -> int:
+    """Index of the parabolic subgroup W(d minus ell) in W(d).
+
+    >>> coset_count(DynkinDiagram("A", 3), 2)
+    6
+    """
+    parabolic = prod(comp.group_order() for comp in delete_vertex(d, ell))
+    return _exact_quotient(d.group_order(), parabolic, f"[W({d}) : W({d} minus {ell})]")
+
+
+@lru_cache(maxsize=None)
+def _face_counts_connected(family: str, d: DynkinDiagram) -> Polynomial:
+    if family == PREPROJECTIVE:
+        weights, scale = [coset_count(d, ell) for ell in d.vertices], 1
+    elif family == PATH:
+        weights, scale = [d.coxeter_number() + 2] * d.rank, 2
+    else:
+        raise UsageError(f"family must be {PREPROJECTIVE!r} or {PATH!r}")
+    links = [_face_counts(family, delete_vertex(d, ell)) for ell in d.vertices]
+    phi = [1]
+    for k in range(1, d.rank + 1):
+        total = sum(w * link.coefficient(k - 1) for w, link in zip(weights, links))
+        phi.append(_exact_quotient(total, scale * k, f"{k}-faces of the {family} complex of {d}"))
+    return Polynomial(phi)
+
+
+def _face_counts(family: str, u) -> Polynomial:
+    result = ONE
+    for comp in as_union(u):
+        result = result * _face_counts_connected(family, comp)
+    return result
+
+
+def face_polynomial(family: str, u) -> Polynomial:
+    """Face-count polynomial of the complex of a diagram or union: the
+    coefficient of t^(rank - k) counts the k-element faces.
+
+    >>> str(face_polynomial(PATH, DynkinDiagram("A", 3)))
+    't^3 + 9t^2 + 21t + 14'
+    """
+    return Polynomial(reversed(_face_counts(family, u).coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -163,42 +229,28 @@ def eulerian_by_orbit(d: DynkinDiagram, *, enable_e8: bool = False) -> Polynomia
     return Polynomial(_orbits.descent_distribution(cartan_matrix(d)))
 
 
-def _eulerian_connected(d: DynkinDiagram, enable_e8: bool) -> Polynomial:
-    key = (d.family, d.rank)
-    with _memo_lock:
-        cached = _eulerian_memo.get(key)
-    if cached is not None:
-        return cached
-    if d.family == "A":
-        poly = Polynomial(_eulerian_sym(d.rank + 1))
-    elif d.family == "D":
-        poly = Polynomial(_eulerian_even_signed(d.rank))
-    else:
-        poly = eulerian_by_orbit(d, enable_e8=enable_e8)
-    with _memo_lock:
-        _eulerian_memo.setdefault(key, poly)
-    return poly
-
-
 def eulerian_poly(u, *, oracle: bool = False, enable_e8: bool = False) -> Polynomial:
-    """Descent-count polynomial of a diagram or union (product over parts).
+    """Descent-count polynomial of a diagram or union: the h-polynomial of
+    its Coxeter complex.
+
+    ``oracle`` multiplies brute-force counts over the components instead:
+    enumeration for types A and D, the weight orbit for type E (E8 only
+    with ``enable_e8``).
 
     >>> from taupoly.dynkin import parse_diagram
     >>> str(eulerian_poly(parse_diagram("A3")))
     't^3 + 11t^2 + 11t + 1'
     """
-    union = as_union(u)
+    if not oracle:
+        return face_polynomial(PREPROJECTIVE, u).shifted(-1)
     result = ONE
-    for comp in union:
-        if oracle:
-            if comp.family == "A":
-                part = eulerian_a_by_enumeration(comp.rank)
-            elif comp.family == "D":
-                part = eulerian_d_by_enumeration(comp.rank)
-            else:
-                part = eulerian_by_orbit(comp, enable_e8=enable_e8)
+    for comp in as_union(u):
+        if comp.family == "A":
+            part = eulerian_a_by_enumeration(comp.rank)
+        elif comp.family == "D":
+            part = eulerian_d_by_enumeration(comp.rank)
         else:
-            part = _eulerian_connected(comp, enable_e8)
+            part = eulerian_by_orbit(comp, enable_e8=enable_e8)
         result = result * part
     return result
 
@@ -293,52 +345,25 @@ def narayana_a(rank: int) -> Polynomial:
     if rank <= 0:
         return ONE
     m = rank + 1
-    return Polynomial(
-        [_binom(m, j) * _binom(m, j + 1) // m for j in range(rank + 1)]
-    )
-
-
-def _binom(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
-
-
-def _narayana_connected(d: DynkinDiagram, enable_e8: bool) -> Polynomial:
-    if d.family == "A":
-        return narayana_a(d.rank)
-    key = (d.family, d.rank)
-    with _memo_lock:
-        cached = _narayana_memo.get(key)
-    if cached is not None:
-        return cached
-    poly = narayana_oracle(d, enable_e8=enable_e8)
-    with _memo_lock:
-        _narayana_memo.setdefault(key, poly)
-    return poly
+    return Polynomial([comb(m, j) * comb(m, j + 1) // m for j in range(rank + 1)])
 
 
 def narayana_poly(u, *, oracle: bool = False, enable_e8: bool = False) -> Polynomial:
-    """Narayana polynomial of a diagram or union (product over parts).
+    """Narayana polynomial of a diagram or union: the h-polynomial of its
+    cluster complex.
 
-    Type A components use the closed binomial formula unless ``oracle``
-    forces the enumeration; D and E components always enumerate.
+    ``oracle`` multiplies the interval walks over the components instead
+    (E8 only with ``enable_e8``).
 
     >>> from taupoly.dynkin import parse_diagram
     >>> str(narayana_poly(parse_diagram("A3")))
     't^3 + 6t^2 + 6t + 1'
     """
-    union = as_union(u)
+    if not oracle:
+        return face_polynomial(PATH, u).shifted(-1)
     result = ONE
-    for comp in union:
-        if oracle:
-            part = narayana_oracle(comp, enable_e8=enable_e8)
-        else:
-            part = _narayana_connected(comp, enable_e8)
-        result = result * part
+    for comp in as_union(u):
+        result = result * narayana_oracle(comp, enable_e8=enable_e8)
     return result
 
 
@@ -397,8 +422,3 @@ def all_group_matrices(d: DynkinDiagram) -> list[np.ndarray]:
         frontier = nxt
     return list(seen.values())
 
-
-def clear_memos() -> None:
-    with _memo_lock:
-        _eulerian_memo.clear()
-        _narayana_memo.clear()

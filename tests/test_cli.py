@@ -1,6 +1,11 @@
 import json
+from math import comb
 
 import pytest
+
+from taupoly import weyl
+from taupoly.dynkin import DynkinDiagram
+from taupoly.errors import ConsistencyError
 
 from taupoly import cli
 
@@ -68,10 +73,18 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_feature_disabled_exits_3(capsys):
-    assert cli.main(["narayana", "E8"]) == 3
-    assert cli.main(["eulerian", "E8"]) == 3
-    assert cli.main(["poly", "--family", "path", "--diagram", "E8", "--kind", "h"]) == 3
+    assert cli.main(["narayana", "E8", "--oracle"]) == 3
+    assert cli.main(["eulerian", "E8", "--oracle"]) == 3
     capsys.readouterr()
+
+
+def test_poly_e8_h_needs_no_gate(capsys):
+    for family, total in (("path", 25080), ("preprojective", 696729600)):
+        code, payload = run_json(
+            capsys, "poly", "--family", family, "--diagram", "E8", "--kind", "h"
+        )
+        assert code == 0
+        assert sum(map(int, payload["results"]["coefficients_ascending"])) == total
 
 
 def test_eulerian_union(capsys):
@@ -92,6 +105,12 @@ def test_dim_orbit(capsys):
     )
     assert code == 0
     assert payload["results"]["totals"] == {"1": "10", "2": "30", "3": "30", "4": "10"}
+    # past the enumeration caps: n(n+1)/2 * binom(n-1, n-l) at vertex l of A_n
+    code, payload = run_json(capsys, "dim-orbit", "--type", "A", "--rank", "20")
+    assert code == 0
+    assert payload["results"]["totals"] == {
+        str(ell): str(210 * comb(19, 20 - ell)) for ell in range(1, 21)
+    }
     code, payload = run_json(
         capsys,
         "dim-orbit", "--family", "ppa", "--type", "D", "--rank", "4",
@@ -174,17 +193,7 @@ def test_verify_oracles_suite_small(capsys):
     assert "rectangle-paths-vs-formula-n<=12" in names
 
 
-def test_thread_env_is_validated(monkeypatch):
-    monkeypatch.setenv("TAUPOLY_THREADS", "4")
-    assert 1 <= cli.thread_count() <= 4
-    monkeypatch.setenv("TAUPOLY_THREADS", "zebra")
-    with pytest.raises(Exception):
-        cli.thread_count()
-
-
 def test_verify_all_covers_every_operation_group(capsys):
-    # one full pass; the heavy enumerations are memoized process-wide by
-    # the acceptance module, which pytest runs first
     code, payload = run_json(capsys, "verify", "--suite", "all")
     assert code == 0
     names = [c["name"] for c in payload["checks"]]
@@ -210,15 +219,6 @@ def test_verify_all_covers_every_operation_group(capsys):
     assert all(c["pass"] for c in payload["checks"])
 
 
-def test_tables_suite_is_thread_count_invariant(capsys, monkeypatch):
-    # memoized enumerations make this cheap after the run above
-    _, serial = run(capsys, "--format", "json", "verify", "--suite", "tables")
-    monkeypatch.setenv("TAUPOLY_THREADS", "4")
-    _, threaded = run(capsys, "--format", "json", "verify", "--suite", "tables")
-    assert serial == threaded
-    assert json.loads(serial)["exit_status"] == 0
-
-
 def test_internal_consistency_failure_exits_4(capsys, monkeypatch):
     from taupoly import _orbits
 
@@ -226,6 +226,30 @@ def test_internal_consistency_failure_exits_4(capsys, monkeypatch):
     monkeypatch.setattr(_orbits, "_hadamard_bound", lambda max_entry, n: _orbits._P1 * _orbits._P2)
     assert cli.main(["narayana", "D4", "--oracle"]) == cli.EXIT_INTERNAL == 4
     assert "internal error" in capsys.readouterr().err
+
+
+@pytest.fixture
+def fresh_engine_cache():
+    weyl._face_counts_connected.cache_clear()
+    yield
+    weyl._face_counts_connected.cache_clear()
+
+
+def test_engine_divisibility_failure_exits_4(capsys, monkeypatch, fresh_engine_cache):
+    # with h = 3 for A1 the path recursion asks 2 * Phi_1 = 5 * 1
+    monkeypatch.setattr(DynkinDiagram, "coxeter_number", lambda self: 3)
+    with pytest.raises(ConsistencyError, match="not divisible"):
+        weyl.narayana_poly(DynkinDiagram("A", 1))
+    assert cli.main(["narayana", "A1"]) == cli.EXIT_INTERNAL == 4
+    assert "internal error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("max_rank", ["0", "-3", "9"])
+def test_verify_max_rank_out_of_range_fails_fast(capsys, max_rank):
+    assert cli.main(["verify", "--suite", "oracles", "--max-rank", max_rank]) == 2
+    captured = capsys.readouterr()
+    assert "between 1 and 8" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(

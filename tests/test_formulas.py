@@ -1,7 +1,8 @@
 import pytest
 
+from taupoly import _orbits, formulas, hereditary, lattice, weyl
 from taupoly.dynkin import DynkinDiagram, delete_vertex
-from taupoly.errors import FeatureDisabled, RankOutOfRange, UsageError
+from taupoly.errors import FeatureDisabled, NotAVertex, RankOutOfRange, UsageError
 from taupoly.formulas import (
     PATH,
     PREPROJECTIVE,
@@ -18,7 +19,9 @@ from taupoly.formulas import (
     reproduce_table,
 )
 from taupoly.polynomials import Polynomial
-from taupoly.tables import E_PPA_SUBMODULE_DIM_TOTALS, GROUP_ORDER_E
+from taupoly.hereditary import tau_orbit_dims_all
+from taupoly.tables import E_PPA_SUBMODULE_DIM_TOTALS
+from taupoly.weyl import eulerian_poly, narayana_poly
 
 
 def spec(family, dfam, n):
@@ -48,7 +51,6 @@ def test_degree_is_rank_minus_one():
 
 
 def test_closed_tables_match_golden():
-    # tables whose inputs are entirely closed-form (no big enumerations)
     for k in (1, 2, 4):
         assert reproduce_table(k) == golden_table(k)
 
@@ -63,11 +65,13 @@ def test_path_e6_row():
 
 
 def test_e_table_identities_without_enumeration():
-    # the embedded per-vertex totals re-derive both end columns of the
-    # E-family grid through two different identities
+    # the embedded per-vertex totals equal the engine's, and re-derive
+    # both end columns of the E-family grid through two identities
     for rank in (6, 7, 8):
         diagram = DynkinDiagram("E", rank)
         dims = E_PPA_SUBMODULE_DIM_TOTALS[rank]
+        engine = tuple(orbit_dim_total(PREPROJECTIVE, diagram, ell) for ell in diagram.vertices)
+        assert engine == dims
         golden = golden_table(3)[rank]
         assert sum(dims) == golden[0]
         weighted = 0
@@ -106,12 +110,73 @@ def test_expected_aggregates_none_for_e():
 
 
 def test_orbit_dim_totals():
-    assert orbit_dim_total(spec(PREPROJECTIVE, "A", 4), 2) == 30
-    assert orbit_dim_total(spec(PREPROJECTIVE, "D", 4), 2) == 120
-    assert orbit_dim_total(spec(PREPROJECTIVE, "E", 6), 3) == 15120
-    assert orbit_dim_total(spec(PATH, "A", 4), 2) == 6
-    assert orbit_dim_total(spec(PATH, "D", 4), 2) == 10
-    assert orbit_dim_total(spec(PATH, "E", 6), 3) == 42
+    assert orbit_dim_total(PREPROJECTIVE, DynkinDiagram("A", 4), 2) == 30
+    assert orbit_dim_total(PREPROJECTIVE, DynkinDiagram("D", 4), 2) == 120
+    assert orbit_dim_total(PREPROJECTIVE, DynkinDiagram("E", 6), 3) == 15120
+    assert orbit_dim_total(PATH, DynkinDiagram("A", 4), 2) == 6
+    assert orbit_dim_total(PATH, DynkinDiagram("D", 4), 2) == 10
+    assert orbit_dim_total(PATH, DynkinDiagram("E", 6), 3) == 42
+    # no rank cap: the diagram alone decides
+    assert orbit_dim_total(PREPROJECTIVE, DynkinDiagram("A", 20), 1) == 210
+    with pytest.raises(NotAVertex):
+        orbit_dim_total(PATH, DynkinDiagram("A", 4), 5)
+    with pytest.raises(NotAVertex):
+        orbit_dim_total(PREPROJECTIVE, DynkinDiagram("D", 5), 0)
+    with pytest.raises(UsageError):
+        orbit_dim_total("pth", DynkinDiagram("A", 4), 1)
+
+
+def test_path_orbit_totals_match_translate_orbits():
+    diagrams = (
+        [DynkinDiagram("A", n) for n in range(1, 12)]
+        + [DynkinDiagram("D", n) for n in range(4, 12)]
+        + [DynkinDiagram("E", n) for n in (6, 7, 8)]
+    )
+    for d in diagrams:
+        engine = {ell: orbit_dim_total(PATH, d, ell) for ell in d.vertices}
+        assert engine == tau_orbit_dims_all(d), d
+
+
+def test_engine_reproduces_tables_without_oracles(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the engine called an oracle")
+
+    for module in (_orbits, hereditary, lattice):
+        for name, value in list(vars(module).items()):
+            if callable(value) and getattr(value, "__module__", None) == module.__name__:
+                if not isinstance(value, type):
+                    monkeypatch.setattr(module, name, forbidden)
+    for name in (
+        "eulerian_a_by_enumeration",
+        "eulerian_d_by_enumeration",
+        "eulerian_by_orbit",
+        "_eulerian_sym",
+        "_eulerian_hyperoctahedral",
+        "_eulerian_even_signed",
+        "narayana_oracle",
+        "narayana_a",
+        "all_group_matrices",
+        "reflection_length_table",
+    ):
+        monkeypatch.setattr(weyl, name, forbidden)
+    # formulas binds nothing from the oracle modules, so the patches above
+    # cover every route it could take into them
+    oracle_modules = {m.__name__ for m in (_orbits, hereditary, lattice)}
+    for value in vars(formulas).values():
+        assert getattr(value, "__name__", None) not in oracle_modules
+        assert getattr(value, "__module__", None) not in oracle_modules
+    weyl._face_counts_connected.cache_clear()
+    formulas._weight_heights.cache_clear()
+    assert _orbits.descent_distribution is forbidden
+    assert hereditary.tau_orbit_vectors is forbidden
+    assert lattice.dim_orbit_ppa_D_oracle_mid is forbidden
+    for k in range(1, 7):
+        assert reproduce_table(k) == golden_table(k)
+    for family, ranks in (("A", range(1, 12)), ("D", range(4, 12)), ("E", (6, 7, 8))):
+        for n in ranks:
+            diagram = DynkinDiagram(family, n)
+            assert eulerian_poly(diagram)(1) == diagram.group_order()
+            assert narayana_poly(diagram)(1) == catalan_count(diagram)
 
 
 def test_catalan_count():
@@ -132,12 +197,10 @@ def test_rank_bounds_and_usage():
 
 
 def test_e8_h_polynomial_is_gated():
+    # only the oracle routes enumerate, so only they are gated
+    assert h_polynomial(spec(PATH, "E", 8))(1) == 25080
+    assert h_polynomial(spec(PREPROJECTIVE, "E", 8))(1) == 696729600
     with pytest.raises(FeatureDisabled):
-        h_polynomial(spec(PATH, "E", 8))
+        narayana_poly(DynkinDiagram("E", 8), oracle=True)
     with pytest.raises(FeatureDisabled):
-        h_polynomial(spec(PREPROJECTIVE, "E", 8))
-
-
-def test_group_order_table():
-    for rank, order in GROUP_ORDER_E.items():
-        assert DynkinDiagram("E", rank).group_order() == order
+        eulerian_poly(DynkinDiagram("E", 8), oracle=True)

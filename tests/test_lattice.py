@@ -2,24 +2,37 @@ from math import comb
 
 import pytest
 
-from taupoly.errors import MalformedPath, RankOutOfRange
+from taupoly.dynkin import DynkinDiagram
+from taupoly.errors import MalformedPath, NotAVertex, RankOutOfRange, UsageError
+from taupoly.formulas import PATH, PREPROJECTIVE, orbit_dim_total
 from taupoly.lattice import (
     East,
     North,
     area_corner,
     area_rect,
     corner_paths,
-    dim_orbit_ppa_A,
     dim_orbit_ppa_A_oracle,
-    dim_orbit_ppa_D,
     dim_orbit_ppa_D_oracle_mid,
     dim_orbit_ppa_D_oracle_pm1,
-    dim_projective_ppa_A,
-    dim_projective_ppa_D,
     rect_paths,
     sequence_weight,
     sign_sequences,
 )
+
+
+def engine_dim_A(n, ell):
+    """The engine's submodule dimension total at vertex ell of A_n."""
+    return orbit_dim_total(PREPROJECTIVE, DynkinDiagram("A", n), ell)
+
+
+def engine_dim_D(n, ell):
+    """The engine's submodule dimension total at vertex ell of D_n."""
+    return orbit_dim_total(PREPROJECTIVE, DynkinDiagram("D", n), ell)
+
+
+def engine_projective_dim(family, n, ell):
+    """The engine's projective dimension: the path-family orbit total."""
+    return orbit_dim_total(PATH, DynkinDiagram(family, n), ell)
 
 
 def test_rectangle_figure_anchors():
@@ -37,22 +50,22 @@ def test_rectangle_small_enumeration_by_hand():
     areas = sorted(area_rect(p, 2, 2) for p in rect_paths(2, 2))
     assert areas == [0, 1, 2, 2, 3, 4]
     assert dim_orbit_ppa_A_oracle(3, 2) == (12, 6)
-    assert dim_orbit_ppa_A(3, 2) == 12
+    assert engine_dim_A(3, 2) == 12
 
 
 def test_rectangle_closed_formula_values():
-    assert dim_orbit_ppa_A(1, 1) == 1
-    assert [dim_orbit_ppa_A(4, ell) for ell in range(1, 5)] == [10, 30, 30, 10]
-    assert dim_orbit_ppa_A(9, 4) == 2520
+    assert engine_dim_A(1, 1) == 1
+    assert [engine_dim_A(4, ell) for ell in range(1, 5)] == [10, 30, 30, 10]
+    assert engine_dim_A(9, 4) == 2520
     assert dim_orbit_ppa_A_oracle(9, 4).total == 2520
     assert dim_orbit_ppa_A_oracle(1, 1) == (1, 2)
 
 
 def test_rectangle_oracle_matches_formula():
-    for n in range(1, 11):
+    for n in range(1, 12):
         for ell in range(1, n + 1):
             total, count = dim_orbit_ppa_A_oracle(n, ell)
-            assert total == dim_orbit_ppa_A(n, ell)
+            assert total == engine_dim_A(n, ell)
             assert count == comb(n + 1, ell)
 
 
@@ -72,14 +85,14 @@ def test_rectangle_max_area_is_projective_dim():
     for n in range(1, 9):
         for ell in range(1, n + 1):
             areas = [area_rect(p, ell, n - ell + 1) for p in rect_paths(ell, n - ell + 1)]
-            assert max(areas) == ell * (n - ell + 1) == dim_projective_ppa_A(n, ell)
+            assert max(areas) == ell * (n - ell + 1) == engine_projective_dim("A", n, ell)
             assert min(areas) == 0
 
 
 def test_total_over_vertices_identity():
     for n in range(1, 13):
         expected = n * (n + 1) * 2 ** (n - 2) if n >= 2 else 1
-        assert sum(dim_orbit_ppa_A(n, ell) for ell in range(1, n + 1)) == expected
+        assert sum(engine_dim_A(n, ell) for ell in range(1, n + 1)) == expected
 
 
 def test_corner_area_anchors():
@@ -99,7 +112,7 @@ def test_corner_oracle():
     for n in range(4, 13):
         total, count = dim_orbit_ppa_D_oracle_pm1(n)
         assert count == 2 ** (n - 1)
-        assert total == dim_orbit_ppa_D(n, 1) == dim_orbit_ppa_D(n, -1)
+        assert total == engine_dim_D(n, 1) == engine_dim_D(n, -1)
 
 
 def test_corner_max_area_is_projective_dim():
@@ -126,7 +139,7 @@ def test_sequence_weight():
     for n in range(4, 9):
         for ell in range(2, n):
             weights = [sequence_weight(u, n) for u in sign_sequences(n, ell)]
-            assert max(weights) == (n - ell) * (n + ell - 1) == dim_projective_ppa_D(n, ell)
+            assert max(weights) == (n - ell) * (n + ell - 1) == engine_projective_dim("D", n, ell)
             assert min(weights) == 0
 
 
@@ -136,25 +149,25 @@ def test_mid_oracle_matches_formula():
     for n in range(4, 12):
         for ell in range(2, n):
             total, count = dim_orbit_ppa_D_oracle_mid(n, ell)
-            assert total == dim_orbit_ppa_D(n, ell)
+            assert total == engine_dim_D(n, ell)
             assert count == 2 ** (n - ell) * comb(n, ell)
 
 
 def test_dim_formula_values():
-    assert dim_orbit_ppa_D(4, 1) == 24
-    assert dim_orbit_ppa_D(4, 2) == 120
-    assert dim_orbit_ppa_D(5, 4) == 40
-    assert dim_projective_ppa_D(4, 2) == 10
-    assert dim_projective_ppa_D(6, 1) == 15
+    assert engine_dim_D(4, 1) == 24
+    assert engine_dim_D(4, 2) == 120
+    assert engine_dim_D(5, 4) == 40
+    assert engine_projective_dim("D", 4, 2) == 10
+    assert engine_projective_dim("D", 6, 1) == 15
 
 
 def test_range_errors():
-    with pytest.raises(RankOutOfRange):
-        dim_orbit_ppa_A(3, 4)
-    with pytest.raises(RankOutOfRange):
-        dim_orbit_ppa_D(3, 1)
-    with pytest.raises(RankOutOfRange):
-        dim_orbit_ppa_D(5, 5)
+    with pytest.raises(NotAVertex):
+        engine_dim_A(3, 4)
+    with pytest.raises(UsageError):
+        engine_dim_D(3, 1)
+    with pytest.raises(NotAVertex):
+        engine_dim_D(5, 5)
     with pytest.raises(RankOutOfRange):
         dim_orbit_ppa_D_oracle_mid(5, 1)
     with pytest.raises(RankOutOfRange):

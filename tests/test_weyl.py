@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from taupoly import _orbits
+from taupoly import _orbits, weyl
 from taupoly.dynkin import DiagramUnion, DynkinDiagram, parse_union
 from taupoly._linalg import integer_inverse
 from taupoly.errors import ConsistencyError, FeatureDisabled, RankTooLarge
@@ -45,7 +47,7 @@ def test_two_letter_even_signed_model_by_hand():
 
 
 def test_eulerian_closed_matches_enumeration_type_a():
-    for rank in range(1, 7):
+    for rank in range(1, 8):
         assert eulerian_poly(A(rank)) == eulerian_a_by_enumeration(rank)
 
 
@@ -57,6 +59,58 @@ def test_eulerian_closed_matches_enumeration_type_d():
 def test_signed_and_orbit_models_agree_on_d4_d5():
     for rank in (4, 5):
         assert eulerian_d_by_enumeration(rank) == eulerian_by_orbit(D(rank))
+
+
+def test_eulerian_engine_matches_weight_orbit():
+    # the orbit's point count is the group order, which also pins the
+    # type E literals in DynkinDiagram.group_order
+    for diagram in (D(4), D(5), E(6), E(7)):
+        orbit = eulerian_by_orbit(diagram)
+        assert eulerian_poly(diagram) == orbit
+        assert orbit(1) == diagram.group_order()
+
+
+def test_eulerian_engine_matches_triangles():
+    for rank in range(1, 12):
+        assert eulerian_poly(A(rank)) == Polynomial(weyl._eulerian_sym(rank + 1))
+    for rank in range(4, 12):
+        assert eulerian_poly(D(rank)) == Polynomial(weyl._eulerian_even_signed(rank))
+
+
+def test_narayana_engine_matches_interval_walk():
+    diagrams = [A(n) for n in range(1, 9)] + [D(n) for n in range(4, 9)] + [E(6), E(7), E(8)]
+    for diagram in diagrams:
+        assert narayana_poly(diagram) == narayana_oracle(diagram, enable_e8=True), diagram
+
+
+def test_narayana_engine_matches_closed_form():
+    for rank in range(1, 12):
+        assert narayana_poly(A(rank)) == narayana_a(rank)
+
+
+@st.composite
+def diagram_unions(draw, budget: int = 6):
+    """Unions of A/D/E components of total rank at most ``budget``."""
+    lowest = {"A": 1, "D": 4, "E": 6}
+    components = []
+    while budget and draw(st.booleans()):
+        family = draw(st.sampled_from([f for f, low in lowest.items() if low <= budget]))
+        rank = 6 if family == "E" else draw(st.integers(lowest[family], budget))
+        components.append(DynkinDiagram(family, rank))
+        budget -= rank
+    return DiagramUnion(tuple(components))
+
+
+@settings(max_examples=30, deadline=None)
+@given(diagram_unions())
+def test_engine_equals_oracle_on_random_unions(union):
+    for poly, oracle in (
+        (eulerian_poly(union), eulerian_poly(union, oracle=True)),
+        (narayana_poly(union), narayana_poly(union, oracle=True)),
+    ):
+        assert poly == oracle
+        assert poly.degree == union.rank
+        assert poly.is_palindromic(union.rank)
 
 
 def test_group_orders():
@@ -191,7 +245,9 @@ def test_feature_gates():
     with pytest.raises(FeatureDisabled):
         eulerian_by_orbit(E(8))
     with pytest.raises(FeatureDisabled):
-        narayana_poly(E(8))
+        eulerian_poly(E(8), oracle=True)
+    with pytest.raises(FeatureDisabled):
+        narayana_poly(E(8), oracle=True)
     with pytest.raises(FeatureDisabled):
         narayana_oracle(E(8))
     with pytest.raises(RankTooLarge):
