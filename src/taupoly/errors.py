@@ -45,10 +45,6 @@ class ConsistencyError(TaupolyError):
     """
 
 
-class NegativeExt(ConsistencyError):
-    """Internal consistency failure: an extension-space dimension came out negative."""
-
-
 class ConventionError(ConsistencyError):
     """Internal consistency failure: a sign or transpose convention failed validation."""
 

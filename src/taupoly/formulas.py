@@ -26,11 +26,9 @@ from math import comb, factorial
 from . import tables, weyl
 from ._linalg import rational_solve
 from .dynkin import DiagramUnion, DynkinDiagram, delete_vertex
-from .errors import ConsistencyError, NotAVertex, RankOutOfRange, UsageError
+from .errors import ConsistencyError, NotAVertex, UsageError
 from .polynomials import ZERO, Polynomial
 from .weyl import PATH, PREPROJECTIVE
-
-_MAX_RANK = {"A": 11, "D": 11, "E": 8}
 
 
 @dataclass(frozen=True)
@@ -43,11 +41,6 @@ class AlgebraSpec:
     def __post_init__(self):
         if self.family not in (PREPROJECTIVE, PATH):
             raise UsageError(f"family must be {PREPROJECTIVE!r} or {PATH!r}")
-        if self.diagram.rank > _MAX_RANK[self.diagram.family]:
-            raise RankOutOfRange(
-                f"{self.diagram} is beyond the supported bound "
-                f"{self.diagram.family} <= {_MAX_RANK[self.diagram.family]}"
-            )
 
     def __str__(self) -> str:
         return f"{self.family} {self.diagram}"

@@ -1,41 +1,40 @@
 """Brute-force ground truth for path algebras of Dynkin quivers.
 
-Two independent engines live here:
+Two independent oracles live here, for any Dynkin quiver of any
+orientation (and disjoint unions of them):
 
-* For type A quivers of arbitrary orientation (and disjoint unions of
-  them), the full compatibility complex of rigid pairs is built from
-  scratch.  Indecomposables of a type A quiver are the interval modules;
-  morphism spaces between intervals are computed by solving the
-  intertwiner equations, one scalar unknown per common support vertex,
-  which keeps the code agnostic of the orientation.  Face counts of the
-  complex give the face-count polynomial, dimension-weighted face counts
-  give the dimension polynomial, with no closed formula anywhere.
+* The full compatibility complex of rigid pairs, built from dimension
+  vectors alone.  The indecomposables are the positive roots of the
+  underlying graph (Gabriel).  The Auslander-Reiten quiver is directed,
+  so between indecomposables at most one of Hom(M, N) and Ext^1(M, N) is
+  nonzero, and Ext^1(M, N) = max(0, -<dim M, dim N>) with the Euler form
+  <x, y> = x (I - A) y^T, A counting arrows.  A shifted projective
+  P_l[1] is compatible with M exactly when M_l = 0 (Adachi-Iyama-Reiten).
+  Every build pins the Euler form against the projectives read off path
+  reachability: <alpha, alpha> = 1 for every root and <P_l, alpha> =
+  alpha_l for every vertex l.  Face counts of the complex give the
+  face-count polynomial, dimension-weighted face counts give the
+  dimension polynomial, with no closed formula anywhere.
 
-* For any Dynkin quiver, the translate-orbit dimension sum is computed
-  by iterating the inverse Coxeter transformation on the dimension
-  vector of a projective until it leaves the positive orthant.  The sign
-  and transpose conventions of the Coxeter matrix are pinned by a
-  startup self-check on a rank 3 example, not by fiat.
+* The translate-orbit dimension sum, computed by iterating the inverse
+  Coxeter transformation on the dimension vector of a projective until
+  it leaves the positive orthant.  The sign and transpose conventions of
+  the Coxeter matrix are pinned by a startup self-check on a rank 3
+  example, not by fiat.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
-from ._linalg import integer_inverse, integer_rank, mat_mul, row_times_mat
+import numpy as np
+
+from ._linalg import integer_inverse, mat_mul, row_times_mat
+from ._orbits import positive_roots
 from .dynkin import DynkinDiagram
-from .errors import (
-    ConventionError,
-    ImpurityError,
-    NegativeExt,
-    NotAModule,
-    RankTooLarge,
-    UsageError,
-)
+from .errors import ConventionError, ImpurityError, NotAModule, RankTooLarge, UsageError
 from .polynomials import Polynomial
-
-Interval = tuple[int, ...]  # support vertices in path order
 
 
 @dataclass(frozen=True)
@@ -52,15 +51,7 @@ class OrientedQuiver:
     def line(cls, n: int, orientation: str | None = None) -> "OrientedQuiver":
         """Type A quiver on 1..n; orientation character i is '+' for the
         arrow i -> i+1 and '-' for i <- i+1.  Default: all '+'."""
-        if orientation is None:
-            orientation = "+" * (n - 1)
-        if len(orientation) != n - 1 or any(c not in "+-" for c in orientation):
-            raise UsageError(f"orientation for A{n} needs {n - 1} characters of +-")
-        arrows = tuple(
-            (i, i + 1) if c == "+" else (i + 1, i)
-            for i, c in enumerate(orientation, start=1)
-        )
-        return cls(tuple(range(1, n + 1)), arrows)
+        return cls.from_diagram(DynkinDiagram("A", n), orientation)
 
     @classmethod
     def from_diagram(cls, d: DynkinDiagram, orientation: str | None = None) -> "OrientedQuiver":
@@ -87,117 +78,70 @@ class OrientedQuiver:
     def rank(self) -> int:
         return len(self.vertices)
 
-    def components(self) -> list[list[int]]:
-        adjacency = {v: set() for v in self.vertices}
+    def arrow_counts(self) -> np.ndarray:
+        """Matrix A with A[i, j] the number of arrows from vertex i to
+        vertex j, in vertex order."""
+        index = {v: k for k, v in enumerate(self.vertices)}
+        counts = np.zeros((self.rank, self.rank), dtype=np.int64)
         for a, b in self.arrows:
-            adjacency[a].add(b)
-            adjacency[b].add(a)
-        seen: set[int] = set()
-        comps = []
-        for v in self.vertices:
-            if v in seen:
-                continue
-            comp = {v}
-            stack = [v]
-            while stack:
-                cur = stack.pop()
-                for nbr in adjacency[cur]:
-                    if nbr not in comp:
-                        comp.add(nbr)
-                        stack.append(nbr)
-            seen |= comp
-            comps.append(sorted(comp))
-        return comps
-
-    def line_components(self) -> list[list[int]]:
-        """Components as ordered paths; raises if any component branches."""
-        adjacency = {v: [] for v in self.vertices}
-        for a, b in self.arrows:
-            adjacency[a].append(b)
-            adjacency[b].append(a)
-        ordered = []
-        for comp in self.components():
-            if len(comp) == 1:
-                ordered.append(comp)
-                continue
-            degrees = {v: len(adjacency[v]) for v in comp}
-            if any(d > 2 for d in degrees.values()):
-                raise UsageError("interval-module model needs type A components")
-            start = min(v for v in comp if degrees[v] == 1)
-            path = [start]
-            prev = None
-            while len(path) < len(comp):
-                nxt = next(w for w in adjacency[path[-1]] if w != prev)
-                prev = path[-1]
-                path.append(nxt)
-            ordered.append(path)
-        return ordered
+            counts[index[a], index[b]] += 1
+        return counts
 
 
 # ---------------------------------------------------------------------------
-# Hom and Ext between interval modules
+# Projectives and the Euler form on dimension vectors
 # ---------------------------------------------------------------------------
 
 
-def hom_dim(m_support: Interval, n_support: Interval, q: OrientedQuiver) -> int:
-    """Dimension of the morphism space between two thin modules.
+def path_cartan(q: OrientedQuiver) -> list[list[int]]:
+    """Row i is the dimension vector of the projective at vertex i
+    (entry j = number of paths i to j; 0 or 1 on a tree)."""
+    index = {v: k for k, v in enumerate(q.vertices)}
+    n = q.rank
+    C = [[0] * n for _ in range(n)]
+    for v in q.vertices:
+        reach = {v}
+        changed = True
+        while changed:
+            changed = False
+            for a, b in q.arrows:
+                if a in reach and b not in reach:
+                    reach.add(b)
+                    changed = True
+        for w in reach:
+            C[index[v]][index[w]] = 1
+    return C
 
-    One unknown scalar per vertex in the common support, one linear
-    equation per arrow touching either support; the morphism space is the
-    kernel of that system.
+
+def euler_form(x, y, q: OrientedQuiver) -> np.ndarray:
+    """<x, y> = x (I - A) y^T for dimension vectors in quiver vertex order;
+    for stacks of vectors (one per row) the matrix of all pairs."""
+    euler = np.eye(q.rank, dtype=np.int64) - q.arrow_counts()
+    return np.asarray(x) @ euler @ np.asarray(y).T
+
+
+def ext_dim(m, n, q: OrientedQuiver):
+    """dim Ext^1(M, N) = max(0, -<dim M, dim N>) for indecomposables.
+
+    Takes two dimension vectors and returns an int, or two stacks of them
+    and returns the integer matrix of all pairs.
+
+    >>> q = OrientedQuiver.line(2)  # 1 -> 2
+    >>> ext_dim((1, 0), (0, 1), q), ext_dim((0, 1), (1, 0), q)
+    (1, 0)
     """
-    ms, ns = set(m_support), set(n_support)
-    common = sorted(ms & ns)
-    if not common:
-        return 0
-    col = {v: i for i, v in enumerate(common)}
-    rows = []
-    for v, w in q.arrows:
-        # scalar equation lambda_w * M_a - N_a * lambda_v = 0
-        row = [0] * len(common)
-        if v in ms and w in ms and w in ns:
-            row[col[w]] += 1
-        if v in ns and w in ns and v in ms:
-            row[col[v]] -= 1
-        if any(row):
-            rows.append(row)
-    return len(common) - integer_rank(rows)
+    value = np.maximum(0, -euler_form(m, n, q))
+    return int(value) if value.ndim == 0 else value
 
 
-def euler_form(dim_m: dict[int, int], dim_n: dict[int, int], q: OrientedQuiver) -> int:
-    total = sum(dim_m.get(v, 0) * dim_n.get(v, 0) for v in q.vertices)
-    total -= sum(dim_m.get(v, 0) * dim_n.get(w, 0) for v, w in q.arrows)
-    return total
-
-
-def ext_dim(m_support: Interval, n_support: Interval, q: OrientedQuiver) -> int:
-    """dim Ext^1 between thin modules, via hom minus the Euler form."""
-    dm = {v: 1 for v in m_support}
-    dn = {v: 1 for v in n_support}
-    value = hom_dim(m_support, n_support, q) - euler_form(dm, dn, q)
-    if value < 0:
-        raise NegativeExt(f"ext({m_support}, {n_support}) computed negative")
-    return value
-
-
-def projective_support(q: OrientedQuiver, ell: int) -> Interval:
-    """Support of the indecomposable projective at a vertex: everything
-    reachable along arrows."""
-    reach = {ell}
-    changed = True
-    while changed:
-        changed = False
-        for a, b in q.arrows:
-            if a in reach and b not in reach:
-                reach.add(b)
-                changed = True
-    for comp in q.line_components():
-        if ell in comp:
-            positions = sorted(comp.index(v) for v in reach)
-            if positions != list(range(positions[0], positions[-1] + 1)):
-                raise RuntimeError("unreachable: projective support is not an interval")
-            return tuple(comp[p] for p in positions)
-    raise UsageError(f"vertex {ell} not in quiver")
+def _check_euler_form(q: OrientedQuiver, roots: np.ndarray) -> None:
+    """Raise ConventionError unless <alpha, alpha> = 1 for every root and
+    <P_l, alpha> = alpha_l for every vertex l, with the projectives P_l
+    taken from path reachability."""
+    self_forms = np.diagonal(euler_form(roots, roots, q))
+    projectives = np.array(path_cartan(q), dtype=np.int64)
+    if (self_forms != 1).any() or (euler_form(projectives, roots, q) != roots.T).any():
+        raise ConventionError("Euler form failed the root and projective self-check")
 
 
 # ---------------------------------------------------------------------------
@@ -211,16 +155,16 @@ SHIFTED_PROJECTIVE = "shifted-projective"
 @dataclass(frozen=True)
 class ComplexVertex:
     kind: str
-    support: Interval  # interval support for modules, (ell,) for shifted projectives
+    vector: tuple[int, ...]  # dimension vector for modules, (ell,) for shifted projectives
 
     @property
     def dim(self) -> int:
-        return len(self.support) if self.kind == MODULE else 0
+        return sum(self.vector) if self.kind == MODULE else 0
 
     def __str__(self) -> str:
         if self.kind == MODULE:
-            return "[" + ",".join(map(str, self.support)) + "]"
-        return f"P{self.support[0]}[1]"
+            return "(" + ",".join(map(str, self.vector)) + ")"
+        return f"P{self.vector[0]}[1]"
 
 
 @dataclass(frozen=True)
@@ -311,42 +255,37 @@ _COMPLEX_RANK_CAP = 8
 
 @lru_cache(maxsize=None)
 def tau_rigid_complex(q: OrientedQuiver) -> CompatibilityComplex:
-    """Build the full compatibility complex of a type A (forest) quiver.
+    """Build the full compatibility complex of a Dynkin quiver (or union).
 
-    Vertices are all interval modules plus one shifted projective per
-    quiver vertex.  Two modules are compatible when both extension spaces
-    vanish; a shifted projective is compatible with a module not
-    supported at its vertex, and with every other shifted projective.
+    Vertices are the indecomposable modules, one per positive root of the
+    underlying graph, plus one shifted projective per quiver vertex.  Two
+    modules are compatible when both extension spaces vanish; a shifted
+    projective is compatible with a module not supported at its vertex,
+    and with every other shifted projective.
     """
     if q.rank > _COMPLEX_RANK_CAP:
         raise RankTooLarge(f"complex enumeration capped at rank {_COMPLEX_RANK_CAP}")
-    verts: list[ComplexVertex] = []
-    for comp in q.line_components():
-        k = len(comp)
-        for i in range(k):
-            for j in range(i, k):
-                verts.append(ComplexVertex(MODULE, tuple(comp[i : j + 1])))
-    for ell in q.vertices:
-        verts.append(ComplexVertex(SHIFTED_PROJECTIVE, (ell,)))
+    arrows = q.arrow_counts()
+    cartan = 2 * np.eye(q.rank, dtype=np.int64) - arrows - arrows.T
+    root_list = positive_roots(cartan)
+    roots = np.array(root_list, dtype=np.int64)
+    _check_euler_form(q, roots)
+    verts = [ComplexVertex(MODULE, r) for r in root_list]
+    verts += [ComplexVertex(SHIFTED_PROJECTIVE, (ell,)) for ell in q.vertices]
 
-    count = len(verts)
-    adjacency = [0] * count
-    for i in range(count):
-        for j in range(i + 1, count):
-            a, b = verts[i], verts[j]
-            if a.kind == MODULE and b.kind == MODULE:
-                ok = (
-                    ext_dim(a.support, b.support, q) == 0
-                    and ext_dim(b.support, a.support, q) == 0
-                )
-            elif a.kind == MODULE or b.kind == MODULE:
-                mod, proj = (a, b) if a.kind == MODULE else (b, a)
-                ok = proj.support[0] not in mod.support
-            else:
-                ok = True
-            if ok:
-                adjacency[i] |= 1 << j
-                adjacency[j] |= 1 << i
+    ext = ext_dim(roots, roots, q)
+    unsupported = roots == 0  # entry (i, l): root i vanishes at vertex l
+    compatible = np.block(
+        [
+            [(ext == 0) & (ext.T == 0), unsupported],
+            [unsupported.T, np.ones((q.rank, q.rank), dtype=bool)],
+        ]
+    )
+    np.fill_diagonal(compatible, False)
+    adjacency = [
+        int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+        for row in compatible
+    ]
 
     n = q.rank
     counts, dim_sums, maximal = _clique_census(adjacency, [v.dim for v in verts], n)
@@ -373,10 +312,6 @@ def poly_from_complex(c: CompatibilityComplex, kind: str) -> Polynomial:
     raise UsageError(f"kind must be one of f, h, d; got {kind!r}")
 
 
-def link_poly(c: CompatibilityComplex, vertex_index: int) -> Polynomial:
-    return c.link_f_polynomial(vertex_index)
-
-
 def disjoint_union_d_check(q1: OrientedQuiver, q2: OrientedQuiver) -> bool:
     """Product rule check: d of a disjoint union against the two factors."""
     if q1.rank + q2.rank > _COMPLEX_RANK_CAP:
@@ -393,26 +328,6 @@ def disjoint_union_d_check(q1: OrientedQuiver, q2: OrientedQuiver) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def path_cartan(q: OrientedQuiver) -> list[list[int]]:
-    """Row i is the dimension vector of the projective at vertex i
-    (entry j = number of paths i to j; 0 or 1 on a tree)."""
-    index = {v: k for k, v in enumerate(q.vertices)}
-    n = q.rank
-    C = [[0] * n for _ in range(n)]
-    for v in q.vertices:
-        reach = {v}
-        changed = True
-        while changed:
-            changed = False
-            for a, b in q.arrows:
-                if a in reach and b not in reach:
-                    reach.add(b)
-                    changed = True
-        for w in reach:
-            C[index[v]][index[w]] = 1
-    return C
-
-
 def _coxeter_inverse(q: OrientedQuiver) -> list[list[int]]:
     """Matrix of the inverse translate on dimension (row) vectors.
 
@@ -426,13 +341,10 @@ def _coxeter_inverse(q: OrientedQuiver) -> list[list[int]]:
     return integer_inverse(phi)
 
 
-_convention_checked = False
-
-
+@cache
 def _check_convention() -> None:
-    global _convention_checked
-    if _convention_checked:
-        return
+    """Run once per process; a failure raises and is not cached, so a
+    later call checks again."""
     probe = OrientedQuiver.line(3)
     for ell in (1, 2, 3):
         expected = ell * (3 - ell + 1)
@@ -440,7 +352,6 @@ def _check_convention() -> None:
             raise ConventionError(
                 "Coxeter transform convention failed the rank 3 self-check"
             )
-    _convention_checked = True
 
 
 def tau_orbit_vectors(q: OrientedQuiver, ell: int) -> list[tuple[int, ...]]:

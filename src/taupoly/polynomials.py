@@ -230,33 +230,6 @@ def _render(coeffs, fmt) -> str:
     return text
 
 
-# -- functional aliases -------------------------------------------------
-
-
-def add(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p + q
-
-
-def mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p * q
-
-
-def substitute_shift(p: Polynomial, delta: int) -> Polynomial:
-    return p.shifted(delta)
-
-
-def evaluate(p: Polynomial, x: int) -> int:
-    return p(x)
-
-
-def is_palindromic(p: Polynomial, degree: int) -> bool:
-    return p.is_palindromic(degree)
-
-
-def is_unimodal(p: Polynomial) -> bool:
-    return p.is_unimodal()
-
-
 class RatPolynomial:
     """Dense polynomial in t with exact rational coefficients.
 

@@ -87,6 +87,14 @@ def test_poly_e8_h_needs_no_gate(capsys):
         assert sum(map(int, payload["results"]["coefficients_ascending"])) == total
 
 
+def test_poly_has_no_rank_cap(capsys):
+    code, payload = run_json(capsys, "poly", "--family", "path", "--diagram", "A12", "--kind", "h")
+    assert code == 0
+    assert payload["results"]["coefficients_ascending"] == [
+        str(c) for c in weyl.narayana_a(12)
+    ]
+
+
 def test_eulerian_union(capsys):
     code, payload = run_json(capsys, "eulerian", "A2xA1xA2")
     assert code == 0
@@ -128,6 +136,25 @@ def test_oracle_path(capsys):
     assert code == 0
     assert payload["results"]["coefficients_ascending"] == ["14", "21", "9", "1"]
     assert payload["results"]["maximal_faces"] == "14"
+
+
+def test_oracle_path_type_e_matches_narayana(capsys):
+    code, payload = run_json(capsys, "oracle", "path", "--type", "E", "--rank", "6", "--kind", "h")
+    assert code == 0
+    assert payload["command"] == "oracle path E6  h"
+    assert payload["results"]["maximal_faces"] == "833"
+    _, narayana = run_json(capsys, "narayana", "E6")
+    assert (
+        payload["results"]["coefficients_ascending"]
+        == narayana["results"]["coefficients_ascending"]
+    )
+
+
+def test_oracle_path_orientation_errors(capsys):
+    assert cli.main(["oracle", "path", "--type", "D", "--rank", "4", "--orientation", "++"]) == 2
+    assert "orientation for D4 needs 3 characters of +-" in capsys.readouterr().err
+    assert cli.main(["oracle", "path", "--rank", "3", "--orientation", "+x"]) == 2
+    assert "orientation for A3 needs 2 characters of +-" in capsys.readouterr().err
 
 
 def test_oracle_tau_orbit(capsys):

@@ -2,7 +2,7 @@ import pytest
 
 from taupoly import _orbits, formulas, hereditary, lattice, weyl
 from taupoly.dynkin import DynkinDiagram, delete_vertex
-from taupoly.errors import FeatureDisabled, NotAVertex, RankOutOfRange, UsageError
+from taupoly.errors import FeatureDisabled, NotAVertex, UsageError
 from taupoly.formulas import (
     PATH,
     PREPROJECTIVE,
@@ -186,10 +186,10 @@ def test_catalan_count():
 
 
 def test_rank_bounds_and_usage():
-    with pytest.raises(RankOutOfRange):
-        spec(PREPROJECTIVE, "A", 12)
-    with pytest.raises(RankOutOfRange):
-        spec(PATH, "D", 12)
+    # no rank cap: the engine runs past the ranks of the published tables
+    assert h_polynomial(spec(PATH, "A", 12)) == weyl.narayana_a(12)
+    d12 = DynkinDiagram("D", 12)
+    assert h_polynomial(spec(PREPROJECTIVE, "D", 12))(1) == d12.group_order()
     with pytest.raises(UsageError):
         AlgebraSpec("pth", DynkinDiagram("A", 2))
     with pytest.raises(UsageError):

@@ -1,19 +1,21 @@
 from math import comb
 
+import numpy as np
 import pytest
 
+from taupoly import formulas, hereditary
+from taupoly._orbits import positive_roots
 from taupoly.dynkin import DynkinDiagram
-from taupoly.errors import NotAModule, RankTooLarge, UsageError
+from taupoly.errors import ConventionError, NotAModule, RankTooLarge, UsageError
+from taupoly.formulas import PATH, AlgebraSpec, catalan_count, golden_table
 from taupoly.hereditary import (
     MODULE,
     OrientedQuiver,
     disjoint_union_d_check,
+    euler_form,
     ext_dim,
-    hom_dim,
-    link_poly,
     path_cartan,
     poly_from_complex,
-    projective_support,
     tau_orbit_dim,
     tau_orbit_dims_all,
     tau_orbit_vectors,
@@ -28,8 +30,25 @@ def catalan(m):
 
 
 def all_orientations(n):
+    """Every orientation string of a tree with n vertices."""
     for bits in range(1 << (n - 1)):
         yield "".join("+" if (bits >> i) & 1 else "-" for i in range(n - 1))
+
+
+def two_orientations(d):
+    """The stored orientation and the alternating one."""
+    edges = len(d.edges)
+    return ("+" * edges, ("-+" * edges)[:edges])
+
+
+def roots_of(q):
+    arrows = q.arrow_counts()
+    return positive_roots(2 * np.eye(q.rank, dtype=np.int64) - arrows - arrows.T)
+
+
+def hom_dim(m, n, q):
+    """dim Hom(M, N) for indecomposables: the Euler form where Ext vanishes."""
+    return max(0, int(euler_form(m, n, q)))
 
 
 def test_worked_example_rank_three():
@@ -61,40 +80,74 @@ def test_hom_directions_fixed_by_projectives():
     q = OrientedQuiver.line(3)  # 1 -> 2 -> 3
     # the smaller projective embeds in the bigger one; the quotient
     # direction vanishes in this representation convention
-    assert hom_dim((2, 3), (1, 2, 3), q) == 1
-    assert hom_dim((1, 2, 3), (2, 3), q) == 0
-    assert hom_dim((1,), (3,), q) == 0
+    assert hom_dim((0, 1, 1), (1, 1, 1), q) == 1
+    assert hom_dim((1, 1, 1), (0, 1, 1), q) == 0
+    assert hom_dim((1, 0, 0), (0, 0, 1), q) == 0
     # morphisms out of a projective see exactly the support vertex
-    for ell in (1, 2, 3):
-        p = projective_support(q, ell)
-        for support in [(1,), (2,), (3,), (1, 2), (2, 3), (1, 2, 3)]:
-            assert hom_dim(p, support, q) == (1 if ell in support else 0)
+    projectives = path_cartan(q)
+    assert projectives == [[1, 1, 1], [0, 1, 1], [0, 0, 1]]
+    for k in range(3):
+        for root in roots_of(q):
+            assert hom_dim(projectives[k], root, q) == root[k]
+
+
+def test_projectives_read_off_one_coordinate():
+    # <P_l, alpha> = alpha_l for every vertex and root, every type
+    for diagram in (
+        DynkinDiagram("A", 5),
+        DynkinDiagram("D", 5),
+        DynkinDiagram("E", 6),
+        DynkinDiagram("E", 8),
+    ):
+        for orientation in two_orientations(diagram):
+            q = OrientedQuiver.from_diagram(diagram, orientation)
+            roots = np.array(roots_of(q))
+            forms = euler_form(path_cartan(q), roots, q)
+            assert (forms == roots.T).all(), (diagram, orientation)
+
+
+def test_flipped_euler_form_raises(monkeypatch):
+    q = OrientedQuiver.from_diagram(DynkinDiagram("D", 4), "+-+")
+    build = tau_rigid_complex.__wrapped__  # bypass the memo
+    assert build(q).maximal_face_count == 50
+    original = hereditary.euler_form
+    # x (I - A^T) y^T, the form of the opposite quiver
+    monkeypatch.setattr(hereditary, "euler_form", lambda x, y, q: original(y, x, q).T)
+    with pytest.raises(ConventionError):
+        build(q)
+    # a negated form fails on <alpha, alpha> = 1 even without arrows
+    monkeypatch.setattr(hereditary, "euler_form", lambda x, y, q: -original(x, y, q))
+    with pytest.raises(ConventionError):
+        build(OrientedQuiver.line(1))
 
 
 def test_interval_modules_are_bricks():
     for orientation in all_orientations(4):
         q = OrientedQuiver.line(4, orientation)
-        for comp in q.line_components():
-            for i in range(len(comp)):
-                for j in range(i, len(comp)):
-                    support = tuple(comp[i : j + 1])
-                    assert hom_dim(support, support, q) == 1
-                    assert ext_dim(support, support, q) == 0
+        roots = roots_of(q)
+        # type A: the roots are the intervals, one module per interval
+        intervals = {
+            tuple(int(i <= k <= j) for k in range(4)) for i in range(4) for j in range(i, 4)
+        }
+        assert set(roots) == intervals
+        for root in roots:
+            assert hom_dim(root, root, q) == 1
+            assert ext_dim(root, root, q) == 0
 
 
 def test_ext_on_the_two_vertex_quiver():
     q = OrientedQuiver.line(2, "+")  # 1 -> 2
-    assert ext_dim((1,), (2,), q) == 1  # the nonsplit extension is [1,2]
-    assert ext_dim((2,), (1,), q) == 0
+    assert ext_dim((1, 0), (0, 1), q) == 1  # the nonsplit extension is (1,1)
+    assert ext_dim((0, 1), (1, 0), q) == 0
     far = OrientedQuiver.line(4, "+++")
-    assert ext_dim((1,), (3, 4), far) == 0
-    assert ext_dim((3, 4), (1,), far) == 0
+    assert ext_dim((1, 0, 0, 0), (0, 0, 1, 1), far) == 0
+    assert ext_dim((0, 0, 1, 1), (1, 0, 0, 0), far) == 0
+    # stacks of vectors give the matrix of all pairs
+    simples = np.eye(2, dtype=np.int64)
+    assert ext_dim(simples, simples, q).tolist() == [[0, 1], [0, 0]]
 
 
 def test_orientation_independence_matches_closed_forms():
-    from taupoly import formulas
-    from taupoly.formulas import PATH, AlgebraSpec
-
     for n in range(1, 5):
         spec = AlgebraSpec(PATH, DynkinDiagram("A", n))
         expected = {
@@ -125,28 +178,28 @@ def test_h_polynomial_is_narayana():
 
 def test_links():
     complex_ = tau_rigid_complex(OrientedQuiver.line(3))
-    by_support = {
-        v.support: i for i, v in enumerate(complex_.vertices) if v.kind == MODULE
+    by_vector = {
+        v.vector: i for i, v in enumerate(complex_.vertices) if v.kind == MODULE
     }
     # link of the big projective is the rank-2 complex of the quotient quiver
-    link = link_poly(complex_, by_support[(1, 2, 3)])
+    link = complex_.link_f_polynomial(by_vector[(1, 1, 1)])
     assert link == tau_rigid_complex(OrientedQuiver.line(2)).f_polynomial()
     # dimension-weighted link decomposition
     total = Polynomial()
-    for support, idx in by_support.items():
-        total = total + len(support) * link_poly(complex_, idx)
+    for vector, idx in by_vector.items():
+        total = total + sum(vector) * complex_.link_f_polynomial(idx)
     assert total == complex_.d_polynomial()
     shifted_index = next(
         i for i, v in enumerate(complex_.vertices) if v.kind != MODULE
     )
     with pytest.raises(NotAModule):
-        link_poly(complex_, shifted_index)
+        complex_.link_f_polynomial(shifted_index)
 
 
 def test_link_in_rank_one():
     complex_ = tau_rigid_complex(OrientedQuiver.line(1))
     (module_index,) = complex_.module_vertices()
-    assert link_poly(complex_, module_index) == ONE
+    assert complex_.link_f_polynomial(module_index) == ONE
 
 
 def test_disjoint_union_product_rule():
@@ -157,6 +210,35 @@ def test_disjoint_union_product_rule():
     assert disjoint_union_d_check(q2, q2)
     union = q1.disjoint_with(q1)
     assert tau_rigid_complex(union).d_polynomial() == Polynomial([4, 2])
+
+
+def test_complex_matches_engine_on_d_and_e():
+    quivers = [
+        (DynkinDiagram(family, n), orientation)
+        for family, n in (("D", 4), ("D", 5), ("E", 6))
+        for orientation in all_orientations(n)
+    ] + [
+        (DynkinDiagram(family, n), orientation)
+        for family, n in (("D", 6), ("D", 7), ("D", 8), ("E", 7), ("E", 8))
+        for orientation in two_orientations(DynkinDiagram(family, n))
+    ]
+    for diagram, orientation in quivers:
+        complex_ = tau_rigid_complex(OrientedQuiver.from_diagram(diagram, orientation))
+        spec = AlgebraSpec(PATH, diagram)
+        assert complex_.f_polynomial() == formulas.f_polynomial(spec), (diagram, orientation)
+        assert complex_.h_polynomial() == formulas.h_polynomial(spec), (diagram, orientation)
+        assert complex_.d_polynomial() == formulas.d_polynomial(spec), (diagram, orientation)
+        assert complex_.maximal_face_count == catalan_count(diagram)
+        assert len(complex_.vertices) == diagram.positive_root_count() + diagram.rank
+
+
+def test_complex_reproduces_tables_5_and_6():
+    for table, family, ranks in ((5, "D", range(4, 9)), (6, "E", (6, 7, 8))):
+        golden = golden_table(table)
+        for n in ranks:
+            d = tau_rigid_complex(OrientedQuiver.from_diagram(DynkinDiagram(family, n)))
+            d = d.d_polynomial()
+            assert tuple(d.coefficient(n - 1 - j) for j in range(n)) == golden[n]
 
 
 def test_complex_rank_cap():
@@ -190,18 +272,22 @@ def test_tau_orbit_enumerates_each_root_once():
         DynkinDiagram("E", 6),
         DynkinDiagram("E", 8),
     ):
-        q = OrientedQuiver.from_diagram(diagram)
-        seen = []
-        for ell in diagram.vertices:
-            seen.extend(tau_orbit_vectors(q, ell))
-        assert len(seen) == len(set(seen)) == diagram.positive_root_count()
-        total = sum(sum(v) for v in seen)
-        if diagram.family == "A":
-            n = diagram.rank
-            assert total == n * (n + 1) * (n + 2) // 6
-        if diagram.family == "D":
-            n = diagram.rank
-            assert total == n * (n - 1) * (2 * n - 1) // 3
+        for orientation in two_orientations(diagram):
+            q = OrientedQuiver.from_diagram(diagram, orientation)
+            seen = []
+            for ell in diagram.vertices:
+                seen.extend(tau_orbit_vectors(q, ell))
+            assert len(seen) == len(set(seen)) == diagram.positive_root_count()
+            # the preprojectives are all the indecomposables: the
+            # complex's module vertices
+            assert set(seen) == set(roots_of(q))
+            total = sum(sum(v) for v in seen)
+            if diagram.family == "A":
+                n = diagram.rank
+                assert total == n * (n + 1) * (n + 2) // 6
+            if diagram.family == "D":
+                n = diagram.rank
+                assert total == n * (n - 1) * (2 * n - 1) // 3
 
 
 def test_tau_orbit_orientation_independent_totals():

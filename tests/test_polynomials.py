@@ -4,18 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from taupoly.polynomials import (
-    ONE,
-    ZERO,
-    Polynomial,
-    RatPolynomial,
-    add,
-    evaluate,
-    is_palindromic,
-    is_unimodal,
-    mul,
-    substitute_shift,
-)
+from taupoly.polynomials import ONE, ZERO, Polynomial, RatPolynomial
 
 H_A3_PATH = Polynomial([1, 6, 6, 1])  # t^3 + 6t^2 + 6t + 1
 F_A3_PATH = Polynomial([14, 21, 9, 1])  # t^3 + 9t^2 + 21t + 14
@@ -27,55 +16,55 @@ polys = st.builds(Polynomial, st.lists(st.integers(-50, 50), max_size=7))
 
 def test_add_doubling_and_identity():
     p = Polynomial([1, 1])
-    assert add(p, p) == Polynomial([2, 2])
-    assert add(ZERO, F_A3_PATH) == F_A3_PATH
+    assert p + p == Polynomial([2, 2])
+    assert ZERO + F_A3_PATH == F_A3_PATH
 
 
 def test_add_spot_check_of_shift_pair():
-    assert add(H_A3_PATH, F_A3_PATH) == Polynomial([15, 27, 15, 2])
+    assert H_A3_PATH + F_A3_PATH == Polynomial([15, 27, 15, 2])
 
 
 def test_mul_square_and_annihilator():
     p = Polynomial([1, 1])
-    assert mul(p, p) == Polynomial([1, 2, 1])
-    assert mul(F_A3_PATH, ZERO) == ZERO
+    assert p * p == Polynomial([1, 2, 1])
+    assert F_A3_PATH * ZERO == ZERO
 
 
 def test_shift_worked_examples():
-    assert substitute_shift(H_A3_PATH, 1) == F_A3_PATH
-    assert substitute_shift(H_A3_PPA, 1) == F_A3_PPA
-    assert substitute_shift(F_A3_PATH, 0) == F_A3_PATH
+    assert H_A3_PATH.shifted(1) == F_A3_PATH
+    assert H_A3_PPA.shifted(1) == F_A3_PPA
+    assert F_A3_PATH.shifted(0) == F_A3_PATH
 
 
 def test_shift_of_dimension_polynomial():
     d = Polynomial([120, 120, 24])
-    assert substitute_shift(d, -1) == Polynomial([24, 72, 24])
+    assert d.shifted(-1) == Polynomial([24, 72, 24])
 
 
 def test_evaluate():
-    assert evaluate(F_A3_PATH, 0) == 14
-    assert evaluate(H_A3_PATH, 1) == 14
-    assert evaluate(Polynomial([1, 2, 3]), -2) == 1 - 4 + 12
+    assert F_A3_PATH(0) == 14
+    assert H_A3_PATH(1) == 14
+    assert Polynomial([1, 2, 3])(-2) == 1 - 4 + 12
 
 
 def test_palindromic():
-    assert is_palindromic(H_A3_PATH, 3)
-    assert is_palindromic(ONE, 0)
-    assert is_palindromic(Polynomial([24, 72, 24]), 2)
-    assert not is_palindromic(F_A3_PATH, 3)
+    assert H_A3_PATH.is_palindromic(3)
+    assert ONE.is_palindromic(0)
+    assert Polynomial([24, 72, 24]).is_palindromic(2)
+    assert not F_A3_PATH.is_palindromic(3)
     # missing coefficients read as zero
-    assert not is_palindromic(Polynomial([1, 1]), 3)
-    assert is_palindromic(ZERO, 4)
+    assert not Polynomial([1, 1]).is_palindromic(3)
+    assert ZERO.is_palindromic(4)
     with pytest.raises(ValueError):
-        is_palindromic(H_A3_PATH, 2)
+        H_A3_PATH.is_palindromic(2)
 
 
 def test_unimodal():
-    assert is_unimodal(Polynomial([1, 3, 1]))
-    assert not is_unimodal(Polynomial([2, 1, 2]))
-    assert is_unimodal(Polynomial([24, 72, 24]))
-    assert is_unimodal(ZERO)
-    assert is_unimodal(Polynomial([1, 1, 2]))
+    assert Polynomial([1, 3, 1]).is_unimodal()
+    assert not Polynomial([2, 1, 2]).is_unimodal()
+    assert Polynomial([24, 72, 24]).is_unimodal()
+    assert ZERO.is_unimodal()
+    assert Polynomial([1, 1, 2]).is_unimodal()
 
 
 def test_big_integers_stay_exact():
