@@ -7,8 +7,8 @@ list of named checks with expected/actual values.  All integers are
 serialized as decimal strings so nothing is ever squeezed through a
 floating-point JSON number.
 
-Exit codes: 0 all checks passed, 1 some check failed, 2 usage error,
-3 feature disabled (an E8 --oracle enumeration without --enable-e8),
+Exit codes: 0 all checks passed, 1 some check failed, 2 usage error (or
+an --oracle input over the oracle budget, refused before enumerating),
 4 internal consistency failure (a bug, never bad input).
 """
 
@@ -22,14 +22,13 @@ from math import comb
 
 from . import formulas, hereditary, lattice, series, tables, weyl
 from .dynkin import DynkinDiagram, parse_diagram, parse_union
-from .errors import ConsistencyError, FeatureDisabled, TaupolyError, UsageError
+from .errors import ConsistencyError, TaupolyError, UsageError
 from .formulas import PATH, PREPROJECTIVE, AlgebraSpec
 from .polynomials import Polynomial
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
-EXIT_FEATURE_DISABLED = 3
 EXIT_INTERNAL = 4
 
 # Bounds the cost of the generating-function identity checks, which grows
@@ -193,7 +192,7 @@ def _table_for(spec: AlgebraSpec) -> int | None:
 
 def cmd_eulerian(args) -> Report:
     union = parse_union(args.diagram)
-    poly = weyl.eulerian_poly(union, oracle=args.oracle, enable_e8=args.enable_e8)
+    poly = weyl.eulerian_poly(union, oracle=args.oracle)
     report = Report(command=f"eulerian {union}")
     report.results["polynomial"] = poly
     report.results["coefficients_ascending"] = poly.to_decimal_strings()
@@ -202,7 +201,7 @@ def cmd_eulerian(args) -> Report:
 
 def cmd_narayana(args) -> Report:
     union = parse_union(args.diagram)
-    poly = weyl.narayana_poly(union, oracle=args.oracle, enable_e8=args.enable_e8)
+    poly = weyl.narayana_poly(union, oracle=args.oracle)
     report = Report(command=f"narayana {union}")
     report.results["polynomial"] = poly
     report.results["coefficients_ascending"] = poly.to_decimal_strings()
@@ -463,7 +462,7 @@ def _suite_structural(report: Report, max_rank: int) -> None:
         if not eul.is_palindromic(n) or eul(1) != diagram.group_order():
             stats_ok = False
         nar = weyl.narayana_poly(diagram)
-        if not nar.is_palindromic(n) or nar(1) != formulas.catalan_count(diagram):
+        if not nar.is_palindromic(n) or nar(1) != diagram.catalan_count():
             stats_ok = False
     report.add_pass_fail("group-statistics-palindromic-with-known-totals", stats_ok)
     # purity and maximal-face counts of the complexes
@@ -538,9 +537,6 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="taupoly", description=__doc__)
     parser.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
-    parser.add_argument(
-        "--enable-e8", action="store_true", help="allow the E8 --oracle enumerations"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("poly", help="compute a polynomial of an algebra")
@@ -618,9 +614,6 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FeatureDisabled as exc:
-        print(f"feature disabled: {exc}", file=sys.stderr)
-        return EXIT_FEATURE_DISABLED
     except ConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 from .errors import NotAVertex, UsageError
 
@@ -73,6 +73,19 @@ class DynkinDiagram:
             return 2 ** (n - 1) * factorial(n)
         return {6: 51840, 7: 2903040, 8: 696729600}[n]
 
+    def catalan_count(self) -> int:
+        """W-Catalan number: the maximal rigid objects of the path algebra.
+
+        >>> DynkinDiagram("D", 4).catalan_count()
+        50
+        """
+        n = self.rank
+        if self.family == "A":
+            return comb(2 * n + 2, n + 1) // (n + 2)
+        if self.family == "D":
+            return (3 * n - 2) * comb(2 * n - 1, n - 1) // (2 * n - 1)
+        return {6: 833, 7: 4160, 8: 25080}[n]
+
     def positive_root_count(self) -> int:
         n = self.rank
         if self.family == "A":
@@ -117,10 +130,6 @@ class DiagramUnion:
         if not self.components:
             return "empty"
         return "x".join(str(d) for d in self.components)
-
-
-def rank(u: DiagramUnion) -> int:
-    return u.rank
 
 
 def _classify_tree(vertices: frozenset[int], adjacency: dict[int, set[int]]) -> DynkinDiagram:

@@ -17,12 +17,20 @@ class NotAModule(TaupolyError):
     """A complex operation needed a module vertex but got a shifted projective."""
 
 
-class RankOutOfRange(TaupolyError):
-    """A rank outside the supported bounds of a closed formula."""
-
-
 class RankTooLarge(TaupolyError):
     """An enumeration was requested beyond its feasible size bound."""
+
+
+# Every brute-force oracle visits at most this many elements.
+ORACLE_BUDGET = 10**7
+
+
+def check_oracle_budget(what: str, elements: int) -> None:
+    """Refuse, with the estimate, an oracle over ``ORACLE_BUDGET`` elements."""
+    if elements > ORACLE_BUDGET:
+        raise RankTooLarge(
+            f"{what} visits {elements:,} elements, over the oracle budget of {ORACLE_BUDGET:,}"
+        )
 
 
 class MalformedPath(TaupolyError):
@@ -31,10 +39,6 @@ class MalformedPath(TaupolyError):
 
 class InsufficientTerms(TaupolyError):
     """Not enough coefficient polynomials supplied for the requested order."""
-
-
-class FeatureDisabled(TaupolyError):
-    """A computation gated behind an explicit opt-in flag (full E8 enumeration)."""
 
 
 class ConsistencyError(TaupolyError):

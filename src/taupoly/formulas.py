@@ -120,23 +120,13 @@ def aggregate_dims(spec: AlgebraSpec) -> tuple[int, int]:
     return poly.coefficient(n - 1), poly.coefficient(0)
 
 
-def catalan_count(d: DynkinDiagram) -> int:
-    """Number of maximal rigid objects for the path algebra of a diagram."""
-    n = d.rank
-    if d.family == "A":
-        return _catalan(n + 1)
-    if d.family == "D":
-        return (3 * n - 2) * comb(2 * n - 1, n - 1) // (2 * n - 1)
-    return tables.CATALAN_COUNT_E[n]
-
-
 def _union_maximal_count(spec: AlgebraSpec, union: DiagramUnion) -> int:
     total = 1
     for comp in union:
         if spec.family == PREPROJECTIVE:
             total *= comp.group_order()
         else:
-            total *= catalan_count(comp)
+            total *= comp.catalan_count()
     return total
 
 
@@ -209,7 +199,7 @@ def _d_catalan_count(ell: int) -> int:
         return _catalan(2) ** 2
     if ell == 3:
         return _catalan(4)
-    return (3 * ell - 2) * comb(2 * ell - 1, ell - 1) // (2 * ell - 1)
+    return DynkinDiagram("D", ell).catalan_count()
 
 
 _TABLE_RANKS = {

@@ -14,15 +14,17 @@ rectangle model the all-North-then-East path fills the whole rectangle
 and the all-East-then-North path has area 0; in the corner model the
 all-East path has area 0 and the all-North path fills the staircase.
 Each enumeration also reports its path count so callers can check the
-counting identities alongside the weighted sums.
+counting identities alongside the weighted sums; that count, known in
+closed form, is checked against the oracle budget before enumerating.
 """
 
 from __future__ import annotations
 
 import itertools
+from math import comb
 from typing import Iterator, NamedTuple
 
-from .errors import MalformedPath, RankOutOfRange
+from .errors import MalformedPath, NotAVertex, UsageError, check_oracle_budget
 
 East = 0
 North = 1
@@ -65,9 +67,8 @@ def dim_orbit_ppa_A_oracle(n: int, ell: int) -> OracleSum:
     The count equals binom(n+1, ell).
     """
     if not 1 <= ell <= n:
-        raise RankOutOfRange(f"vertex {ell} not in A{n}")
-    if n > 14:
-        raise RankOutOfRange("rectangle enumeration capped at n = 14")
+        raise NotAVertex(f"vertex {ell} not in A{n}")
+    check_oracle_budget(f"A{n} rectangle model at vertex {ell}", comb(n + 1, ell))
     s, t = ell, n - ell + 1
     total = 0
     count = 0
@@ -106,9 +107,8 @@ def area_corner(path: tuple[int, ...], n: int) -> int:
 def dim_orbit_ppa_D_oracle_pm1(n: int) -> OracleSum:
     """Enumerate corner paths; the total must equal n(n-1)2^(n-3)."""
     if n < 2:
-        raise RankOutOfRange("corner model needs n >= 2")
-    if n > 20:
-        raise RankOutOfRange("corner enumeration capped at n = 20")
+        raise UsageError("corner model needs n >= 2")
+    check_oracle_budget(f"D{n} corner model", 2 ** (n - 1))
     total = 0
     count = 0
     for path in corner_paths(n - 1):
@@ -146,9 +146,8 @@ def sequence_weight(u: tuple[int, ...], n: int) -> int:
 def dim_orbit_ppa_D_oracle_mid(n: int, ell: int) -> OracleSum:
     """Enumerate the sign sequences and sum their weights."""
     if not 2 <= ell <= n - 1:
-        raise RankOutOfRange(f"tail vertex {ell} not in 2..{n - 1}")
-    if n > 14:
-        raise RankOutOfRange("sign-sequence enumeration capped at n = 14")
+        raise NotAVertex(f"tail vertex {ell} not in 2..{n - 1}")
+    check_oracle_budget(f"D{n} sign-sequence model at vertex {ell}", 2 ** (n - ell) * comb(n, ell))
     total = 0
     count = 0
     for u in sign_sequences(n, ell):

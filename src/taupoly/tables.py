@@ -123,6 +123,3 @@ E_PPA_SUBMODULE_DIM_TOTALS = {
     7: (2142, 66528, 483840, 14112, 151200, 19656, 756),
     8: (99360, 6289920, 65318400, 1175040, 26611200, 5080320, 383040, 6960),
 }
-
-# Maximal-object counts for the structural checks.
-CATALAN_COUNT_E = {6: 833, 7: 4160, 8: 25080}

@@ -34,8 +34,9 @@ the tests and the ``--oracle`` routes:
   whole-group enumeration with the codimension formula for reflection
   length.
 
-The E8 orbit (696,729,600 elements) and the E8 interval walk are feature
-gated; the engine needs neither.
+Each oracle first works out from the diagram how many elements it will
+visit and raises ``RankTooLarge`` over ``errors.ORACLE_BUDGET``, as the
+E8 orbit (696,729,600 elements) does; the engine needs no oracle.
 """
 
 from __future__ import annotations
@@ -49,15 +50,11 @@ import numpy as np
 from . import _orbits
 from ._linalg import integer_rank
 from .dynkin import DynkinDiagram, as_union, delete_vertex
-from .errors import ConsistencyError, FeatureDisabled, RankTooLarge, UsageError
+from .errors import ConsistencyError, UsageError, check_oracle_budget
 from .polynomials import ONE, Polynomial
 
 PREPROJECTIVE = "preprojective"
 PATH = "path"
-
-_EULERIAN_ORACLE_MAX_A = 9
-_EULERIAN_ORACLE_MAX_D = 8
-_NARAYANA_ORACLE_MAX = 8
 
 
 def cartan_matrix(d: DynkinDiagram) -> np.ndarray:
@@ -191,12 +188,18 @@ def _eulerian_even_signed(m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _descent_oracle_cost(d: DynkinDiagram) -> tuple[str, int]:
+    """The descent oracle ``eulerian_poly`` runs on ``d``, and the number
+    of group elements it visits."""
+    route = "weight orbit" if d.family == "E" else "descent enumeration"
+    return f"{d} {route}", d.group_order()
+
+
 def eulerian_a_by_enumeration(rank: int) -> Polynomial:
     """Oracle: descent counts over all permutations of rank+1 letters."""
-    if rank > _EULERIAN_ORACLE_MAX_A:
-        raise RankTooLarge(f"A{rank} descent enumeration is over {rank + 1}! elements")
     if rank <= 0:
         return ONE
+    check_oracle_budget(*_descent_oracle_cost(DynkinDiagram("A", rank)))
     hist = [0] * (rank + 1)
     for w in itertools.permutations(range(1, rank + 2)):
         hist[descent_count_permutation(w)] += 1
@@ -205,8 +208,7 @@ def eulerian_a_by_enumeration(rank: int) -> Polynomial:
 
 def eulerian_d_by_enumeration(rank: int) -> Polynomial:
     """Oracle: descent counts over signed permutations with even sign count."""
-    if rank > _EULERIAN_ORACLE_MAX_D:
-        raise RankTooLarge(f"D{rank} descent enumeration is over 2^{rank - 1}*{rank}! elements")
+    check_oracle_budget(*_descent_oracle_cost(DynkinDiagram("D", rank)))
     hist = [0] * (rank + 1)
     base = range(1, rank + 1)
     for perm in itertools.permutations(base):
@@ -218,24 +220,24 @@ def eulerian_d_by_enumeration(rank: int) -> Polynomial:
     return Polynomial(hist)
 
 
-def eulerian_by_orbit(d: DynkinDiagram, *, enable_e8: bool = False) -> Polynomial:
+def eulerian_by_orbit(d: DynkinDiagram) -> Polynomial:
     """Descent distribution via traversal of the regular-weight orbit.
 
-    Works for every family; it is the only route for type E.  The E8
-    orbit has 696,729,600 points and is opt-in.
+    Works for every family; it is the only route for type E.  The orbit
+    has one point per group element, so E8 (696,729,600) is over the
+    oracle budget.
     """
-    if d.family == "E" and d.rank == 8 and not enable_e8:
-        raise FeatureDisabled("full E8 descent enumeration requires enable_e8")
+    check_oracle_budget(f"{d} weight orbit", d.group_order())
     return Polynomial(_orbits.descent_distribution(cartan_matrix(d)))
 
 
-def eulerian_poly(u, *, oracle: bool = False, enable_e8: bool = False) -> Polynomial:
+def eulerian_poly(u, *, oracle: bool = False) -> Polynomial:
     """Descent-count polynomial of a diagram or union: the h-polynomial of
     its Coxeter complex.
 
     ``oracle`` multiplies brute-force counts over the components instead:
-    enumeration for types A and D, the weight orbit for type E (E8 only
-    with ``enable_e8``).
+    enumeration for types A and D, the weight orbit for type E, once every
+    component is within the oracle budget.
 
     >>> from taupoly.dynkin import parse_diagram
     >>> str(eulerian_poly(parse_diagram("A3")))
@@ -243,15 +245,17 @@ def eulerian_poly(u, *, oracle: bool = False, enable_e8: bool = False) -> Polyno
     """
     if not oracle:
         return face_polynomial(PREPROJECTIVE, u).shifted(-1)
+    union = as_union(u)
+    for comp in union:
+        check_oracle_budget(*_descent_oracle_cost(comp))
     result = ONE
-    for comp in as_union(u):
+    for comp in union:
         if comp.family == "A":
-            part = eulerian_a_by_enumeration(comp.rank)
+            result = result * eulerian_a_by_enumeration(comp.rank)
         elif comp.family == "D":
-            part = eulerian_d_by_enumeration(comp.rank)
+            result = result * eulerian_d_by_enumeration(comp.rank)
         else:
-            part = eulerian_by_orbit(comp, enable_e8=enable_e8)
-        result = result * part
+            result = result * eulerian_by_orbit(comp)
     return result
 
 
@@ -310,26 +314,28 @@ def coxeter_element_matrix(d: DynkinDiagram, order: tuple[int, ...] | None = Non
     return out
 
 
+def _walk_cost(d: DynkinDiagram) -> tuple[str, int]:
+    return f"{d} interval walk", d.catalan_count() * d.positive_root_count()
+
+
 def narayana_oracle(
     d: DynkinDiagram,
     *,
     coxeter_order: tuple[int, ...] | None = None,
-    enable_e8: bool = False,
     progress=None,
 ) -> Polynomial:
     """Reflection-length distribution over the interval below a Coxeter element.
 
     Walks the absolute-order interval [id, c] down from c, one reflection
     length at a time, so only its Catalan(W) elements are visited (see
-    ``_orbits.interval_walk``).  ``progress``, if given, is called after
-    each level with the number of elements visited so far.  The tests
-    check the walk against the whole-group membership rule
-    l(w) + l(w^{-1}c) = rank on small groups.
+    ``_orbits.interval_walk``), each tested against every positive root;
+    that product is checked against the oracle budget, which D10 and A11
+    exceed.  ``progress``, if given, is called after each level with the
+    number of elements visited so far.  The tests check the walk against
+    the whole-group membership rule l(w) + l(w^{-1}c) = rank on small
+    groups.
     """
-    if d.family == "E" and d.rank == 8 and not enable_e8:
-        raise FeatureDisabled("the E8 absolute-order oracle requires enable_e8")
-    if d.rank > _NARAYANA_ORACLE_MAX:
-        raise RankTooLarge(f"absolute-order oracle capped at rank {_NARAYANA_ORACLE_MAX}")
+    check_oracle_budget(*_walk_cost(d))
     cartan = cartan_matrix(d)
     cox = coxeter_element_matrix(d, coxeter_order)
     hist = _orbits.interval_walk(cartan, cox, progress=progress)
@@ -348,12 +354,12 @@ def narayana_a(rank: int) -> Polynomial:
     return Polynomial([comb(m, j) * comb(m, j + 1) // m for j in range(rank + 1)])
 
 
-def narayana_poly(u, *, oracle: bool = False, enable_e8: bool = False) -> Polynomial:
+def narayana_poly(u, *, oracle: bool = False) -> Polynomial:
     """Narayana polynomial of a diagram or union: the h-polynomial of its
     cluster complex.
 
-    ``oracle`` multiplies the interval walks over the components instead
-    (E8 only with ``enable_e8``).
+    ``oracle`` multiplies the interval walks over the components instead,
+    once every component is within the oracle budget.
 
     >>> from taupoly.dynkin import parse_diagram
     >>> str(narayana_poly(parse_diagram("A3")))
@@ -361,10 +367,10 @@ def narayana_poly(u, *, oracle: bool = False, enable_e8: bool = False) -> Polyno
     """
     if not oracle:
         return face_polynomial(PATH, u).shifted(-1)
-    result = ONE
-    for comp in as_union(u):
-        result = result * narayana_oracle(comp, enable_e8=enable_e8)
-    return result
+    union = as_union(u)
+    for comp in union:
+        check_oracle_budget(*_walk_cost(comp))
+    return prod((narayana_oracle(comp) for comp in union), start=ONE)
 
 
 # ---------------------------------------------------------------------------

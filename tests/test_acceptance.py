@@ -10,11 +10,9 @@ from math import comb, factorial
 
 import pytest
 
-from taupoly import formulas, hereditary, lattice, series, weyl
+from taupoly import cli, formulas, hereditary, series
 from taupoly.dynkin import DynkinDiagram
 from taupoly.formulas import PATH, PREPROJECTIVE, AlgebraSpec
-from taupoly.hereditary import OrientedQuiver, tau_rigid_complex
-from taupoly.polynomials import Polynomial
 
 
 def _announce(number: int, label: str, ok: bool, elapsed: float) -> None:
@@ -38,59 +36,27 @@ def test_criterion_1_tables_exact():
     assert 1408216 in formulas.golden_table(6)[8]
 
 
+def _suite_report(suite, *args) -> cli.Report:
+    """The checks of one ``taupoly verify`` suite, run in-process."""
+    report = cli.Report(command=suite.__name__)
+    suite(report, *args)
+    assert report.checks
+    return report
+
+
 def test_criterion_2_worked_examples():
     start = time.time()
-    complex_ = tau_rigid_complex(OrientedQuiver.line(3))
-    ok = (
-        complex_.f_polynomial() == Polynomial([14, 21, 9, 1])
-        and complex_.h_polynomial() == Polynomial([1, 6, 6, 1])
-        and complex_.d_polynomial() == Polynomial([46, 46, 10])
-    )
-    spec = AlgebraSpec(PREPROJECTIVE, DynkinDiagram("A", 3))
-    ok = ok and (
-        formulas.f_polynomial(spec) == Polynomial([24, 36, 14, 1])
-        and formulas.h_polynomial(spec) == Polynomial([1, 11, 11, 1])
-        and formulas.d_polynomial(spec) == Polynomial([120, 120, 24])
-    )
+    ok = _suite_report(cli._suite_examples).exit_status == cli.EXIT_OK
     _announce(2, "worked rank-3 examples from oracle and engine", ok, time.time() - start)
     assert ok
 
 
 def test_criterion_3_oracle_equals_formula():
     start = time.time()
-    ok = True
-    quiver_count = 0
-    for n in range(1, 6):
-        spec = AlgebraSpec(PATH, DynkinDiagram("A", n))
-        for bits in range(1 << (n - 1)):
-            orientation = "".join("+" if (bits >> i) & 1 else "-" for i in range(n - 1))
-            complex_ = tau_rigid_complex(OrientedQuiver.line(n, orientation))
-            quiver_count += 1
-            if not (
-                complex_.d_polynomial() == formulas.d_polynomial(spec)
-                and complex_.f_polynomial() == formulas.f_polynomial(spec)
-                and complex_.h_polynomial() == formulas.h_polynomial(spec)
-            ):
-                ok = False
-    assert quiver_count == 31
-    for n in range(1, 13):
-        a_n = DynkinDiagram("A", n)
-        for ell in range(1, n + 1):
-            total, count = lattice.dim_orbit_ppa_A_oracle(n, ell)
-            engine = formulas.orbit_dim_total(PREPROJECTIVE, a_n, ell)
-            if total != engine or count != comb(n + 1, ell):
-                ok = False
-    for n in range(4, 13):
-        d_n = DynkinDiagram("D", n)
-        total, count = lattice.dim_orbit_ppa_D_oracle_pm1(n)
-        if total != formulas.orbit_dim_total(PREPROJECTIVE, d_n, 1) or count != 2 ** (n - 1):
-            ok = False
-        for ell in range(2, n):
-            total, count = lattice.dim_orbit_ppa_D_oracle_mid(n, ell)
-            if total != formulas.orbit_dim_total(PREPROJECTIVE, d_n, ell):
-                ok = False
-            if count != 2 ** (n - ell) * comb(n, ell):
-                ok = False
+    report = _suite_report(cli._suite_oracles, 5)
+    names = [c["name"] for c in report.checks]
+    assert sum(name.startswith("complex-vs-formula-A") for name in names) == 31
+    ok = report.exit_status == cli.EXIT_OK
     _announce(3, "enumeration oracles equal the engine", ok, time.time() - start)
     assert ok
 
@@ -154,7 +120,7 @@ def _d_count(ell: int) -> int:
         return _catalan(2) ** 2
     if ell == 3:
         return _catalan(4)
-    return formulas.catalan_count(DynkinDiagram("D", ell))
+    return DynkinDiagram("D", ell).catalan_count()
 
 
 def test_criterion_6_generating_function_identities():
@@ -168,56 +134,7 @@ def test_criterion_6_generating_function_identities():
 
 def test_criterion_7_structural_properties():
     start = time.time()
-    ok = True
-    # every computed dimension polynomial in table range, shifted, is
-    # palindromic and unimodal
-    all_specs = [
-        AlgebraSpec(family, DynkinDiagram(dfam, n))
-        for family in (PREPROJECTIVE, PATH)
-        for dfam, ranks in (("A", range(1, 10)), ("D", range(4, 10)), ("E", (6, 7, 8)))
-        for n in ranks
-    ]
-    for spec in all_specs:
-        n = spec.diagram.rank
-        shifted = formulas.d_polynomial(spec).shifted(-1)
-        if not (shifted.is_palindromic(n - 1) and shifted.is_unimodal()):
-            ok = False
-    # descent and Narayana polynomials palindromic with the known totals
-    for dfam, ranks in (("A", range(1, 10)), ("D", range(4, 10)), ("E", (6, 7))):
-        for n in ranks:
-            diagram = DynkinDiagram(dfam, n)
-            eul = weyl.eulerian_poly(diagram)
-            if not eul.is_palindromic(n) or eul(1) != diagram.group_order():
-                ok = False
-    for dfam, ranks in (("A", range(1, 10)), ("D", range(4, 9)), ("E", (6, 7))):
-        for n in ranks:
-            diagram = DynkinDiagram(dfam, n)
-            nar = weyl.narayana_poly(diagram)
-            if not nar.is_palindromic(n) or nar(1) != formulas.catalan_count(diagram):
-                ok = False
-    # complexes pure, with the Catalan count of maximal faces
-    for n in range(1, 6):
-        for bits in range(1 << (n - 1)):
-            orientation = "".join("+" if (bits >> i) & 1 else "-" for i in range(n - 1))
-            complex_ = tau_rigid_complex(OrientedQuiver.line(n, orientation))
-            if complex_.maximal_face_count != _catalan(n + 1):
-                ok = False
-    # product rule and link decomposition on oracle instances
-    q1 = OrientedQuiver.line(1)
-    q2 = OrientedQuiver.line(2)
-    if not (
-        hereditary.disjoint_union_d_check(q1, q1)
-        and hereditary.disjoint_union_d_check(q1, q2)
-        and hereditary.disjoint_union_d_check(q2, q2)
-    ):
-        ok = False
-    for n in range(1, 6):
-        complex_ = tau_rigid_complex(OrientedQuiver.line(n))
-        total = Polynomial()
-        for idx in complex_.module_vertices():
-            total = total + complex_.vertices[idx].dim * complex_.link_f_polynomial(idx)
-        if total != complex_.d_polynomial():
-            ok = False
+    ok = _suite_report(cli._suite_structural, 5).exit_status == cli.EXIT_OK
     _announce(7, "palindromicity, purity, product and link identities", ok, time.time() - start)
     assert ok
 

@@ -72,10 +72,17 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
-def test_feature_disabled_exits_3(capsys):
-    assert cli.main(["narayana", "E8", "--oracle"]) == 3
-    assert cli.main(["eulerian", "E8", "--oracle"]) == 3
-    capsys.readouterr()
+def test_oracle_over_budget_exits_2(capsys):
+    # the E8 interval walk is within the budget and matches the engine
+    code, payload = run_json(capsys, "narayana", "E8", "--oracle")
+    assert code == 0
+    coeffs = payload["results"]["coefficients_ascending"]
+    assert coeffs == weyl.narayana_poly(DynkinDiagram("E", 8)).to_decimal_strings()
+    assert sum(map(int, coeffs)) == 25080
+    assert cli.main(["eulerian", "E8", "--oracle"]) == cli.EXIT_USAGE == 2
+    captured = capsys.readouterr()
+    assert "E8 weight orbit visits 696,729,600 elements" in captured.err
+    assert captured.out == ""
 
 
 def test_poly_e8_h_needs_no_gate(capsys):

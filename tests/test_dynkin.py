@@ -6,7 +6,6 @@ from taupoly.dynkin import (
     delete_vertex,
     parse_diagram,
     parse_union,
-    rank,
 )
 from taupoly.errors import NotAVertex, UsageError
 
@@ -39,7 +38,7 @@ def test_deletion_type_d():
     assert delete_vertex(d5, -1) == u("A4")
     # deleting the fork vertex isolates both short arms
     assert delete_vertex(d5, 2) == u("A1xA1xA2")
-    assert rank(delete_vertex(d5, 2)) == 4
+    assert delete_vertex(d5, 2).rank == 4
     # rank 3 remnant comes back as its path shape
     assert delete_vertex(d5, 3) == u("A3xA1")
     assert delete_vertex(d5, 4) == u("D4")
@@ -56,9 +55,9 @@ def test_deletion_errors():
 
 
 def test_rank_of_unions():
-    assert rank(DiagramUnion()) == 0
-    assert rank(u("A2xA1xA2")) == 5
-    assert rank(delete_vertex(DynkinDiagram("E", 6), 3)) == 5
+    assert DiagramUnion().rank == 0
+    assert u("A2xA1xA2").rank == 5
+    assert delete_vertex(DynkinDiagram("E", 6), 3).rank == 5
 
 
 def test_vertices_and_edges():

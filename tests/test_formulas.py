@@ -2,14 +2,13 @@ import pytest
 
 from taupoly import _orbits, formulas, hereditary, lattice, weyl
 from taupoly.dynkin import DynkinDiagram, delete_vertex
-from taupoly.errors import FeatureDisabled, NotAVertex, UsageError
+from taupoly.errors import NotAVertex, RankTooLarge, UsageError
 from taupoly.formulas import (
     PATH,
     PREPROJECTIVE,
     AlgebraSpec,
     aggregate_dims,
     aggregate_totals_closed,
-    catalan_count,
     d_polynomial,
     expected_aggregates,
     f_polynomial,
@@ -176,13 +175,13 @@ def test_engine_reproduces_tables_without_oracles(monkeypatch):
         for n in ranks:
             diagram = DynkinDiagram(family, n)
             assert eulerian_poly(diagram)(1) == diagram.group_order()
-            assert narayana_poly(diagram)(1) == catalan_count(diagram)
+            assert narayana_poly(diagram)(1) == diagram.catalan_count()
 
 
 def test_catalan_count():
-    assert catalan_count(DynkinDiagram("A", 3)) == 14
-    assert catalan_count(DynkinDiagram("D", 4)) == 50
-    assert catalan_count(DynkinDiagram("E", 7)) == 4160
+    assert DynkinDiagram("A", 3).catalan_count() == 14
+    assert DynkinDiagram("D", 4).catalan_count() == 50
+    assert DynkinDiagram("E", 7).catalan_count() == 4160
 
 
 def test_rank_bounds_and_usage():
@@ -197,10 +196,9 @@ def test_rank_bounds_and_usage():
 
 
 def test_e8_h_polynomial_is_gated():
-    # only the oracle routes enumerate, so only they are gated
+    # the engine has no budget; the E8 weight orbit is over the oracle
+    # budget, the E8 interval walk is not (test_weyl compares it)
     assert h_polynomial(spec(PATH, "E", 8))(1) == 25080
     assert h_polynomial(spec(PREPROJECTIVE, "E", 8))(1) == 696729600
-    with pytest.raises(FeatureDisabled):
-        narayana_poly(DynkinDiagram("E", 8), oracle=True)
-    with pytest.raises(FeatureDisabled):
+    with pytest.raises(RankTooLarge, match="696,729,600"):
         eulerian_poly(DynkinDiagram("E", 8), oracle=True)

@@ -7,7 +7,7 @@ from taupoly import formulas, hereditary
 from taupoly._orbits import positive_roots
 from taupoly.dynkin import DynkinDiagram
 from taupoly.errors import ConventionError, NotAModule, RankTooLarge, UsageError
-from taupoly.formulas import PATH, AlgebraSpec, catalan_count, golden_table
+from taupoly.formulas import PATH, AlgebraSpec, golden_table
 from taupoly.hereditary import (
     MODULE,
     OrientedQuiver,
@@ -228,7 +228,7 @@ def test_complex_matches_engine_on_d_and_e():
         assert complex_.f_polynomial() == formulas.f_polynomial(spec), (diagram, orientation)
         assert complex_.h_polynomial() == formulas.h_polynomial(spec), (diagram, orientation)
         assert complex_.d_polynomial() == formulas.d_polynomial(spec), (diagram, orientation)
-        assert complex_.maximal_face_count == catalan_count(diagram)
+        assert complex_.maximal_face_count == diagram.catalan_count()
         assert len(complex_.vertices) == diagram.positive_root_count() + diagram.rank
 
 

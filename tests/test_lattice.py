@@ -3,7 +3,7 @@ from math import comb
 import pytest
 
 from taupoly.dynkin import DynkinDiagram
-from taupoly.errors import MalformedPath, NotAVertex, RankOutOfRange, UsageError
+from taupoly.errors import MalformedPath, NotAVertex, RankTooLarge, UsageError
 from taupoly.formulas import PATH, PREPROJECTIVE, orbit_dim_total
 from taupoly.lattice import (
     East,
@@ -168,7 +168,10 @@ def test_range_errors():
         engine_dim_D(3, 1)
     with pytest.raises(NotAVertex):
         engine_dim_D(5, 5)
-    with pytest.raises(RankOutOfRange):
+    with pytest.raises(NotAVertex):
         dim_orbit_ppa_D_oracle_mid(5, 1)
-    with pytest.raises(RankOutOfRange):
-        dim_orbit_ppa_A_oracle(15, 3)
+    with pytest.raises(UsageError):
+        dim_orbit_ppa_D_oracle_pm1(1)
+    assert dim_orbit_ppa_A_oracle(15, 3).count == comb(16, 3)
+    with pytest.raises(RankTooLarge, match="300,540,195"):
+        dim_orbit_ppa_A_oracle(30, 15)

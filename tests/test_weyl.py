@@ -1,12 +1,14 @@
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taupoly import _orbits, weyl
+from taupoly import _orbits, lattice, weyl
 from taupoly.dynkin import DiagramUnion, DynkinDiagram, parse_union
 from taupoly._linalg import integer_inverse
-from taupoly.errors import ConsistencyError, FeatureDisabled, RankTooLarge
+from taupoly.errors import ORACLE_BUDGET, ConsistencyError, RankTooLarge
 from taupoly.polynomials import ONE, Polynomial
 from taupoly.weyl import (
     absolute_length,
@@ -78,9 +80,10 @@ def test_eulerian_engine_matches_triangles():
 
 
 def test_narayana_engine_matches_interval_walk():
-    diagrams = [A(n) for n in range(1, 9)] + [D(n) for n in range(4, 9)] + [E(6), E(7), E(8)]
+    # E8 (~2 s) is compared through the CLI in test_oracle_over_budget_exits_2
+    diagrams = [A(n) for n in range(1, 10)] + [D(n) for n in range(4, 9)] + [E(6), E(7)]
     for diagram in diagrams:
-        assert narayana_poly(diagram) == narayana_oracle(diagram, enable_e8=True), diagram
+        assert narayana_poly(diagram) == narayana_oracle(diagram), diagram
 
 
 def test_narayana_engine_matches_closed_form():
@@ -242,20 +245,68 @@ def test_positive_roots_closure():
 
 
 def test_feature_gates():
-    with pytest.raises(FeatureDisabled):
-        eulerian_by_orbit(E(8))
-    with pytest.raises(FeatureDisabled):
-        eulerian_poly(E(8), oracle=True)
-    with pytest.raises(FeatureDisabled):
-        narayana_poly(E(8), oracle=True)
-    with pytest.raises(FeatureDisabled):
-        narayana_oracle(E(8))
-    with pytest.raises(RankTooLarge):
-        narayana_oracle(D(9))
-    with pytest.raises(RankTooLarge):
-        eulerian_a_by_enumeration(10)
-    with pytest.raises(RankTooLarge):
-        eulerian_d_by_enumeration(9)
+    # the oracle budget is the only gate, and the refusal names the estimate
+    for call, estimate in (
+        (lambda: eulerian_by_orbit(E(8)), "E8 weight orbit visits 696,729,600 elements"),
+        (lambda: eulerian_poly(E(8), oracle=True), "696,729,600"),
+        (lambda: eulerian_a_by_enumeration(10), "A10 descent enumeration visits 39,916,800"),
+        (lambda: eulerian_d_by_enumeration(9), "D9 descent enumeration visits 92,897,280"),
+        (lambda: narayana_oracle(D(10)), "D10 interval walk visits 12,252,240"),
+        (lambda: narayana_poly(A(11), oracle=True), "A11 interval walk visits 13,728,792"),
+    ):
+        with pytest.raises(RankTooLarge, match=estimate):
+            call()
+
+
+@st.composite
+def oracle_calls_over_budget(draw):
+    """One call of each oracle on an input over the budget, with its estimate."""
+    extra = draw(st.integers(0, 20))
+    a, d, walk_a, walk_d = A(10 + extra), D(9 + extra), A(11 + extra), D(10 + extra)
+    n = 28 + extra
+    near_half = draw(st.integers(n // 2 - 2, n // 2 + 2))
+    tail = draw(st.integers(2, n // 2))
+    small = A(1)
+    return [
+        (lambda: eulerian_a_by_enumeration(a.rank), a.group_order()),
+        (lambda: eulerian_d_by_enumeration(d.rank), d.group_order()),
+        (lambda: eulerian_by_orbit(d), d.group_order()),
+        (lambda: eulerian_by_orbit(E(8)), E(8).group_order()),
+        # the small component comes first in the union, so it would be
+        # enumerated before the large one were refused
+        (lambda: eulerian_poly(DiagramUnion((small, a)), oracle=True), a.group_order()),
+        (lambda: narayana_oracle(walk_d), walk_d.catalan_count() * walk_d.positive_root_count()),
+        (
+            lambda: narayana_poly(DiagramUnion((small, walk_a)), oracle=True),
+            walk_a.catalan_count() * walk_a.positive_root_count(),
+        ),
+        (lambda: lattice.dim_orbit_ppa_A_oracle(n, near_half), comb(n + 1, near_half)),
+        (lambda: lattice.dim_orbit_ppa_D_oracle_pm1(n), 2 ** (n - 1)),
+        (lambda: lattice.dim_orbit_ppa_D_oracle_mid(n, tail), 2 ** (n - tail) * comb(n, tail)),
+    ]
+
+
+@settings(max_examples=20, deadline=None)
+@given(oracle_calls_over_budget())
+def test_oracles_refuse_over_budget_before_any_work(calls):
+    def work(*args, **kwargs):
+        raise AssertionError("an oracle started work before its budget check")
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module, name in (
+            (_orbits, "interval_walk"),
+            (_orbits, "descent_distribution"),
+            (weyl, "descent_count_permutation"),
+            (weyl, "descent_count_signed"),
+            (lattice, "area_rect"),
+            (lattice, "area_corner"),
+            (lattice, "sequence_weight"),
+        ):
+            patch.setattr(module, name, work)
+        for call, estimate in calls:
+            assert estimate > ORACLE_BUDGET
+            with pytest.raises(RankTooLarge, match=f"visits {estimate:,} elements"):
+                call()
 
 
 def test_oracle_flag_routes_every_family():
