@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass, field
 from math import comb
 
-from . import formulas, hereditary, lattice, series, tables, weyl
+from . import formulas, hereditary, lattice, oracles, series, tables, weyl
 from .dynkin import DynkinDiagram, parse_diagram, parse_union
 from .errors import ConsistencyError, TaupolyError, UsageError
 from .formulas import PATH, PREPROJECTIVE, AlgebraSpec
@@ -44,26 +44,13 @@ class Report:
     checks: list = field(default_factory=list)
 
     def add_check(self, name: str, expected, actual) -> bool:
-        ok = expected == actual
-        self.checks.append(
-            {
-                "name": name,
-                "expected": _stringify(expected),
-                "actual": _stringify(actual),
-                "pass": ok,
-            }
-        )
-        return ok
+        return self._add(name, _stringify(expected), _stringify(actual), expected == actual)
 
     def add_pass_fail(self, name: str, ok: bool, detail: str = "") -> bool:
-        self.checks.append(
-            {
-                "name": name,
-                "expected": "pass",
-                "actual": "pass" if ok else f"fail {detail}".strip(),
-                "pass": ok,
-            }
-        )
+        return self._add(name, "pass", "pass" if ok else f"fail {detail}".strip(), ok)
+
+    def _add(self, name: str, expected, actual, ok: bool) -> bool:
+        self.checks.append({"name": name, "expected": expected, "actual": actual, "pass": ok})
         return ok
 
     @property
@@ -190,19 +177,18 @@ def _table_for(spec: AlgebraSpec) -> int | None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_eulerian(args) -> Report:
-    union = parse_union(args.diagram)
-    poly = weyl.eulerian_poly(union, oracle=args.oracle)
-    report = Report(command=f"eulerian {union}")
-    report.results["polynomial"] = poly
-    report.results["coefficients_ascending"] = poly.to_decimal_strings()
-    return report
+# command -> (engine, oracle); --oracle is the only thing that picks a route
+_H_POLYNOMIALS = {
+    "eulerian": (weyl.eulerian_poly, oracles.eulerian),
+    "narayana": (weyl.narayana_poly, oracles.narayana),
+}
 
 
-def cmd_narayana(args) -> Report:
+def cmd_h_polynomial(args) -> Report:
     union = parse_union(args.diagram)
-    poly = weyl.narayana_poly(union, oracle=args.oracle)
-    report = Report(command=f"narayana {union}")
+    engine, oracle = _H_POLYNOMIALS[args.command]
+    poly = (oracle if args.oracle else engine)(union)
+    report = Report(command=f"{args.command} {union}")
     report.results["polynomial"] = poly
     report.results["coefficients_ascending"] = poly.to_decimal_strings()
     return report
@@ -297,21 +283,21 @@ def cmd_aggregates(args) -> Report:
     return report
 
 
-_GENFUN_FAMILIES = {
-    "exp-h-ppa-A": (series.eulerian_family, True),
-    "exp-d-ppa-A": (series.ppa_dim_family, True),
-    "ord-h-path-A": (series.narayana_family, False),
-    "ord-d-path-A": (series.path_dim_family, False),
-}
-
-_GENFUN_CHECKS = {
-    "exp-h-ppa-A": (series.verify_identity_euler_ode, series.verify_euler_closed_form),
-    "exp-d-ppa-A": (series.verify_dpoly_genfun_ppa, series.verify_ppa_closed_form_variants),
-    "ord-h-path-A": (
-        series.verify_identity_narayana_quadratic,
-        series.verify_narayana_sqrt_reconstruction,
+# name -> (coefficient family, identity checks)
+_GENFUN = {
+    "exp-h-ppa-A": (
+        series.eulerian_family,
+        (series.verify_identity_euler_ode, series.verify_euler_closed_form),
     ),
-    "ord-d-path-A": (series.verify_dpoly_genfun_path,),
+    "exp-d-ppa-A": (
+        series.ppa_dim_family,
+        (series.verify_dpoly_genfun_ppa, series.verify_ppa_closed_form_variants),
+    ),
+    "ord-h-path-A": (
+        series.narayana_family,
+        (series.verify_identity_narayana_quadratic, series.verify_narayana_sqrt_reconstruction),
+    ),
+    "ord-d-path-A": (series.path_dim_family, (series.verify_dpoly_genfun_path,)),
 }
 
 
@@ -322,15 +308,15 @@ def _check_genfun_order(order: int) -> None:
 
 def cmd_genfun(args) -> Report:
     name = args.name
-    if name not in _GENFUN_FAMILIES:
-        raise UsageError(f"genfun name must be one of {sorted(_GENFUN_FAMILIES)}")
+    if name not in _GENFUN:
+        raise UsageError(f"genfun name must be one of {sorted(_GENFUN)}")
     _check_genfun_order(args.order)
-    family_fn, _ = _GENFUN_FAMILIES[name]
+    family_fn, checks = _GENFUN[name]
     polys = family_fn(args.order + 1)
     report = Report(command=f"genfun {name} --order {args.order}")
     report.results["terms"] = [p.to_decimal_strings() for p in polys]
     if args.verify:
-        reports = [check(args.order) for check in _GENFUN_CHECKS[name]]
+        reports = [check(args.order) for check in checks]
         report.results["identity_reports"] = [r.to_dict() for r in reports]
         for rep in reports:
             report.add_pass_fail(
@@ -344,12 +330,12 @@ def cmd_genfun(args) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _suite_tables(report: Report) -> None:
+def _suite_tables(report: Report, args) -> None:
     for k in range(1, 7):
         report.add_check(f"table-{k}", formulas.golden_table(k), formulas.reproduce_table(k))
 
 
-def _suite_examples(report: Report) -> None:
+def _suite_examples(report: Report, args) -> None:
     q = hereditary.OrientedQuiver.line(3)
     complex_ = hereditary.tau_rigid_complex(q)
     report.add_check("example-path-A3-f", Polynomial([14, 21, 9, 1]), complex_.f_polynomial())
@@ -361,11 +347,10 @@ def _suite_examples(report: Report) -> None:
     report.add_check("example-ppa-A3-d", Polynomial([120, 120, 24]), formulas.d_polynomial(spec))
 
 
-def _suite_oracles(report: Report, max_rank: int) -> None:
+def _suite_oracles(report: Report, args) -> None:
     # every orientation of the type A quivers against the closed engine
-    for n in range(1, max_rank + 1):
-        for bits in range(1 << (n - 1)):
-            orientation = "".join("+" if (bits >> i) & 1 else "-" for i in range(n - 1))
+    for n in range(1, args.max_rank + 1):
+        for orientation in hereditary.orientations(DynkinDiagram("A", n)):
             q = hereditary.OrientedQuiver.line(n, orientation)
             complex_ = hereditary.tau_rigid_complex(q)
             spec = AlgebraSpec(PATH, DynkinDiagram("A", n))
@@ -405,20 +390,20 @@ def _suite_oracles(report: Report, max_rank: int) -> None:
         orbit = tuple(hereditary.tau_orbit_dims_all(diagram).values())
         report.add_check(f"tau-orbit-E{rank}", engine, orbit)
     # Narayana closed formula vs oracle on small ranks
-    for rank in range(1, min(max_rank, 5) + 1):
+    for rank in range(1, min(args.max_rank, 5) + 1):
         report.add_check(
             f"narayana-closed-vs-oracle-A{rank}",
-            weyl.narayana_a(rank),
-            weyl.narayana_oracle(DynkinDiagram("A", rank)),
+            oracles.narayana_a(rank),
+            oracles.narayana_oracle(DynkinDiagram("A", rank)),
         )
 
 
-def _suite_genfun(report: Report, order: int) -> None:
-    for rep in series.verify_all_identities(order):
+def _suite_genfun(report: Report, args) -> None:
+    for rep in series.verify_all_identities(args.order):
         report.add_pass_fail(f"genfun-{rep.name}-order-{rep.order}", rep.passed)
 
 
-def _suite_aggregates(report: Report) -> None:
+def _suite_aggregates(report: Report, args) -> None:
     for family, dfam, lo in (
         (PREPROJECTIVE, "A", 1),
         (PATH, "A", 1),
@@ -439,7 +424,7 @@ def _suite_aggregates(report: Report) -> None:
             )
 
 
-def _suite_structural(report: Report, max_rank: int) -> None:
+def _suite_structural(report: Report, args) -> None:
     diagrams = [
         DynkinDiagram(dfam, n)
         for dfam, ranks in (("A", range(1, 10)), ("D", range(4, 10)), ("E", (6, 7, 8)))
@@ -467,9 +452,8 @@ def _suite_structural(report: Report, max_rank: int) -> None:
     report.add_pass_fail("group-statistics-palindromic-with-known-totals", stats_ok)
     # purity and maximal-face counts of the complexes
     purity_ok = True
-    for n in range(1, max_rank + 1):
-        for bits in range(1 << (n - 1)):
-            orientation = "".join("+" if (bits >> i) & 1 else "-" for i in range(n - 1))
+    for n in range(1, args.max_rank + 1):
+        for orientation in hereditary.orientations(DynkinDiagram("A", n)):
             complex_ = hereditary.tau_rigid_complex(
                 hereditary.OrientedQuiver.line(n, orientation)
             )
@@ -486,7 +470,7 @@ def _suite_structural(report: Report, max_rank: int) -> None:
         and hereditary.disjoint_union_d_check(q2, q2),
     )
     link_ok = True
-    for n in range(1, min(max_rank, 5) + 1):
+    for n in range(1, min(args.max_rank, 5) + 1):
         complex_ = hereditary.tau_rigid_complex(hereditary.OrientedQuiver.line(n))
         total = Polynomial()
         for idx in complex_.module_vertices():
@@ -502,25 +486,26 @@ def _check_max_rank(max_rank: int) -> None:
         raise UsageError(f"--max-rank must be between 1 and {cap}, got {max_rank}")
 
 
+# the verify suites, in the order ``--suite all`` runs them
+SUITES = {
+    "tables": _suite_tables,
+    "examples": _suite_examples,
+    "oracles": _suite_oracles,
+    "genfun": _suite_genfun,
+    "aggregates": _suite_aggregates,
+    "structural": _suite_structural,
+}
+
+
 def cmd_verify(args) -> Report:
-    report = Report(command=f"verify --suite {args.suite}")
-    suite = args.suite
-    if suite in ("genfun", "all"):
+    names = list(SUITES) if args.suite == "all" else [args.suite]
+    if "genfun" in names:
         _check_genfun_order(args.order)
-    if suite in ("oracles", "structural", "all"):
+    if "oracles" in names or "structural" in names:
         _check_max_rank(args.max_rank)
-    if suite in ("tables", "all"):
-        _suite_tables(report)
-    if suite in ("examples", "all"):
-        _suite_examples(report)
-    if suite in ("oracles", "all"):
-        _suite_oracles(report, args.max_rank)
-    if suite in ("genfun", "all"):
-        _suite_genfun(report, args.order)
-    if suite in ("aggregates", "all"):
-        _suite_aggregates(report)
-    if suite in ("structural", "all"):
-        _suite_structural(report, args.max_rank)
+    report = Report(command=f"verify --suite {args.suite}")
+    for name in names:
+        SUITES[name](report, args)
     return report
 
 
@@ -546,15 +531,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true")
     p.set_defaults(fn=cmd_poly)
 
-    p = sub.add_parser("eulerian", help="descent-count polynomial of a diagram or union")
-    p.add_argument("diagram")
-    p.add_argument("--oracle", action="store_true")
-    p.set_defaults(fn=cmd_eulerian)
-
-    p = sub.add_parser("narayana", help="Narayana polynomial of a diagram or union")
-    p.add_argument("diagram")
-    p.add_argument("--oracle", action="store_true")
-    p.set_defaults(fn=cmd_narayana)
+    for name, help_ in (
+        ("eulerian", "descent-count polynomial of a diagram or union"),
+        ("narayana", "Narayana polynomial of a diagram or union"),
+    ):
+        p = sub.add_parser(name, help=help_)
+        p.add_argument("diagram")
+        p.add_argument("--oracle", action="store_true")
+        p.set_defaults(fn=cmd_h_polynomial)
 
     p = sub.add_parser("dim-orbit", help="per-vertex orbit dimension totals")
     p.add_argument("--family", default="ppa")
@@ -596,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--suite",
         default="all",
-        choices=("tables", "examples", "oracles", "genfun", "aggregates", "structural", "all"),
+        choices=(*SUITES, "all"),
     )
     p.add_argument("--order", type=int, default=series.DEFAULT_ORDER)
     p.add_argument("--max-rank", type=int, default=5)

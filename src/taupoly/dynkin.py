@@ -163,6 +163,7 @@ def _branch_length(center: int, start: int, vertices: frozenset[int], adjacency:
         prev, cur = cur, nxt[0]
 
 
+# one entry per (diagram, vertex): rank-many for each diagram the engine meets
 @lru_cache(maxsize=None)
 def delete_vertex(d: DynkinDiagram, ell: int) -> DiagramUnion:
     """Remove vertex ``ell`` and classify the resulting forest.

@@ -24,7 +24,6 @@ from functools import lru_cache
 from math import comb, factorial
 
 from . import tables, weyl
-from ._linalg import rational_solve
 from .dynkin import DiagramUnion, DynkinDiagram, delete_vertex
 from .errors import ConsistencyError, NotAVertex, UsageError
 from .polynomials import ZERO, Polynomial
@@ -46,6 +45,35 @@ class AlgebraSpec:
         return f"{self.family} {self.diagram}"
 
 
+def rational_solve(matrix: list[list[int]], rhs: list[int]) -> list[Fraction]:
+    """The solution x of matrix . x = rhs, exact; raises on singular input.
+
+    Elimination touches only rows with a nonzero entry below the pivot,
+    so a Cartan matrix of a tree in its vertex order takes about n^2
+    steps, not n^3.
+
+    >>> rational_solve([[2, -1], [-1, 2]], [1, 1])
+    [Fraction(1, 1), Fraction(1, 1)]
+    """
+    n = len(matrix)
+    rows = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if piv is None:
+            raise ZeroDivisionError("singular matrix")
+        rows[col], rows[piv] = rows[piv], rows[col]
+        for r in range(col + 1, n):
+            if rows[r][col]:
+                f = rows[r][col] / rows[col][col]
+                rows[r] = [a - f * b if b else a for a, b in zip(rows[r], rows[col])]
+    x = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        tail = sum(rows[i][j] * x[j] for j in range(i + 1, n) if rows[i][j])
+        x[i] = (rows[i][n] - tail) / rows[i][i]
+    return x
+
+
+# one entry per connected diagram whose orbit totals are asked for
 @lru_cache(maxsize=None)
 def _weight_heights(d: DynkinDiagram) -> tuple[Fraction, ...]:
     """ht(w_l) for each vertex l in order: the column sums of C^-1, which

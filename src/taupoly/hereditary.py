@@ -1,7 +1,8 @@
 """Brute-force ground truth for path algebras of Dynkin quivers.
 
 Two independent oracles live here, for any Dynkin quiver of any
-orientation (and disjoint unions of them):
+orientation (and disjoint unions of them); ``orientations`` lists every
+orientation of a diagram.  Neither is called by the engine.
 
 * The full compatibility complex of rigid pairs, built from dimension
   vectors alone.  The indecomposables are the positive roots of the
@@ -18,23 +19,33 @@ orientation (and disjoint unions of them):
 
 * The translate-orbit dimension sum, computed by iterating the inverse
   Coxeter transformation on the dimension vector of a projective until
-  it leaves the positive orthant.  The sign and transpose conventions of
-  the Coxeter matrix are pinned by a startup self-check on a rank 3
-  example, not by fiat.
+  it leaves the positive orthant.  On an acyclic quiver the matrix C of
+  projectives is (I - A)^-1, so the inverse transformation on row vectors
+  is -(I - A^T) C, with no matrix inversion.  Its sign and transpose
+  conventions are pinned by a startup self-check on a rank 3 example.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, lru_cache
+from typing import Iterator
 
 import numpy as np
 
-from ._linalg import integer_inverse, mat_mul, row_times_mat
-from ._orbits import positive_roots
 from .dynkin import DynkinDiagram
 from .errors import ConventionError, ImpurityError, NotAModule, RankTooLarge, UsageError
+from .oracles import positive_roots
 from .polynomials import Polynomial
+
+
+def orientations(d: DynkinDiagram) -> Iterator[str]:
+    """Every orientation string of a diagram's edges, for
+    ``OrientedQuiver.from_diagram``: character i is '+' when bit i of the
+    counter is set."""
+    edges = len(d.edges)
+    for bits in range(1 << edges):
+        yield "".join("+" if (bits >> i) & 1 else "-" for i in range(edges))
 
 
 @dataclass(frozen=True)
@@ -186,19 +197,13 @@ class CompatibilityComplex:
     maximal_face_count: int
 
     def f_polynomial(self) -> Polynomial:
-        n = self.rank
-        return Polynomial(
-            [self.face_counts[n - power] for power in range(n + 1)]
-        )
+        return Polynomial(reversed(self.face_counts))
 
     def h_polynomial(self) -> Polynomial:
         return self.f_polynomial().shifted(-1)
 
     def d_polynomial(self) -> Polynomial:
-        n = self.rank
-        return Polynomial(
-            [self.face_dim_sums[n - power] for power in range(n + 1)]
-        )
+        return Polynomial(reversed(self.face_dim_sums))
 
     def module_vertices(self) -> list[int]:
         return [i for i, v in enumerate(self.vertices) if v.kind == MODULE]
@@ -253,6 +258,7 @@ def _clique_census(adjacency: list[int], dims: list[int], max_size: int):
 _COMPLEX_RANK_CAP = 8
 
 
+# keys are quivers of rank at most _COMPLEX_RANK_CAP = 8, a finite set
 @lru_cache(maxsize=None)
 def tau_rigid_complex(q: OrientedQuiver) -> CompatibilityComplex:
     """Build the full compatibility complex of a Dynkin quiver (or union).
@@ -328,19 +334,6 @@ def disjoint_union_d_check(q1: OrientedQuiver, q2: OrientedQuiver) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _coxeter_inverse(q: OrientedQuiver) -> list[list[int]]:
-    """Matrix of the inverse translate on dimension (row) vectors.
-
-    The translate acts as dim tau M = dim M . Phi with Phi = -C^{-1} C^T;
-    the inverse transformation is its matrix inverse.
-    """
-    C = path_cartan(q)
-    c_inv = integer_inverse(C)
-    c_t = [list(row) for row in zip(*C)]
-    phi = [[-x for x in row] for row in mat_mul(c_inv, c_t)]
-    return integer_inverse(phi)
-
-
 @cache
 def _check_convention() -> None:
     """Run once per process; a failure raises and is not cached, so a
@@ -359,15 +352,16 @@ def tau_orbit_vectors(q: OrientedQuiver, ell: int) -> list[tuple[int, ...]]:
     in quiver vertex order, until the orbit leaves the positive orthant."""
     if ell not in q.vertices:
         raise UsageError(f"vertex {ell} not in quiver")
-    index = {v: k for k, v in enumerate(q.vertices)}
-    C = path_cartan(q)
-    phi_inv = _coxeter_inverse(q)
-    v = list(C[index[ell]])
+    # the translate is dim tau M = dim M . Phi with Phi = -C^-1 C^T, and
+    # C = (I - A)^-1 turns the inverse -(C^T)^-1 C into -(I - A^T) C
+    C = np.array(path_cartan(q), dtype=np.int64)
+    phi_inv = (q.arrow_counts().T - np.eye(q.rank, dtype=np.int64)) @ C
+    v = C[q.vertices.index(ell)]
     out = []
-    while all(x >= 0 for x in v) and any(x > 0 for x in v):
-        out.append(tuple(v))
-        v = row_times_mat(v, phi_inv)
-    if any(x > 0 for x in v):
+    while (v >= 0).all() and (v > 0).any():
+        out.append(tuple(v.tolist()))
+        v = v @ phi_inv
+    if (v > 0).any():
         raise ConventionError("orbit left the positive orthant without turning negative")
     return out
 

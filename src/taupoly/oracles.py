@@ -1,0 +1,558 @@
+"""Brute-force oracles for the Weyl-group statistics.
+
+Nothing here is called by the engine (``weyl``, ``formulas``); the tests
+and the ``--oracle`` routes compare the engine with these:
+
+* descent counts by enumerating permutations (type A) and even-signed
+  permutations (type D), by the classical triangle recurrences, and by
+  breadth-first traversal of the regular-weight orbit (every type);
+* Narayana polynomials by the closed binomial formula (type A) and by
+  walking the absolute-order interval down from a Coxeter element,
+  visiting only its Catalan(W) elements; the tests check the walk against
+  whole-group enumeration with the codimension formula for reflection
+  length, itself checked by breadth-first search over all reflections.
+
+Each oracle first works out from the diagram how many elements it will
+visit and raises ``RankTooLarge`` over ``errors.ORACLE_BUDGET``, as the
+E8 orbit (696,729,600 elements) does.
+
+The weight orbit visits each group element once: the stabilizer of the
+regular weight rho = (1, ..., 1) is trivial, so orbit points and group
+elements are in bijection.  Points are stored in fundamental-weight
+coordinates (bounded by the Coxeter number, so int8 is safe) and
+deduplicated through a packed int64 key.
+
+The walk goes level by level from c down to the identity.  The elements
+covered by w are the t*w for the reflections t whose root lies in
+Im(w - I) (Carter's lemma).  Membership of every positive root is read
+off one row reduction of the augmented matrix [w - I | roots], done in
+vectorized int64 arithmetic modulo two primes just under 2**31.  A root
+outside Im(w - I) has a nonzero integer minor which Hadamard's inequality
+bounds below the product of the primes, so it cannot vanish modulo both
+and the two-prime test is exact.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from math import comb, prod
+from typing import Callable, Iterator
+
+import numpy as np
+
+from .dynkin import DynkinDiagram, as_union
+from .errors import ConsistencyError, check_oracle_budget
+from .polynomials import ONE, Polynomial
+from .weyl import cartan_matrix
+
+_P1 = 2147483647  # 2**31 - 1, prime
+_P2 = 2147483629  # prime
+
+_KEY_OFFSET = 32  # weight coordinates lie in [-(h-1), h-1], h <= 30
+
+
+def simple_reflection_matrices(cartan: np.ndarray) -> list[np.ndarray]:
+    """Reflection matrices acting on simple-root coordinates (column vectors)."""
+    n = cartan.shape[0]
+    mats = []
+    for i in range(n):
+        m = np.eye(n, dtype=np.int64)
+        m[i, :] -= cartan[i, :]
+        mats.append(m)
+    return mats
+
+
+def reflection_matrix_for_root(root: np.ndarray, cartan: np.ndarray) -> np.ndarray:
+    """Matrix of the reflection in the given root (simple-root coordinates)."""
+    a = np.asarray(root, dtype=np.int64)
+    n = cartan.shape[0]
+    return np.eye(n, dtype=np.int64) - np.outer(a, cartan @ a)
+
+
+def positive_roots(cartan: np.ndarray) -> list[tuple[int, ...]]:
+    """All positive roots in simple-root coordinates, by reflection closure."""
+    C = np.asarray(cartan, dtype=np.int64)
+    n = C.shape[0]
+    simples = [tuple(int(v) for v in row) for row in np.eye(n, dtype=np.int64)]
+    seen = set(simples)
+    frontier = list(simples)
+    while frontier:
+        nxt = []
+        for r in frontier:
+            vec = np.array(r, dtype=np.int64)
+            for i in range(n):
+                img = vec.copy()
+                img[i] -= int(C[i] @ vec)
+                t = tuple(int(x) for x in img)
+                if t not in seen:
+                    seen.add(t)
+                    nxt.append(t)
+        frontier = nxt
+    return sorted(r for r in seen if min(r) >= 0 and max(r) > 0)
+
+
+def _keys_of(points: np.ndarray) -> np.ndarray:
+    n = points.shape[1]
+    powers = (64 ** np.arange(n, dtype=np.int64))
+    return ((points.astype(np.int64) + _KEY_OFFSET) * powers).sum(axis=1)
+
+
+def orbit_levels(cartan: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield BFS levels of the rho-orbit as (k, n) int8 points in
+    fundamental-weight coordinates."""
+    C = np.asarray(cartan, dtype=np.int16)
+    n = C.shape[0]
+    pts = np.ones((1, n), dtype=np.int8)
+    visited = np.sort(_keys_of(pts))
+
+    while pts.shape[0]:
+        yield pts
+        cand_pts = []
+        for i in range(n):
+            nxt = pts.astype(np.int16).copy()
+            nxt -= pts[:, i : i + 1].astype(np.int16) * C[i][None, :]
+            cand_pts.append(nxt.astype(np.int8))
+        allpts = np.concatenate(cand_pts, axis=0)
+        keys = _keys_of(allpts)
+        uniq_keys, first = np.unique(keys, return_index=True)
+        pos = np.searchsorted(visited, uniq_keys)
+        pos = np.minimum(pos, len(visited) - 1)
+        fresh = visited[pos] != uniq_keys
+        pts = allpts[first[fresh]]
+        visited = np.sort(np.concatenate([visited, uniq_keys[fresh]]))
+
+
+def descent_distribution(cartan: np.ndarray, progress: Callable[[int], None] | None = None) -> list[int]:
+    """Histogram of the number of negative coordinates over the rho-orbit.
+
+    A coordinate of w(rho) is negative exactly when the corresponding
+    simple reflection shortens w on the left, so this is the descent-count
+    distribution over the whole group.
+    """
+    n = np.asarray(cartan).shape[0]
+    hist = np.zeros(n + 1, dtype=object)
+    total = 0
+    for pts in orbit_levels(cartan):
+        counts = (pts < 0).sum(axis=1)
+        binned = np.bincount(counts, minlength=n + 1)
+        for j, v in enumerate(binned):
+            hist[j] += int(v)
+        total += pts.shape[0]
+        if progress is not None:
+            progress(total)
+    return [int(v) for v in hist]
+
+
+def _eliminate_mod_p(mats: np.ndarray, p: int, pivot_cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-reduce a batch of small integer matrices modulo a prime.
+
+    Pivots are taken only in the first ``pivot_cols`` columns.  Returns the
+    reduced matrices and the (batch, rows) mask of pivot rows; every other
+    row is zero in the pivot columns, and the mask's row count is the rank
+    of that left block modulo p.  Pivot rows are marked used instead of
+    swapped, and elimination uses cross multiplication
+    (row*pivot - factor*pivotrow) so no modular inverses are needed.  All
+    products stay below p**2 < 2**63.
+    """
+    A = np.mod(mats.astype(np.int64), p)
+    bsz, rows, _ = A.shape
+    used = np.zeros((bsz, rows), dtype=bool)
+    bidx = np.arange(bsz)
+    for col in range(pivot_cols):
+        colv = A[:, :, col]
+        eligible = ~used & (colv != 0)
+        has = eligible.any(axis=1)
+        piv = np.argmax(eligible, axis=1)
+        pivot_val = colv[bidx, piv]
+        pivot_row = A[bidx, piv, :]
+        transform = ~used & has[:, None]
+        transform[bidx, piv] = False
+        factors = np.where(transform, colv, 0)
+        scale = np.where(transform, pivot_val[:, None], 1)
+        A *= scale[:, :, None]
+        A -= factors[:, :, None] * pivot_row[:, None, :]
+        np.mod(A, p, out=A)
+        used[bidx, piv] |= has
+    return A, used
+
+
+def _hadamard_bound(max_entry: int, n: int) -> int:
+    """Bound on |det| of an n x n integer matrix with entries of at most
+    ``max_entry`` in absolute value; it also bounds every smaller minor."""
+    norm_sq = n * max_entry * max_entry
+    return math.isqrt(norm_sq**n) + 1
+
+
+def _as_int8(mats: np.ndarray) -> np.ndarray:
+    if np.abs(mats).max(initial=0) > np.iinfo(np.int8).max:
+        raise ConsistencyError("group element entry does not fit in int8")
+    return mats.astype(np.int8)
+
+
+def _root_members(shifted: np.ndarray, roots: np.ndarray, k: int) -> np.ndarray:
+    """(batch, roots) mask of the positive roots lying in the column space
+    of each ``w - I`` in ``shifted``; every w must have reflection length k.
+
+    Reducing ``[w - I | I]`` records the row operations in the right
+    block; applied to the roots they give the reduced ``[w - I | roots]``.
+    A root is a member when every pivot-free row of that is zero in its
+    column, modulo both primes.  Entries of the product stay below
+    n * max(root entry) * p, under 2**37 for ADE roots (entries <= 6).
+    """
+    bsz, n, _ = shifted.shape
+    max_entry = max(int(np.abs(shifted).max(initial=0)), int(roots.max(initial=0)))
+    if _hadamard_bound(max_entry, n) >= _P1 * _P2:
+        raise ConsistencyError("matrix entries too large for the two-prime membership test")
+    eye = np.broadcast_to(np.eye(n, dtype=np.int64), (bsz, n, n))
+    aug = np.concatenate([shifted, eye], axis=2)
+    members = np.ones((bsz, roots.shape[0]), dtype=bool)
+    for p in (_P1, _P2):
+        reduced, used = _eliminate_mod_p(aug, p, n)
+        if (used.sum(axis=1) != k).any():
+            raise ConsistencyError(f"an element at interval level {k} has another reflection length")
+        image = np.mod(reduced[:, :, n:] @ roots.T, p)
+        stray = (image != 0) & ~used[:, :, None]
+        members &= ~stray.any(axis=1)
+    return members
+
+
+def interval_walk(
+    cartan: np.ndarray,
+    coxeter_matrix: np.ndarray,
+    progress: Callable[[int], None] | None = None,
+) -> list[int]:
+    """Distribution of reflection length over the absolute-order interval [1, c].
+
+    Walks down from ``{c}`` one reflection length at a time: the level
+    below k is every s_alpha * w with w at level k and alpha a positive
+    root in Im(w - I), deduplicated.  Entry k of the result is the size of
+    level k; ``progress`` gets the running element count after each level.
+    Raises ConsistencyError if a level's reflection lengths are not what
+    the walk assumes or the last level is not the identity.
+    """
+    C = np.asarray(cartan, dtype=np.int64)
+    n = C.shape[0]
+    roots = np.array(positive_roots(C), dtype=np.int64)  # (N, n)
+    covectors = roots @ C  # row j is (C alpha_j)^T; C is symmetric
+    eye = np.eye(n, dtype=np.int64)
+    level = _as_int8(np.asarray(coxeter_matrix)[None, :, :])
+    hist = [0] * (n + 1)
+    visited = 0
+    for k in range(n, -1, -1):
+        hist[k] = level.shape[0]
+        visited += level.shape[0]
+        if progress is not None:
+            progress(visited)
+        if k == 0:
+            break
+        w = level.astype(np.int64)
+        b, j = np.nonzero(_root_members(w - eye[None, :, :], roots, k))
+        # s_alpha w = w - alpha ((C alpha)^T w)
+        rows = np.einsum("mi,mij->mj", covectors[j], w[b])
+        children = _as_int8(w[b] - roots[j][:, :, None] * rows[:, None, :])
+        # each matrix as one n*n-byte key: a 1-D byte sort, far cheaper
+        # than np.unique(axis=0) over n*n int8 fields
+        keys = children.reshape(-1, n * n).view(np.dtype((np.void, n * n))).ravel()
+        level = children[np.unique(keys, return_index=True)[1]]
+    if hist[0] != 1 or not (level[0] == eye).all():
+        raise ConsistencyError("the interval walk did not end at the identity")
+    return hist
+
+
+# ---------------------------------------------------------------------------
+# Descent statistics
+# ---------------------------------------------------------------------------
+
+
+def descent_count_permutation(w: tuple[int, ...]) -> int:
+    """Number of positions i with w(i) > w(i+1)."""
+    return sum(1 for i in range(len(w) - 1) if w[i] > w[i + 1])
+
+
+def descent_count_signed(w: tuple[int, ...]) -> int:
+    """Type D descent count: positional descents plus one if w(1)+w(2) < 0."""
+    des = sum(1 for i in range(len(w) - 1) if w[i] > w[i + 1])
+    if len(w) >= 2 and w[0] + w[1] < 0:
+        des += 1
+    return des
+
+
+def _eulerian_sym(m: int) -> tuple[int, ...]:
+    """Descent distribution over the symmetric group on m letters."""
+    row = (1,)
+    for size in range(2, m + 1):
+        prev = (0, *row, 0)  # prev[k + 1] is the count with k descents
+        row = tuple((k + 1) * prev[k + 1] + (size - k) * prev[k] for k in range(size))
+    return row
+
+
+def _eulerian_hyperoctahedral(m: int) -> tuple[int, ...]:
+    """Descent distribution over all signed permutations of m letters."""
+    row = (1,)
+    for size in range(1, m + 1):
+        prev = (0, *row, 0)  # prev[k + 1] is the count with k descents
+        row = tuple(
+            (2 * k + 1) * prev[k + 1] + (2 * (size - k) + 1) * prev[k] for k in range(size + 1)
+        )
+    return row
+
+
+def _eulerian_even_signed(m: int) -> tuple[int, ...]:
+    """Descent distribution over even-signed permutations of m letters.
+
+    Subtracting m*2^(m-1)*t times the symmetric-group distribution from the
+    full signed distribution is the classical identity relating the two;
+    it is validated against direct enumeration in the test suite.
+    """
+    full = _eulerian_hyperoctahedral(m)
+    sym = _eulerian_sym(m - 1) if m >= 1 else (1,)
+    corr = m * 2 ** (m - 1)
+
+    def at(k: int) -> int:
+        return sym[k] if 0 <= k < len(sym) else 0
+
+    out = [full[k] - corr * at(k - 1) for k in range(m + 1)]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _descent_oracle_cost(d: DynkinDiagram) -> tuple[str, int]:
+    """The descent oracle ``eulerian`` runs on ``d``, and the number of
+    group elements it visits."""
+    route = "weight orbit" if d.family == "E" else "descent enumeration"
+    return f"{d} {route}", d.group_order()
+
+
+def eulerian_a_by_enumeration(rank: int) -> Polynomial:
+    """Oracle: descent counts over all permutations of rank+1 letters."""
+    if rank <= 0:
+        return ONE
+    check_oracle_budget(*_descent_oracle_cost(DynkinDiagram("A", rank)))
+    hist = [0] * (rank + 1)
+    for w in itertools.permutations(range(1, rank + 2)):
+        hist[descent_count_permutation(w)] += 1
+    return Polynomial(hist)
+
+
+def eulerian_d_by_enumeration(rank: int) -> Polynomial:
+    """Oracle: descent counts over signed permutations with even sign count."""
+    check_oracle_budget(*_descent_oracle_cost(DynkinDiagram("D", rank)))
+    hist = [0] * (rank + 1)
+    for perm in itertools.permutations(range(1, rank + 1)):
+        for mask in range(1 << rank):
+            if bin(mask).count("1") % 2:
+                continue
+            w = tuple(-perm[i] if (mask >> i) & 1 else perm[i] for i in range(rank))
+            hist[descent_count_signed(w)] += 1
+    return Polynomial(hist)
+
+
+def eulerian_by_orbit(d: DynkinDiagram) -> Polynomial:
+    """Descent distribution via traversal of the regular-weight orbit.
+
+    Works for every family; it is the only route for type E.  The orbit
+    has one point per group element, so E8 (696,729,600) is over the
+    oracle budget.
+    """
+    check_oracle_budget(f"{d} weight orbit", d.group_order())
+    return Polynomial(descent_distribution(cartan_matrix(d)))
+
+
+def eulerian(u) -> Polynomial:
+    """Descent-count polynomial of a diagram or union, multiplied out from
+    brute-force counts over its components: enumeration for types A and
+    D, the weight orbit for type E.  Every component is checked against
+    the oracle budget before any is counted.
+
+    >>> from taupoly.dynkin import parse_union
+    >>> str(eulerian(parse_union("A1xA2")))
+    't^3 + 5t^2 + 5t + 1'
+    """
+    union = as_union(u)
+    for comp in union:
+        check_oracle_budget(*_descent_oracle_cost(comp))
+    route = {
+        "A": lambda comp: eulerian_a_by_enumeration(comp.rank),
+        "D": lambda comp: eulerian_d_by_enumeration(comp.rank),
+        "E": eulerian_by_orbit,
+    }
+    return prod((route[comp.family](comp) for comp in union), start=ONE)
+
+
+# ---------------------------------------------------------------------------
+# Reflection length and the absolute-order interval
+# ---------------------------------------------------------------------------
+
+
+def integer_rank(rows: list[list[int]]) -> int:
+    """Rank over the rationals, by fraction-free integer elimination."""
+    rows = [list(r) for r in rows]
+    m = len(rows)
+    if m == 0:
+        return 0
+    ncols = len(rows[0])
+    rank = 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, m) if rows[r][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        pivot = rows[rank][col]
+        for r in range(rank + 1, m):
+            f = rows[r][col]
+            if f:
+                rows[r] = [a * pivot - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+        if rank == m:
+            break
+    return rank
+
+
+def absolute_length(matrix) -> int:
+    """Reflection length of a group element given as an integer matrix.
+
+    Equals the codimension of the fixed space, computed as the exact
+    integer rank of (m - I).
+    """
+    rows = [list(map(int, row)) for row in matrix]
+    n = len(rows)
+    for i in range(n):
+        rows[i][i] -= 1
+    return integer_rank(rows)
+
+
+def default_coxeter_order(d: DynkinDiagram) -> tuple[int, ...]:
+    """Vertices in two-coloring order: an admissible order for the
+    alternating orientation (every vertex a source or a sink)."""
+    colors = {d.vertices[0]: 0}
+    adjacency: dict[int, list[int]] = {v: [] for v in d.vertices}
+    for a, b in d.edges:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    stack = [d.vertices[0]]
+    while stack:
+        v = stack.pop()
+        for w in adjacency[v]:
+            if w not in colors:
+                colors[w] = 1 - colors[v]
+                stack.append(w)
+    evens = sorted(v for v in d.vertices if colors[v] == 0)
+    odds = sorted(v for v in d.vertices if colors[v] == 1)
+    return tuple(evens + odds)
+
+
+def coxeter_element_matrix(d: DynkinDiagram, order: tuple[int, ...] | None = None) -> np.ndarray:
+    """Matrix of the product of all simple reflections in the given order.
+
+    The first vertex in ``order`` acts last (word read left to right).
+    """
+    if order is None:
+        order = default_coxeter_order(d)
+    if sorted(order) != sorted(d.vertices):
+        raise ValueError(f"order {order} is not a permutation of the vertices of {d}")
+    index = {v: i for i, v in enumerate(d.vertices)}
+    mats = simple_reflection_matrices(cartan_matrix(d))
+    out = np.eye(d.rank, dtype=np.int64)
+    for v in order:
+        out = out @ mats[index[v]]
+    return out
+
+
+def _walk_cost(d: DynkinDiagram) -> tuple[str, int]:
+    return f"{d} interval walk", d.catalan_count() * d.positive_root_count()
+
+
+def narayana_oracle(
+    d: DynkinDiagram,
+    *,
+    coxeter_order: tuple[int, ...] | None = None,
+    progress=None,
+) -> Polynomial:
+    """Reflection-length distribution over the interval below a Coxeter element.
+
+    Walks the absolute-order interval [id, c] down from c, one reflection
+    length at a time, so only its Catalan(W) elements are visited (see
+    ``interval_walk``), each tested against every positive root; that
+    product is checked against the oracle budget, which D10 and A11
+    exceed.  ``progress``, if given, is called after each level with the
+    number of elements visited so far.  The tests check the walk against
+    the whole-group membership rule l(w) + l(w^{-1}c) = rank on small
+    groups.
+    """
+    check_oracle_budget(*_walk_cost(d))
+    cartan = cartan_matrix(d)
+    cox = coxeter_element_matrix(d, coxeter_order)
+    return Polynomial(interval_walk(cartan, cox, progress=progress))
+
+
+def narayana_a(rank: int) -> Polynomial:
+    """Closed form for the type A Narayana polynomial.
+
+    Coefficient j is binom(rank+1, j) * binom(rank+1, j+1) / (rank+1).
+    """
+    if rank <= 0:
+        return ONE
+    m = rank + 1
+    return Polynomial([comb(m, j) * comb(m, j + 1) // m for j in range(rank + 1)])
+
+
+def narayana(u) -> Polynomial:
+    """Narayana polynomial of a diagram or union, multiplied out from the
+    interval walks over its components, once every component is within
+    the oracle budget.
+
+    >>> from taupoly.dynkin import parse_union
+    >>> str(narayana(parse_union("A3")))
+    't^3 + 6t^2 + 6t + 1'
+    """
+    union = as_union(u)
+    for comp in union:
+        check_oracle_budget(*_walk_cost(comp))
+    return prod((narayana_oracle(comp) for comp in union), start=ONE)
+
+
+# ---------------------------------------------------------------------------
+# Whole-group oracles for reflection length
+# ---------------------------------------------------------------------------
+
+
+def _cayley_bfs(rank: int, generators: list[np.ndarray]) -> dict[bytes, tuple[np.ndarray, int]]:
+    """Every element of the group the generators make, keyed by its
+    matrix bytes, with its distance from the identity in their Cayley
+    graph."""
+    start = np.eye(rank, dtype=np.int64)
+    seen = {start.tobytes(): (start, 0)}
+    frontier = [start]
+    depth = 0
+    while frontier:
+        depth += 1
+        nxt = []
+        for mat in frontier:
+            for gen in generators:
+                img = gen @ mat
+                key = img.tobytes()
+                if key not in seen:
+                    seen[key] = (img, depth)
+                    nxt.append(img)
+        frontier = nxt
+    return seen
+
+
+def reflection_length_table(d: DynkinDiagram) -> dict[bytes, int]:
+    """Map every group element (matrix bytes) to its reflection length.
+
+    Breadth-first search over the Cayley graph generated by *all*
+    reflections; intended as an independent check of the codimension
+    formula on small groups.
+    """
+    cartan = cartan_matrix(d)
+    refls = [reflection_matrix_for_root(r, cartan) for r in positive_roots(cartan)]
+    return {key: depth for key, (_, depth) in _cayley_bfs(d.rank, refls).items()}
+
+
+def all_group_matrices(d: DynkinDiagram) -> list[np.ndarray]:
+    """Every element of a small group, as simple-root-basis matrices."""
+    mats = simple_reflection_matrices(cartan_matrix(d))
+    return [mat for mat, _ in _cayley_bfs(d.rank, mats).values()]

@@ -61,12 +61,6 @@ class Polynomial:
         return cls((c,))
 
     @classmethod
-    def monomial(cls, coefficient: int, power: int) -> "Polynomial":
-        if coefficient == 0:
-            return cls()
-        return cls((0,) * power + (coefficient,))
-
-    @classmethod
     def from_decimal_strings(cls, strings: Iterable[str]) -> "Polynomial":
         coeffs = []
         for s in strings:
@@ -321,9 +315,6 @@ class RatPolynomial:
 
     def __str__(self) -> str:
         return _render(self.coeffs, str)
-
-    def to_strings(self) -> list[str]:
-        return [str(c) for c in self.coeffs]
 
 
 RAT_ZERO = RatPolynomial()

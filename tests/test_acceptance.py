@@ -5,6 +5,9 @@ integer equality against transcribed reference grids, coefficientwise
 equality of polynomials and series.
 """
 
+import contextlib
+import io
+import json
 import time
 from math import comb, factorial
 
@@ -36,27 +39,28 @@ def test_criterion_1_tables_exact():
     assert 1408216 in formulas.golden_table(6)[8]
 
 
-def _suite_report(suite, *args) -> cli.Report:
-    """The checks of one ``taupoly verify`` suite, run in-process."""
-    report = cli.Report(command=suite.__name__)
-    suite(report, *args)
-    assert report.checks
-    return report
+def _verify(*argv) -> tuple[bool, list[dict]]:
+    """Run ``taupoly verify`` through the CLI; whether it exited 0 with
+    every check passing, and its JSON checks."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["--format", "json", "verify", *argv])
+    checks = json.loads(out.getvalue())["checks"]
+    assert checks
+    return code == cli.EXIT_OK and all(c["pass"] for c in checks), checks
 
 
 def test_criterion_2_worked_examples():
     start = time.time()
-    ok = _suite_report(cli._suite_examples).exit_status == cli.EXIT_OK
+    ok, _ = _verify("--suite", "examples")
     _announce(2, "worked rank-3 examples from oracle and engine", ok, time.time() - start)
     assert ok
 
 
 def test_criterion_3_oracle_equals_formula():
     start = time.time()
-    report = _suite_report(cli._suite_oracles, 5)
-    names = [c["name"] for c in report.checks]
-    assert sum(name.startswith("complex-vs-formula-A") for name in names) == 31
-    ok = report.exit_status == cli.EXIT_OK
+    ok, checks = _verify("--suite", "oracles", "--max-rank", "5")
+    assert sum(c["name"].startswith("complex-vs-formula-A") for c in checks) == 31
     _announce(3, "enumeration oracles equal the engine", ok, time.time() - start)
     assert ok
 
@@ -134,7 +138,7 @@ def test_criterion_6_generating_function_identities():
 
 def test_criterion_7_structural_properties():
     start = time.time()
-    ok = _suite_report(cli._suite_structural, 5).exit_status == cli.EXIT_OK
+    ok, _ = _verify("--suite", "structural", "--max-rank", "5")
     _announce(7, "palindromicity, purity, product and link identities", ok, time.time() - start)
     assert ok
 

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from taupoly import weyl
+from taupoly import oracles, weyl
 from taupoly.dynkin import DynkinDiagram
 from taupoly.errors import ConsistencyError
 
@@ -98,7 +98,7 @@ def test_poly_has_no_rank_cap(capsys):
     code, payload = run_json(capsys, "poly", "--family", "path", "--diagram", "A12", "--kind", "h")
     assert code == 0
     assert payload["results"]["coefficients_ascending"] == [
-        str(c) for c in weyl.narayana_a(12)
+        str(c) for c in oracles.narayana_a(12)
     ]
 
 
@@ -219,7 +219,7 @@ def test_verify_genfun_suite(capsys):
     assert len(payload["checks"]) == 7
 
 
-def test_verify_oracles_suite_small(capsys):
+def test_verify_oracles_at_max_rank_3(capsys):
     code, payload = run_json(capsys, "verify", "--suite", "oracles", "--max-rank", "3")
     assert code == 0
     names = {c["name"] for c in payload["checks"]}
@@ -254,10 +254,8 @@ def test_verify_all_covers_every_operation_group(capsys):
 
 
 def test_internal_consistency_failure_exits_4(capsys, monkeypatch):
-    from taupoly import _orbits
-
     # a bound the two-prime test cannot certify trips the walk's check
-    monkeypatch.setattr(_orbits, "_hadamard_bound", lambda max_entry, n: _orbits._P1 * _orbits._P2)
+    monkeypatch.setattr(oracles, "_hadamard_bound", lambda max_entry, n: oracles._P1 * oracles._P2)
     assert cli.main(["narayana", "D4", "--oracle"]) == cli.EXIT_INTERNAL == 4
     assert "internal error" in capsys.readouterr().err
 

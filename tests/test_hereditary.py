@@ -2,9 +2,10 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taupoly import formulas, hereditary
-from taupoly._orbits import positive_roots
 from taupoly.dynkin import DynkinDiagram
 from taupoly.errors import ConventionError, NotAModule, RankTooLarge, UsageError
 from taupoly.formulas import PATH, AlgebraSpec, golden_table
@@ -14,6 +15,7 @@ from taupoly.hereditary import (
     disjoint_union_d_check,
     euler_form,
     ext_dim,
+    orientations,
     path_cartan,
     poly_from_complex,
     tau_orbit_dim,
@@ -21,18 +23,13 @@ from taupoly.hereditary import (
     tau_orbit_vectors,
     tau_rigid_complex,
 )
+from taupoly.oracles import positive_roots
 from taupoly.polynomials import ONE, Polynomial
 from taupoly.weyl import narayana_poly
 
 
 def catalan(m):
     return comb(2 * m, m) // (m + 1)
-
-
-def all_orientations(n):
-    """Every orientation string of a tree with n vertices."""
-    for bits in range(1 << (n - 1)):
-        yield "".join("+" if (bits >> i) & 1 else "-" for i in range(n - 1))
 
 
 def two_orientations(d):
@@ -122,7 +119,7 @@ def test_flipped_euler_form_raises(monkeypatch):
 
 
 def test_interval_modules_are_bricks():
-    for orientation in all_orientations(4):
+    for orientation in orientations(DynkinDiagram("A", 4)):
         q = OrientedQuiver.line(4, orientation)
         roots = roots_of(q)
         # type A: the roots are the intervals, one module per interval
@@ -155,7 +152,7 @@ def test_orientation_independence_matches_closed_forms():
             "f": formulas.f_polynomial(spec),
             "h": formulas.h_polynomial(spec),
         }
-        for orientation in all_orientations(n):
+        for orientation in orientations(DynkinDiagram("A", n)):
             complex_ = tau_rigid_complex(OrientedQuiver.line(n, orientation))
             for kind, want in expected.items():
                 assert poly_from_complex(complex_, kind) == want
@@ -216,7 +213,7 @@ def test_complex_matches_engine_on_d_and_e():
     quivers = [
         (DynkinDiagram(family, n), orientation)
         for family, n in (("D", 4), ("D", 5), ("E", 6))
-        for orientation in all_orientations(n)
+        for orientation in orientations(DynkinDiagram(family, n))
     ] + [
         (DynkinDiagram(family, n), orientation)
         for family, n in (("D", 6), ("D", 7), ("D", 8), ("E", 7), ("E", 8))
@@ -288,6 +285,32 @@ def test_tau_orbit_enumerates_each_root_once():
             if diagram.family == "D":
                 n = diagram.rank
                 assert total == n * (n - 1) * (2 * n - 1) // 3
+
+
+@st.composite
+def oriented_diagrams(draw):
+    """A connected A, D or E diagram of rank at most 7 and an orientation
+    string for its edges."""
+    family = draw(st.sampled_from("ADE"))
+    rank = draw(st.integers({"A": 1, "D": 4, "E": 6}[family], 7))
+    diagram = DynkinDiagram(family, rank)
+    edges = len(diagram.edges)
+    return diagram, draw(st.text("+-", min_size=edges, max_size=edges))
+
+
+@settings(max_examples=50, deadline=None)
+@given(oriented_diagrams())
+def test_random_orientations_match_the_engine(case):
+    diagram, orientation = case
+    q = OrientedQuiver.from_diagram(diagram, orientation)
+    complex_ = tau_rigid_complex(q)
+    spec = AlgebraSpec(PATH, diagram)
+    assert complex_.f_polynomial() == formulas.f_polynomial(spec)
+    assert complex_.h_polynomial() == formulas.h_polynomial(spec)
+    assert complex_.d_polynomial() == formulas.d_polynomial(spec)
+    for ell in diagram.vertices:
+        total = sum(sum(vector) for vector in tau_orbit_vectors(q, ell))
+        assert total == formulas.orbit_dim_total(PATH, diagram, ell), ell
 
 
 def test_tau_orbit_orientation_independent_totals():

@@ -5,27 +5,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taupoly import _orbits, lattice, weyl
+from taupoly import lattice, oracles
 from taupoly.dynkin import DiagramUnion, DynkinDiagram, parse_union
-from taupoly._linalg import integer_inverse
 from taupoly.errors import ORACLE_BUDGET, ConsistencyError, RankTooLarge
-from taupoly.polynomials import ONE, Polynomial
-from taupoly.weyl import (
+from taupoly.oracles import (
     absolute_length,
     all_group_matrices,
-    cartan_matrix,
     coxeter_element_matrix,
     default_coxeter_order,
     descent_count_signed,
     eulerian_a_by_enumeration,
     eulerian_by_orbit,
     eulerian_d_by_enumeration,
-    eulerian_poly,
+    integer_rank,
     narayana_a,
     narayana_oracle,
-    narayana_poly,
     reflection_length_table,
 )
+from taupoly.polynomials import ONE, Polynomial
+from taupoly.weyl import cartan_matrix, eulerian_poly, narayana_poly
 
 A = lambda n: DynkinDiagram("A", n)
 D = lambda n: DynkinDiagram("D", n)
@@ -74,9 +72,9 @@ def test_eulerian_engine_matches_weight_orbit():
 
 def test_eulerian_engine_matches_triangles():
     for rank in range(1, 12):
-        assert eulerian_poly(A(rank)) == Polynomial(weyl._eulerian_sym(rank + 1))
+        assert eulerian_poly(A(rank)) == Polynomial(oracles._eulerian_sym(rank + 1))
     for rank in range(4, 12):
-        assert eulerian_poly(D(rank)) == Polynomial(weyl._eulerian_even_signed(rank))
+        assert eulerian_poly(D(rank)) == Polynomial(oracles._eulerian_even_signed(rank))
 
 
 def test_narayana_engine_matches_interval_walk():
@@ -108,8 +106,8 @@ def diagram_unions(draw, budget: int = 6):
 @given(diagram_unions())
 def test_engine_equals_oracle_on_random_unions(union):
     for poly, oracle in (
-        (eulerian_poly(union), eulerian_poly(union, oracle=True)),
-        (narayana_poly(union), narayana_poly(union, oracle=True)),
+        (eulerian_poly(union), oracles.eulerian(union)),
+        (narayana_poly(union), oracles.narayana(union)),
     ):
         assert poly == oracle
         assert poly.degree == union.rank
@@ -170,14 +168,15 @@ def test_narayana_coxeter_order_independence():
 def _interval_histograms_by_enumeration(d, orders):
     """Reflection lengths over [1, c], for the Coxeter element c of each
     order, by the whole-group membership rule l(w) + l(w^{-1} c) = rank;
-    independent of the interval walk."""
+    independent of the interval walk.  l(w^{-1} c) is the rank of
+    w^{-1} c - I = w^{-1} (c - w), which is the rank of c - w because w is
+    invertible."""
     coxes = [coxeter_element_matrix(d, order) for order in orders]
     hists = [[0] * (d.rank + 1) for _ in orders]
     for w in all_group_matrices(d):
-        w_inv = np.array(integer_inverse(w.tolist()), dtype=np.int64)
         length = absolute_length(w)
         for hist, cox in zip(hists, coxes):
-            if length + absolute_length(w_inv @ cox) == d.rank:
+            if length + integer_rank((cox - w).tolist()) == d.rank:
                 hist[length] += 1
     return [Polynomial(hist) for hist in hists]
 
@@ -191,9 +190,9 @@ def test_interval_walk_matches_whole_group_enumeration(d):
 
 def test_interval_walk_rejects_a_start_below_full_length():
     cartan = cartan_matrix(D(4))
-    reflection = _orbits.simple_reflection_matrices(cartan)[0]
+    reflection = oracles.simple_reflection_matrices(cartan)[0]
     with pytest.raises(ConsistencyError, match="another reflection length"):
-        _orbits.interval_walk(cartan, reflection)
+        oracles.interval_walk(cartan, reflection)
 
 
 def test_interval_walk_reports_progress_per_level():
@@ -208,7 +207,7 @@ def test_absolute_length_basics():
     d4 = D(4)
     eye = np.eye(n, dtype=np.int64)
     assert absolute_length(eye) == 0
-    for refl in _orbits.simple_reflection_matrices(cartan_matrix(d4)):
+    for refl in oracles.simple_reflection_matrices(cartan_matrix(d4)):
         assert absolute_length(refl) == 1
     assert absolute_length(coxeter_element_matrix(d4)) == 4
 
@@ -240,7 +239,7 @@ def test_coxeter_element_is_admissible_for_bipartition():
 
 def test_positive_roots_closure():
     for diagram, count in ((A(4), 10), (D(4), 12), (E(6), 36)):
-        roots = _orbits.positive_roots(cartan_matrix(diagram))
+        roots = oracles.positive_roots(cartan_matrix(diagram))
         assert len(roots) == count
 
 
@@ -248,11 +247,11 @@ def test_feature_gates():
     # the oracle budget is the only gate, and the refusal names the estimate
     for call, estimate in (
         (lambda: eulerian_by_orbit(E(8)), "E8 weight orbit visits 696,729,600 elements"),
-        (lambda: eulerian_poly(E(8), oracle=True), "696,729,600"),
+        (lambda: oracles.eulerian(E(8)), "696,729,600"),
         (lambda: eulerian_a_by_enumeration(10), "A10 descent enumeration visits 39,916,800"),
         (lambda: eulerian_d_by_enumeration(9), "D9 descent enumeration visits 92,897,280"),
         (lambda: narayana_oracle(D(10)), "D10 interval walk visits 12,252,240"),
-        (lambda: narayana_poly(A(11), oracle=True), "A11 interval walk visits 13,728,792"),
+        (lambda: oracles.narayana(A(11)), "A11 interval walk visits 13,728,792"),
     ):
         with pytest.raises(RankTooLarge, match=estimate):
             call()
@@ -274,10 +273,10 @@ def oracle_calls_over_budget(draw):
         (lambda: eulerian_by_orbit(E(8)), E(8).group_order()),
         # the small component comes first in the union, so it would be
         # enumerated before the large one were refused
-        (lambda: eulerian_poly(DiagramUnion((small, a)), oracle=True), a.group_order()),
+        (lambda: oracles.eulerian(DiagramUnion((small, a))), a.group_order()),
         (lambda: narayana_oracle(walk_d), walk_d.catalan_count() * walk_d.positive_root_count()),
         (
-            lambda: narayana_poly(DiagramUnion((small, walk_a)), oracle=True),
+            lambda: oracles.narayana(DiagramUnion((small, walk_a))),
             walk_a.catalan_count() * walk_a.positive_root_count(),
         ),
         (lambda: lattice.dim_orbit_ppa_A_oracle(n, near_half), comb(n + 1, near_half)),
@@ -294,10 +293,10 @@ def test_oracles_refuse_over_budget_before_any_work(calls):
 
     with pytest.MonkeyPatch.context() as patch:
         for module, name in (
-            (_orbits, "interval_walk"),
-            (_orbits, "descent_distribution"),
-            (weyl, "descent_count_permutation"),
-            (weyl, "descent_count_signed"),
+            (oracles, "interval_walk"),
+            (oracles, "descent_distribution"),
+            (oracles, "descent_count_permutation"),
+            (oracles, "descent_count_signed"),
             (lattice, "area_rect"),
             (lattice, "area_corner"),
             (lattice, "sequence_weight"),
@@ -310,8 +309,8 @@ def test_oracles_refuse_over_budget_before_any_work(calls):
 
 
 def test_oracle_flag_routes_every_family():
-    assert eulerian_poly(A(4), oracle=True) == eulerian_poly(A(4))
-    assert eulerian_poly(D(4), oracle=True) == eulerian_poly(D(4))
-    assert narayana_poly(parse_union("A2xA2"), oracle=True) == narayana_poly(
+    assert oracles.eulerian(A(4)) == eulerian_poly(A(4))
+    assert oracles.eulerian(D(4)) == eulerian_poly(D(4))
+    assert oracles.narayana(parse_union("A2xA2")) == narayana_poly(
         parse_union("A2xA2")
     )
