@@ -13,7 +13,7 @@ from .formulas import (
     h_polynomial,
     reproduce_table,
 )
-from .polynomials import Polynomial, RatPolynomial
+from .polynomials import Polynomial
 from .series import TruncatedSeries
 from .weyl import eulerian_poly, narayana_poly
 
@@ -24,7 +24,6 @@ __all__ = [
     "PATH",
     "PREPROJECTIVE",
     "Polynomial",
-    "RatPolynomial",
     "TruncatedSeries",
     "aggregate_dims",
     "d_polynomial",

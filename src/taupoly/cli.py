@@ -32,8 +32,8 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 4
 
 # Bounds the cost of the generating-function identity checks, which grows
-# fast with the order (order 24 takes ~3 s); the engine itself has no
-# rank limit.
+# fast with the order (all seven at order 24 take ~0.4 s on one Xeon core,
+# order 12 ~0.05 s); the engine itself has no rank limit.
 MAX_GENFUN_ORDER = 12
 
 
@@ -161,6 +161,8 @@ def _verify_single_poly(report: Report, spec: AlgebraSpec, kind: str, poly: Poly
         if expected is not None:
             got = (poly.coefficient(n - 1), poly.coefficient(0))
             report.add_check("aggregates", expected, got)
+    elif kind == "f":
+        report.add_pass_fail("shifted-palindromic", poly.shifted(-1).is_palindromic(n))
     else:
         report.add_pass_fail("palindromic", poly.is_palindromic(n))
 
@@ -283,25 +285,34 @@ def cmd_aggregates(args) -> Report:
     return report
 
 
-# name -> (coefficient family, identity checks)
+# name -> (algebra family, polynomial kind, identity checks)
 _GENFUN = {
     "exp-h-ppa-A": (
-        series.eulerian_family,
+        PREPROJECTIVE,
+        "h",
         (series.verify_identity_euler_ode, series.verify_euler_closed_form),
     ),
     "exp-d-ppa-A": (
-        series.ppa_dim_family,
+        PREPROJECTIVE,
+        "d",
         (series.verify_dpoly_genfun_ppa, series.verify_ppa_closed_form_variants),
     ),
     "ord-h-path-A": (
-        series.narayana_family,
+        PATH,
+        "h",
         (series.verify_identity_narayana_quadratic, series.verify_narayana_sqrt_reconstruction),
     ),
-    "ord-d-path-A": (series.path_dim_family, (series.verify_dpoly_genfun_path,)),
+    "ord-d-path-A": (PATH, "d", (series.verify_dpoly_genfun_path,)),
 }
 
 
-def _check_genfun_order(order: int) -> None:
+def _check_genfun_order(order: int, identities: bool) -> None:
+    """Order 0 up to MAX_GENFUN_ORDER; at least 1 when identities are
+    checked, since they differentiate."""
+    low = 1 if identities else 0
+    if order < low:
+        when = " when identities are checked" if identities else ""
+        raise UsageError(f"genfun order must be at least {low}{when}, got {order}")
     if order > MAX_GENFUN_ORDER:
         raise UsageError(f"genfun order must be at most {MAX_GENFUN_ORDER}, got {order}")
 
@@ -310,9 +321,9 @@ def cmd_genfun(args) -> Report:
     name = args.name
     if name not in _GENFUN:
         raise UsageError(f"genfun name must be one of {sorted(_GENFUN)}")
-    _check_genfun_order(args.order)
-    family_fn, checks = _GENFUN[name]
-    polys = family_fn(args.order + 1)
+    _check_genfun_order(args.order, args.verify)
+    family, kind, checks = _GENFUN[name]
+    polys = series.type_a_family(family, kind, args.order + 1)
     report = Report(command=f"genfun {name} --order {args.order}")
     report.results["terms"] = [p.to_decimal_strings() for p in polys]
     if args.verify:
@@ -500,7 +511,7 @@ SUITES = {
 def cmd_verify(args) -> Report:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     if "genfun" in names:
-        _check_genfun_order(args.order)
+        _check_genfun_order(args.order, True)
     if "oracles" in names or "structural" in names:
         _check_max_rank(args.max_rank)
     report = Report(command=f"verify --suite {args.suite}")

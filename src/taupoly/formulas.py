@@ -204,29 +204,27 @@ def expected_aggregates(spec: AlgebraSpec) -> tuple[int, int] | None:
     if spec.family == PATH and fam == "A":
         return (
             n * (n + 1) * (n + 2) // 6,
-            4 ** (n + 1) - (n + 2) * _catalan(n + 2),
+            4 ** (n + 1) - (n + 2) * DynkinDiagram("A", n + 1).catalan_count(),
         )
     if spec.family == PATH and fam == "D":
         first = n * (n - 1) * (2 * n - 1) // 3
-        second = n * (n - 1) * _catalan(n) + sum(
-            (n - ell) * (n + ell - 1) * _catalan(n - ell) * _d_catalan_count(ell)
+        # the A part of D_n minus ell is empty at ell = n - 1, with count 1
+        second = n * (n - 1) * DynkinDiagram("A", n - 1).catalan_count() + sum(
+            (n - ell) * (n + ell - 1) * _d_catalan_count(ell)
+            * (DynkinDiagram("A", n - ell - 1).catalan_count() if ell < n - 1 else 1)
             for ell in range(2, n)
         )
         return first, second
     return None
 
 
-def _catalan(m: int) -> int:
-    return comb(2 * m, m) // (m + 1)
-
-
 def _d_catalan_count(ell: int) -> int:
     """Total count of maximal objects for the rank-ell D diagram, with the
     rank 2 and 3 cases read as A1xA1 and A3."""
     if ell == 2:
-        return _catalan(2) ** 2
+        return DynkinDiagram("A", 1).catalan_count() ** 2
     if ell == 3:
-        return _catalan(4)
+        return DynkinDiagram("A", 3).catalan_count()
     return DynkinDiagram("D", ell).catalan_count()
 
 

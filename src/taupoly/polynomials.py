@@ -1,33 +1,21 @@
-"""Exact univariate polynomial arithmetic.
+"""Exact univariate polynomial arithmetic over the integers.
 
-Two dense coefficient-list types over exact scalars:
-
-* :class:`Polynomial` over arbitrary-precision integers.  Every counting
-  polynomial in the package (dimension, face-count, descent, Narayana)
-  lives here; the largest table entries are around ``2.1e12`` and
-  intermediate products in the oracles go well past 64 bits, so Python
-  integers are mandatory, not a convenience.
-* :class:`RatPolynomial` over :class:`fractions.Fraction`, used as the
-  coefficient ring of truncated exponential generating functions, where
-  division by ``n!`` is unavoidable.
-
-Both are immutable and hashable; all operations return fresh values.
+:class:`Polynomial` is a dense coefficient list over arbitrary-precision
+integers.  Every counting polynomial in the package (dimension,
+face-count, descent, Narayana) lives here, and so do the terms of the
+generating functions, which store n! * [z^n] when exponential.  The
+largest table entries are around ``2.1e12`` and intermediate products in
+the oracles go well past 64 bits, so Python integers are mandatory, not a
+convenience.  Values are immutable and hashable; all operations return
+fresh values.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import Iterable, Iterator
 
 _DECIMAL_RE = re.compile(r"^-?\d+$")
-
-
-def _strip(coeffs: tuple, zero) -> tuple:
-    n = len(coeffs)
-    while n > 0 and coeffs[n - 1] == zero:
-        n -= 1
-    return coeffs[:n]
 
 
 class Polynomial:
@@ -49,7 +37,10 @@ class Polynomial:
 
     def __init__(self, coeffs: Iterable[int] = ()):
         tup = tuple(int(c) for c in coeffs)
-        object.__setattr__(self, "coeffs", _strip(tup, 0))
+        n = len(tup)
+        while n > 0 and tup[n - 1] == 0:
+            n -= 1
+        object.__setattr__(self, "coeffs", tup[:n])
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -193,7 +184,7 @@ class Polynomial:
         return f"Polynomial({list(self.coeffs)!r})"
 
     def __str__(self) -> str:
-        return _render(self.coeffs, str)
+        return _render(self.coeffs)
 
 
 ZERO = Polynomial()
@@ -201,7 +192,7 @@ ONE = Polynomial((1,))
 T = Polynomial((0, 1))
 
 
-def _render(coeffs, fmt) -> str:
+def _render(coeffs) -> str:
     if not coeffs:
         return "0"
     parts = []
@@ -212,111 +203,13 @@ def _render(coeffs, fmt) -> str:
         sign = "-" if c < 0 else "+"
         mag = -c if c < 0 else c
         if power == 0:
-            body = fmt(mag)
+            body = str(mag)
         else:
             tpow = "t" if power == 1 else f"t^{power}"
-            body = tpow if mag == 1 else f"{fmt(mag)}{tpow}"
+            body = tpow if mag == 1 else f"{mag}{tpow}"
         parts.append((sign, body))
     first_sign, first_body = parts[0]
     text = ("-" if first_sign == "-" else "") + first_body
     for sign, body in parts[1:]:
         text += f" {sign} {body}"
     return text
-
-
-class RatPolynomial:
-    """Dense polynomial in t with exact rational coefficients.
-
-    Fractions are normalized by construction (lowest terms, positive
-    denominator), so equality is plain tuple equality.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable = ()):
-        tup = tuple(Fraction(c) for c in coeffs)
-        object.__setattr__(self, "coeffs", _strip(tup, Fraction(0)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatPolynomial is immutable")
-
-    @classmethod
-    def from_polynomial(cls, p: Polynomial) -> "RatPolynomial":
-        return cls(p.coeffs)
-
-    @classmethod
-    def constant(cls, c) -> "RatPolynomial":
-        return cls((Fraction(c),))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def coefficient(self, power: int) -> Fraction:
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
-        return Fraction(0)
-
-    def __add__(self, other: "RatPolynomial") -> "RatPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RatPolynomial(out)
-
-    def __sub__(self, other: "RatPolynomial") -> "RatPolynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "RatPolynomial":
-        return RatPolynomial(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RatPolynomial(tuple(c * other for c in self.coeffs))
-        if not isinstance(other, RatPolynomial):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return RatPolynomial()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return RatPolynomial(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "RatPolynomial":
-        if exponent < 0:
-            raise ValueError("negative power of a polynomial")
-        result = RatPolynomial((1,))
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RatPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(("RatPolynomial", self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"RatPolynomial({list(self.coeffs)!r})"
-
-    def __str__(self) -> str:
-        return _render(self.coeffs, str)
-
-
-RAT_ZERO = RatPolynomial()
-RAT_ONE = RatPolynomial((1,))
-RAT_T = RatPolynomial((0, 1))

@@ -1,43 +1,43 @@
-"""Truncated formal power series in z over rational-coefficient polynomials.
+"""Truncated formal power series in z over integer polynomials in t.
 
 The series here verify generating-function identities by exact
-coefficient comparison.  Closed forms involving division or square roots
+coefficient comparison.  An ordinary series stores [z^n] as its term n,
+an exponential one stores n! * [z^n]; every identity checked here has
+integer terms in that form, so all arithmetic stays in
+:class:`Polynomial`.  Closed forms involving division or square roots
 are checked multiplicatively: denominators are cleared and square roots
-squared, so every computation stays inside the polynomial coefficient
-ring and no inversion of a series with non-invertible leading coefficient
-is ever attempted.  Any mismatch in any coefficient at any order is a
-hard failure; there are no tolerances.
+squared, so no series is ever inverted.  Any mismatch in any coefficient
+at any order is a hard failure; there are no tolerances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import factorial
+from math import comb, perm
 
-from . import formulas, weyl
 from .dynkin import DynkinDiagram
 from .errors import InsufficientTerms
-from .polynomials import RAT_ONE, RAT_T, Polynomial, RatPolynomial
+from .formulas import PATH, PREPROJECTIVE, AlgebraSpec, d_polynomial, h_polynomial
+from .polynomials import ONE, T, ZERO, Polynomial
 
 
 class TruncatedSeries:
-    """Power series in z with RatPolynomial coefficients, kept to order N.
+    """Power series in z with Polynomial terms, kept to order N.
 
-    Operations on two series truncate to the smaller order.  Equality is
-    exact coefficientwise equality at the same order.
+    Term n is [z^n] of an ordinary series and n! * [z^n] of an exponential
+    one, so the product of two exponential series is the binomial
+    convolution.  Operations on two series of one kind truncate to the
+    smaller order; mixing the kinds is a TypeError.  Equality is exact
+    termwise equality at the same order and kind.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "coeffs", "exponential")
 
-    def __init__(self, coeffs, order: int | None = None):
-        coeffs = [c if isinstance(c, RatPolynomial) else RatPolynomial(c) for c in coeffs]
-        if order is None:
-            order = len(coeffs) - 1
-        if len(coeffs) < order + 1:
-            coeffs = coeffs + [RatPolynomial()] * (order + 1 - len(coeffs))
+    def __init__(self, coeffs, order: int, exponential: bool = False):
+        coeffs = list(coeffs[: order + 1])
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(coeffs[: order + 1]))
+        object.__setattr__(self, "coeffs", tuple(coeffs + [ZERO] * (order + 1 - len(coeffs))))
+        object.__setattr__(self, "exponential", exponential)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
@@ -45,86 +45,48 @@ class TruncatedSeries:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls([], order)
-
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls([RAT_ONE], order)
-
-    @classmethod
-    def z(cls, order: int) -> "TruncatedSeries":
-        return cls([RatPolynomial(), RAT_ONE], order)
-
-    @classmethod
     def from_polynomials(cls, polys, exponential: bool, order: int) -> "TruncatedSeries":
-        """Series whose z^n coefficient is polys[n], divided by n! when
-        exponential."""
+        """Series whose term n is polys[n]."""
         if len(polys) < order + 1:
             raise InsufficientTerms(
                 f"need {order + 1} coefficient polynomials, got {len(polys)}"
             )
-        out = []
-        for n in range(order + 1):
-            p = polys[n]
-            if isinstance(p, RatPolynomial):
-                rp = p
-            elif isinstance(p, Polynomial):
-                rp = RatPolynomial.from_polynomial(p)
-            else:
-                rp = RatPolynomial(p)
-            if exponential:
-                rp = rp * Fraction(1, factorial(n))
-            out.append(rp)
-        return cls(out, order)
+        return cls(polys, order, exponential)
 
     @classmethod
-    def exp_of_zt(cls, scalar_t_coeff, order: int) -> "TruncatedSeries":
-        """exp(lambda(t) * z) truncated: z^n coefficient lambda(t)^n / n!."""
-        lam = (
-            scalar_t_coeff
-            if isinstance(scalar_t_coeff, RatPolynomial)
-            else RatPolynomial.from_polynomial(scalar_t_coeff)
-            if isinstance(scalar_t_coeff, Polynomial)
-            else RatPolynomial(scalar_t_coeff)
-        )
-        out = [RAT_ONE]
-        power = RAT_ONE
-        for n in range(1, order + 1):
-            power = power * lam
-            out.append(power * Fraction(1, factorial(n)))
-        return cls(out, order)
+    def exp_of_zt(cls, lam: Polynomial, order: int) -> "TruncatedSeries":
+        """exp(lam(t) * z), an exponential series with term n lam(t)^n."""
+        out = [ONE]
+        for _ in range(order):
+            out.append(out[-1] * lam)
+        return cls(out, order, True)
 
     # -- arithmetic -------------------------------------------------------
 
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise InsufficientTerms(f"series only known to order {self.order}")
-        return TruncatedSeries(list(self.coeffs[: order + 1]), order)
+    def _common_order(self, other: "TruncatedSeries") -> int:
+        if self.exponential != other.exponential:
+            raise TypeError("cannot combine an ordinary series with an exponential one")
+        return min(self.order, other.order)
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        order = min(self.order, other.order)
+        order = self._common_order(other)
         return TruncatedSeries(
-            [a + b for a, b in zip(self.coeffs, other.coeffs)], order
+            [a + b for a, b in zip(self.coeffs, other.coeffs)], order, self.exponential
         )
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        order = min(self.order, other.order)
-        return TruncatedSeries(
-            [a - b for a, b in zip(self.coeffs, other.coeffs)], order
-        )
+        return self + (-other)
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries([-c for c in self.coeffs], self.order)
+        return TruncatedSeries([-c for c in self.coeffs], self.order, self.exponential)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, RatPolynomial)):
-            factor = other if isinstance(other, RatPolynomial) else RatPolynomial.constant(other)
-            return TruncatedSeries([c * factor for c in self.coeffs], self.order)
+        if isinstance(other, (int, Polynomial)):
+            return TruncatedSeries([c * other for c in self.coeffs], self.order, self.exponential)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        order = min(self.order, other.order)
-        out = [RatPolynomial() for _ in range(order + 1)]
+        order = self._common_order(other)
+        out = [ZERO] * (order + 1)
         for i in range(order + 1):
             ci = self.coeffs[i]
             if not ci:
@@ -132,46 +94,48 @@ class TruncatedSeries:
             for j in range(order + 1 - i):
                 cj = other.coeffs[j]
                 if cj:
-                    out[i + j] = out[i + j] + ci * cj
-        return TruncatedSeries(out, order)
+                    weight = comb(i + j, i) if self.exponential else 1
+                    out[i + j] = out[i + j] + ci * cj * weight
+        return TruncatedSeries(out, order, self.exponential)
 
     __rmul__ = __mul__
 
     def shift_z(self, k: int) -> "TruncatedSeries":
-        """Multiply by z^k, truncating at the same order."""
-        out = [RatPolynomial()] * k + list(self.coeffs[: self.order + 1 - k])
-        return TruncatedSeries(out, self.order)
+        """Multiply by z^k; the product is known to order + k."""
+        out = [ZERO] * k + list(self.coeffs)
+        if self.exponential:
+            out = [c * perm(n, k) for n, c in enumerate(out)]
+        return TruncatedSeries(out, self.order + k, self.exponential)
 
     def derivative_z(self) -> "TruncatedSeries":
         """Termwise z-derivative; the order drops by one."""
         if self.order < 1:
             raise InsufficientTerms("cannot differentiate an order-0 series")
-        out = [self.coeffs[n] * n for n in range(1, self.order + 1)]
-        return TruncatedSeries(out, self.order - 1)
+        if self.exponential:
+            out = self.coeffs[1:]
+        else:
+            out = [self.coeffs[n] * n for n in range(1, self.order + 1)]
+        return TruncatedSeries(out, self.order - 1, self.exponential)
 
     # -- comparison -------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TruncatedSeries)
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
+        return isinstance(other, TruncatedSeries) and (
+            self.order, self.exponential, self.coeffs
+        ) == (other.order, other.exponential, other.coeffs)
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        return hash((self.order, self.exponential, self.coeffs))
 
     def first_mismatch(self, other: "TruncatedSeries") -> int | None:
         """Smallest z-power where the two series differ, up to the common
         order; None if they agree."""
-        order = min(self.order, other.order)
-        for n in range(order + 1):
-            if self.coeffs[n] != other.coeffs[n]:
-                return n
-        return None
+        order = self._common_order(other)
+        return next((n for n in range(order + 1) if self.coeffs[n] != other.coeffs[n]), None)
 
     def __repr__(self):
-        return f"TruncatedSeries(order={self.order}, coeffs={[str(c) for c in self.coeffs]})"
+        kind = "exponential" if self.exponential else "ordinary"
+        return f"TruncatedSeries(order={self.order}, {kind}, coeffs={[str(c) for c in self.coeffs]})"
 
 
 # ---------------------------------------------------------------------------
@@ -179,56 +143,25 @@ class TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 
-def eulerian_family(count: int) -> list[Polynomial]:
-    """Descent polynomials for ranks -1, 0, 1, ... (rank -1 reads as rank 0),
-    i.e. the n-th entry belongs to the symmetric group on n letters."""
-    return [weyl.eulerian_poly(_a_or_empty(n - 1)) for n in range(count)]
+def type_a_family(family: str, kind: str, count: int) -> list[Polynomial]:
+    """The h- or d-polynomials (``kind`` "h" or "d") of the type A algebras
+    of ``family``, rank n-1 at index n.  Indices 0 and 1 hold those of the
+    empty diagram: 1 for h, 0 for d."""
+    poly = h_polynomial if kind == "h" else d_polynomial
+    empty = ONE if kind == "h" else ZERO
+    return [
+        poly(AlgebraSpec(family, DynkinDiagram("A", n - 1))) if n > 1 else empty
+        for n in range(count)
+    ]
 
 
-def narayana_family(count: int) -> list[Polynomial]:
-    return [weyl.narayana_poly(_a_or_empty(n - 1)) for n in range(count)]
-
-
-def _a_or_empty(rank: int):
-    from .dynkin import DiagramUnion
-
-    if rank <= 0:
-        return DiagramUnion()
-    return DynkinDiagram("A", rank)
-
-
-def ppa_dim_family(count: int) -> list[Polynomial]:
-    """Dimension polynomials of the type A doubled-quiver algebras, rank
-    n-1 at index n; the rank-0 entries are 0."""
-    out = []
-    for n in range(count):
-        if n - 1 < 1:
-            out.append(Polynomial())
-        else:
-            spec = formulas.AlgebraSpec(formulas.PREPROJECTIVE, DynkinDiagram("A", n - 1))
-            out.append(formulas.d_polynomial(spec))
-    return out
-
-
-def path_dim_family(count: int) -> list[Polynomial]:
-    out = []
-    for n in range(count):
-        if n - 1 < 1:
-            out.append(Polynomial())
-        else:
-            spec = formulas.AlgebraSpec(formulas.PATH, DynkinDiagram("A", n - 1))
-            out.append(formulas.d_polynomial(spec))
-    return out
-
-
-def eulerian_egf(order: int) -> TruncatedSeries:
-    """Exponential generating function of the descent polynomials."""
-    return TruncatedSeries.from_polynomials(eulerian_family(order + 1), True, order)
-
-
-def narayana_ogf(order: int) -> TruncatedSeries:
-    """Ordinary generating function of the Narayana polynomials."""
-    return TruncatedSeries.from_polynomials(narayana_family(order + 1), False, order)
+def type_a_series(family: str, kind: str, order: int, *, shift: int = 0) -> TruncatedSeries:
+    """Generating function of ``type_a_family`` with t -> t + shift applied
+    to each term: exponential for the preprojective family (descent
+    polynomials and doubled-quiver dimensions), ordinary for the path
+    family (Narayana polynomials and path-algebra dimensions)."""
+    polys = [p.shifted(shift) for p in type_a_family(family, kind, order + 1)]
+    return TruncatedSeries.from_polynomials(polys, family == PREPROJECTIVE, order)
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +192,8 @@ class IdentityReport:
         return out
 
 
-def _report(name: str, order: int, lhs: TruncatedSeries, rhs: TruncatedSeries) -> IdentityReport:
+def _report(name: str, lhs: TruncatedSeries, rhs: TruncatedSeries) -> IdentityReport:
     common = min(lhs.order, rhs.order)
-    lhs, rhs = lhs.truncate(common), rhs.truncate(common)
     power = lhs.first_mismatch(rhs)
     if power is None:
         return IdentityReport(name, common, True)
@@ -275,33 +207,28 @@ def _report(name: str, order: int, lhs: TruncatedSeries, rhs: TruncatedSeries) -
     )
 
 
+_T4 = Polynomial((0, 0, 0, 0, 1))
+
+
 def verify_identity_euler_ode(order: int) -> IdentityReport:
     """d/dz S = t S^2 + (1 - t) S for the descent-polynomial EGF."""
-    s = eulerian_egf(order)
-    lhs = s.derivative_z()
-    one_minus_t = RatPolynomial((1, -1))
-    rhs = (s * s) * RAT_T + s * one_minus_t
-    return _report("euler-ode", order, lhs, rhs.truncate(order - 1))
+    s = type_a_series(PREPROJECTIVE, "h", order)
+    return _report("euler-ode", s.derivative_z(), s * s * T + s * (ONE - T))
 
 
 def verify_euler_closed_form(order: int) -> IdentityReport:
     """S * (t - exp(z(t-1))) = t - 1, the closed form with denominator cleared."""
-    s = eulerian_egf(order)
-    t_minus_e = TruncatedSeries.one(order) * RAT_T - TruncatedSeries.exp_of_zt(
-        RatPolynomial((-1, 1)), order
-    )
-    lhs = s * t_minus_e
-    rhs = TruncatedSeries.one(order) * RatPolynomial((-1, 1))
-    return _report("euler-closed-form", order, lhs, rhs)
+    s = type_a_series(PREPROJECTIVE, "h", order)
+    lhs = s * (TruncatedSeries([T], order, True) - TruncatedSeries.exp_of_zt(T - ONE, order))
+    return _report("euler-closed-form", lhs, TruncatedSeries([T - ONE], order, True))
 
 
 def verify_identity_narayana_quadratic(order: int) -> IdentityReport:
     """t z C^2 - (1 + z(t-1)) C + 1 = 0 for the Narayana OGF."""
-    c = narayana_ogf(order)
-    tzc2 = ((c * c) * RAT_T).shift_z(1)
-    one_plus = TruncatedSeries.one(order) + (TruncatedSeries.one(order) * RatPolynomial((-1, 1))).shift_z(1)
-    lhs = tzc2 - one_plus * c + TruncatedSeries.one(order)
-    return _report("narayana-quadratic", order, lhs, TruncatedSeries.zero(order))
+    c = type_a_series(PATH, "h", order)
+    lhs = (c * c * T).shift_z(1) - TruncatedSeries([ONE, T - ONE], order) * c
+    lhs = lhs + TruncatedSeries([ONE], order)
+    return _report("narayana-quadratic", lhs, TruncatedSeries([], order))
 
 
 def verify_narayana_sqrt_reconstruction(order: int) -> IdentityReport:
@@ -311,56 +238,28 @@ def verify_narayana_sqrt_reconstruction(order: int) -> IdentityReport:
     form of the Narayana OGF (the power-series branch of the quadratic),
     so squaring it must recover the radicand.
     """
-    c = narayana_ogf(order)
-    one = TruncatedSeries.one(order)
-    t_minus_1 = RatPolynomial((-1, 1))
-    f = one + (one * t_minus_1).shift_z(1) - (c * RAT_T * 2).shift_z(1)
-    lhs = f * f
-    rhs = (
-        one
-        - (one * RatPolynomial((2, 2))).shift_z(1)
-        + (one * (t_minus_1 * t_minus_1)).shift_z(2)
-    )
-    return _report("narayana-sqrt-reconstruction", order, lhs, rhs)
-
-
-def ppa_dim_egf(order: int, *, shift: int = 0) -> TruncatedSeries:
-    """EGF of the type A doubled-quiver dimension polynomials, with an
-    optional substitution t -> t + shift applied to each term."""
-    polys = [p.shifted(shift) for p in ppa_dim_family(order + 1)]
-    return TruncatedSeries.from_polynomials(polys, True, order)
-
-
-def path_dim_ogf(order: int, *, shift: int = 0) -> TruncatedSeries:
-    polys = [p.shifted(shift) for p in path_dim_family(order + 1)]
-    return TruncatedSeries.from_polynomials(polys, False, order)
+    c = type_a_series(PATH, "h", order)
+    f = TruncatedSeries([ONE, T - ONE], order) - (c * T * 2).shift_z(1)
+    rhs = TruncatedSeries([ONE, (ONE + T) * -2, (T - ONE) * (T - ONE)], order)
+    return _report("narayana-sqrt-reconstruction", f * f, rhs)
 
 
 def verify_dpoly_genfun_ppa(order: int) -> IdentityReport:
-    """Two checks on the doubled-quiver dimension EGF.
+    """Two checks on the doubled-quiver dimension EGF D.
 
-    With t -> t-1 it must equal (z^2/2) (dS/dz)^2; in the original
-    variable the closed form is checked multiplicatively as
-    D * 2 (t+1-e^{zt})^4 = z^2 t^4 e^{2zt}.
+    With t -> t-1 it must satisfy 2 D = z^2 (dS/dz)^2, S the descent EGF;
+    in the original variable the closed form is checked multiplicatively
+    as D * 2 (t+1-e^{zt})^4 = z^2 t^4 e^{2zt}.
     """
-    lhs = ppa_dim_egf(order, shift=-1)
-    s = eulerian_egf(order)
-    ds = s.derivative_z()
-    # (ds*ds) is exact to order-1; prefixing two zeros realizes z^2*(ds)^2
-    # exactly to the requested order
-    sq = (ds * ds) * Fraction(1, 2)
-    rhs = TruncatedSeries([RatPolynomial(), RatPolynomial()] + list(sq.coeffs[: order - 1]), order)
-    first = _report("ppa-dim-egf-vs-eulerian", order, lhs, rhs)
+    lhs = type_a_series(PREPROJECTIVE, "d", order, shift=-1) * 2
+    ds = type_a_series(PREPROJECTIVE, "h", order).derivative_z()
+    first = _report("ppa-dim-egf-vs-eulerian", lhs, (ds * ds).shift_z(2))
     if not first.passed:
         return first
-    dser = ppa_dim_egf(order)
-    t_poly = RAT_T
-    one_plus_t = RatPolynomial((1, 1))
-    denom = TruncatedSeries.one(order) * one_plus_t - TruncatedSeries.exp_of_zt(t_poly, order)
-    lhs2 = dser * 2 * denom * denom * denom * denom
-    t4 = RatPolynomial((0, 0, 0, 0, 1))
-    rhs2 = (TruncatedSeries.exp_of_zt(RatPolynomial((0, 2)), order) * t4).shift_z(2)
-    second = _report("ppa-dim-egf-closed-form", order, lhs2, rhs2)
+    denom = TruncatedSeries([ONE + T], order, True) - TruncatedSeries.exp_of_zt(T, order)
+    lhs2 = type_a_series(PREPROJECTIVE, "d", order) * 2 * denom * denom * denom * denom
+    rhs2 = (TruncatedSeries.exp_of_zt(T * 2, order) * _T4).shift_z(2)
+    second = _report("ppa-dim-egf-closed-form", lhs2, rhs2)
     if not second.passed:
         return second
     return IdentityReport("ppa-dim-egf", order, True)
@@ -368,12 +267,9 @@ def verify_dpoly_genfun_ppa(order: int) -> IdentityReport:
 
 def verify_dpoly_genfun_path(order: int) -> IdentityReport:
     """With t -> t-1 the path-family dimension OGF equals z^2 (dC/dz)^2."""
-    lhs = path_dim_ogf(order, shift=-1)
-    c = narayana_ogf(order)
-    dc = c.derivative_z()
-    sq = dc * dc
-    rhs = TruncatedSeries([RatPolynomial(), RatPolynomial()] + list(sq.coeffs[: order - 1]), order)
-    return _report("path-dim-ogf-vs-narayana", order, lhs, rhs)
+    lhs = type_a_series(PATH, "d", order, shift=-1)
+    dc = type_a_series(PATH, "h", order).derivative_z()
+    return _report("path-dim-ogf-vs-narayana", lhs, (dc * dc).shift_z(2))
 
 
 def verify_ppa_closed_form_variants(order: int) -> IdentityReport:
@@ -384,17 +280,12 @@ def verify_ppa_closed_form_variants(order: int) -> IdentityReport:
     the cross-multiplied form of equality of the two quotients (they
     differ by e^{4z} in numerator and denominator).
     """
-    t4 = RatPolynomial((0, 0, 0, 0, 1))
-    one_plus_t = RatPolynomial((1, 1))
-    a = TruncatedSeries.one(order) * one_plus_t - TruncatedSeries.exp_of_zt(RAT_T, order)
-    lhs = (TruncatedSeries.exp_of_zt(RatPolynomial((4, 2)), order) * t4).shift_z(2)
-    lhs = lhs * a * a * a * a
-    b = TruncatedSeries.exp_of_zt(RatPolynomial((1,)), order) * one_plus_t - TruncatedSeries.exp_of_zt(
-        one_plus_t, order
-    )
-    rhs = (TruncatedSeries.exp_of_zt(RatPolynomial((0, 2)), order) * t4).shift_z(2)
-    rhs = rhs * b * b * b * b
-    return _report("ppa-closed-form-variants", order, lhs, rhs)
+    exp = TruncatedSeries.exp_of_zt
+    a = TruncatedSeries([ONE + T], order, True) - exp(T, order)
+    lhs = (exp(Polynomial((4, 2)), order) * _T4).shift_z(2) * a * a * a * a
+    b = exp(ONE, order) * (ONE + T) - exp(ONE + T, order)
+    rhs = (exp(T * 2, order) * _T4).shift_z(2) * b * b * b * b
+    return _report("ppa-closed-form-variants", lhs, rhs)
 
 
 DEFAULT_ORDER = 10

@@ -53,6 +53,18 @@ def test_poly_verify_checks(capsys):
     assert all(c["pass"] for c in payload["checks"])
 
 
+@pytest.mark.parametrize(
+    "family,diagram", [("path", "A3"), ("preprojective", "D4"), ("path", "E6")]
+)
+def test_poly_f_verify_checks_the_shifted_palindrome(capsys, family, diagram):
+    code, payload = run_json(
+        capsys, "poly", "--family", family, "--diagram", diagram, "--kind", "f", "--verify"
+    )
+    assert code == 0
+    assert [c["name"] for c in payload["checks"]] == ["shifted-palindromic"]
+    assert all(c["pass"] for c in payload["checks"])
+
+
 def test_poly_round_trips_through_decimal_strings(capsys):
     from taupoly.polynomials import Polynomial
 
@@ -285,14 +297,21 @@ def test_verify_max_rank_out_of_range_fails_fast(capsys, max_rank):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["genfun", "ord-d-path-A", "--order", "13"], ["verify", "--suite", "genfun", "--order", "13"]],
-    ids=["genfun", "verify"],
+    "argv,bound",
+    [
+        (["genfun", "ord-d-path-A", "--order", "13"], "at most 12"),
+        (["verify", "--suite", "genfun", "--order", "13"], "at most 12"),
+        (["genfun", "exp-h-ppa-A", "--order", "-1"], "at least 0"),
+        (["genfun", "exp-h-ppa-A", "--order", "0", "--verify"], "at least 1"),
+        (["verify", "--suite", "genfun", "--order", "0"], "at least 1"),
+        (["verify", "--suite", "all", "--order", "0"], "at least 1"),
+    ],
+    ids=["genfun", "verify", "genfun-negative", "genfun-verify-0", "verify-0", "verify-all-0"],
 )
-def test_genfun_order_cap_fails_fast(capsys, argv):
+def test_genfun_order_cap_fails_fast(capsys, argv, bound):
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
-    assert "at most 12" in captured.err
+    assert bound in captured.err
     assert captured.out == ""
 
 

@@ -1,10 +1,8 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from taupoly.polynomials import ONE, ZERO, Polynomial, RatPolynomial
+from taupoly.polynomials import ONE, ZERO, Polynomial
 
 H_A3_PATH = Polynomial([1, 6, 6, 1])  # t^3 + 6t^2 + 6t + 1
 F_A3_PATH = Polynomial([14, 21, 9, 1])  # t^3 + 9t^2 + 21t + 14
@@ -124,19 +122,3 @@ def test_evaluate_after_shift(p, d, x):
 def test_distributive(p, q, r):
     assert p * (q + r) == p * q + p * r
 
-
-def test_rat_polynomial_arithmetic():
-    half = RatPolynomial([Fraction(1, 2)])
-    t = RatPolynomial([0, 1])
-    assert (half * t).coefficient(1) == Fraction(1, 2)
-    assert (t * t + t).coefficient(2) == 1
-    p = RatPolynomial([Fraction(1, 3), Fraction(2, 3)])
-    assert p + p == RatPolynomial([Fraction(2, 3), Fraction(4, 3)])
-    assert (p - p) == RatPolynomial()
-    assert p**2 == p * p
-
-
-def test_rat_polynomial_from_polynomial():
-    p = RatPolynomial.from_polynomial(H_A3_PATH)
-    assert p.coefficient(2) == 6
-    assert p * Fraction(1, 6) == RatPolynomial([Fraction(1, 6), 1, 1, Fraction(1, 6)])
