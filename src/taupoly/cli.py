@@ -205,6 +205,9 @@ def cmd_dim_orbit(args) -> Report:
     n = args.rank
     diagram = DynkinDiagram(dfam, n)
     ell = args.vertex
+    if ell is not None:
+        # before a lattice model is picked, so every route names the diagram
+        diagram.check_vertex(ell)
     report = Report(command=f"dim-orbit --type {dfam} --rank {n}")
     if ell is None:
         if dfam == "D":

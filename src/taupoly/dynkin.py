@@ -53,6 +53,11 @@ class DynkinDiagram:
             return (-1,) + tuple(range(1, self.rank))
         return tuple(range(1, self.rank + 1))
 
+    def check_vertex(self, ell: int) -> None:
+        """Raise ``NotAVertex`` unless ``ell`` labels a vertex."""
+        if ell not in self.vertices:
+            raise NotAVertex(f"{self} has no vertex {ell}")
+
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         n = self.rank
@@ -173,8 +178,7 @@ def delete_vertex(d: DynkinDiagram, ell: int) -> DiagramUnion:
     >>> str(delete_vertex(DynkinDiagram("E", 8), 1))
     'D7'
     """
-    if ell not in d.vertices:
-        raise NotAVertex(f"{d} has no vertex {ell}")
+    d.check_vertex(ell)
     remaining = frozenset(v for v in d.vertices if v != ell)
     adjacency: dict[int, set[int]] = {v: set() for v in d.vertices}
     for a, b in d.edges:

@@ -25,7 +25,7 @@ from math import comb, factorial
 
 from . import tables, weyl
 from .dynkin import DiagramUnion, DynkinDiagram, delete_vertex
-from .errors import ConsistencyError, NotAVertex, UsageError
+from .errors import ConsistencyError, UsageError
 from .polynomials import ZERO, Polynomial
 from .weyl import PATH, PREPROJECTIVE
 
@@ -94,8 +94,7 @@ def orbit_dim_total(family: str, d: DynkinDiagram, ell: int) -> int:
     >>> orbit_dim_total(PATH, DynkinDiagram("D", 4), 2)
     10
     """
-    if ell not in d.vertices:
-        raise NotAVertex(f"{d} has no vertex {ell}")
+    d.check_vertex(ell)
     if family == PREPROJECTIVE:
         factor = weyl.coset_count(d, ell)
     elif family == PATH:

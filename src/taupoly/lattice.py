@@ -16,6 +16,12 @@ all-East path has area 0 and the all-North path fills the staircase.
 Each enumeration also reports its path count so callers can check the
 counting identities alongside the weighted sums; that count, known in
 closed form, is checked against the oracle budget before enumerating.
+
+The sign-sequence model runs in numpy blocks of a few thousand rows
+(``sign_sequence_blocks``): every sequence is still built, sorted and
+weighted, but per block rather than per tuple.  The tuple functions
+``sign_sequences`` and ``sequence_weight`` are the one-element
+definitions the tests compare the blocks with.
 """
 
 from __future__ import annotations
@@ -24,10 +30,16 @@ import itertools
 from math import comb
 from typing import Iterator, NamedTuple
 
+import numpy as np
+
 from .errors import MalformedPath, NotAVertex, UsageError, check_oracle_budget
 
 East = 0
 North = 1
+
+# rows per sign-sequence block; within the oracle budget n - ell <= 23,
+# so no array of a block passes 400 KB
+_BLOCK_ROWS = 2048
 
 
 class OracleSum(NamedTuple):
@@ -143,15 +155,58 @@ def sequence_weight(u: tuple[int, ...], n: int) -> int:
     return total
 
 
+def sign_sequence_blocks(n: int, ell: int) -> Iterator[np.ndarray]:
+    """The members of ``sign_sequences(n, ell)``, each once, as the rows
+    of arrays of at most ``_BLOCK_ROWS`` rows, every row sorted in
+    descending order.
+
+    Each block pairs a run of sign vectors with a run of absolute-value
+    combinations; the combinations are streamed once per run of sign
+    vectors, so memory depends on the block size and not on n.  The
+    dtype is int32 (the fastest to sort), or wider if n needs it.
+
+    >>> next(sign_sequence_blocks(3, 1))[:4].tolist()
+    [[2, 1], [2, -1], [1, -2], [-1, -2]]
+    """
+    k = n - ell
+    dtype = np.promote_types(np.int32, np.min_scalar_type(-n))
+    signs_per_block = min(1 << k, _BLOCK_ROWS)
+    combos_per_block = _BLOCK_ROWS // signs_per_block
+    bits = np.arange(k)
+    for start in range(0, 1 << k, signs_per_block):
+        masks = np.arange(start, min(start + signs_per_block, 1 << k))
+        signs = (1 - 2 * ((masks[:, None] >> bits) & 1)).astype(dtype)
+        combos = itertools.combinations(range(1, n + 1), k)
+        while True:
+            chunk = itertools.chain.from_iterable(itertools.islice(combos, combos_per_block))
+            absvals = np.fromiter(chunk, dtype=dtype).reshape(-1, k)
+            if not len(absvals):
+                break
+            rows = (absvals[:, None, :] * signs[None, :, :]).reshape(-1, k)
+            yield np.sort(rows, axis=1)[:, ::-1]
+
+
+def sequence_weights(rows: np.ndarray, n: int) -> np.ndarray:
+    """Row-wise ``sequence_weight``, in int64: the positions
+    n - k + 1..n plus the entries, less 2 for each positive entry."""
+    k = rows.shape[1]
+    positions = np.arange(n - k + 1, n + 1, dtype=np.int64)
+    return (positions + rows).sum(axis=1) - 2 * (rows > 0).sum(axis=1)
+
+
 def dim_orbit_ppa_D_oracle_mid(n: int, ell: int) -> OracleSum:
-    """Enumerate the sign sequences and sum their weights."""
+    """Enumerate the sign sequences and sum their weights, one
+    ``sign_sequence_blocks`` block at a time.
+
+    >>> dim_orbit_ppa_D_oracle_mid(4, 2)
+    OracleSum(total=120, count=24)
+    """
     if not 2 <= ell <= n - 1:
         raise NotAVertex(f"tail vertex {ell} not in 2..{n - 1}")
     check_oracle_budget(f"D{n} sign-sequence model at vertex {ell}", 2 ** (n - ell) * comb(n, ell))
     total = 0
     count = 0
-    for u in sign_sequences(n, ell):
-        total += sequence_weight(u, n)
-        count += 1
+    for rows in sign_sequence_blocks(n, ell):
+        total += int(sequence_weights(rows, n).sum())
+        count += len(rows)
     return OracleSum(total, count)
-

@@ -148,6 +148,17 @@ def test_dim_orbit(capsys):
     assert payload["results"]["count"] == "8"
 
 
+@pytest.mark.parametrize("oracle", [[], ["--oracle"]])
+@pytest.mark.parametrize("dfam, n, vertex", [("D", 4, 0), ("D", 4, 4), ("D", 6, -2), ("A", 4, 5)])
+def test_dim_orbit_bad_vertex_names_the_diagram(capsys, dfam, n, vertex, oracle):
+    # the oracle route checks the vertex before it picks a lattice model
+    argv = ["dim-orbit", "--type", dfam, "--rank", str(n), "--vertex", str(vertex), *oracle]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {dfam}{n} has no vertex {vertex}\n"
+    assert captured.out == ""
+
+
 def test_oracle_path(capsys):
     code, payload = run_json(
         capsys, "oracle", "path", "--rank", "3", "--orientation", "++", "--kind", "f"

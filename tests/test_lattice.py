@@ -1,7 +1,9 @@
+from collections import Counter
 from math import comb
 
 import pytest
 
+from taupoly import lattice
 from taupoly.dynkin import DynkinDiagram
 from taupoly.errors import MalformedPath, NotAVertex, RankTooLarge, UsageError
 from taupoly.formulas import PATH, PREPROJECTIVE, orbit_dim_total
@@ -16,6 +18,8 @@ from taupoly.lattice import (
     dim_orbit_ppa_D_oracle_pm1,
     rect_paths,
     sequence_weight,
+    sequence_weights,
+    sign_sequence_blocks,
     sign_sequences,
 )
 
@@ -141,6 +145,37 @@ def test_sequence_weight():
             weights = [sequence_weight(u, n) for u in sign_sequences(n, ell)]
             assert max(weights) == (n - ell) * (n + ell - 1) == engine_projective_dim("D", n, ell)
             assert min(weights) == 0
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 64, 2048])
+def test_sign_sequence_blocks_yield_each_sequence_once(block_rows, monkeypatch):
+    # small blocks split both the combinations and the sign vectors
+    monkeypatch.setattr(lattice, "_BLOCK_ROWS", block_rows)
+    for n in range(2, 9):
+        for ell in range(1, n):
+            blocks = list(sign_sequence_blocks(n, ell))
+            assert all(len(block) <= block_rows for block in blocks)
+            seen = Counter(tuple(row) for block in blocks for row in block.tolist())
+            assert set(seen) == set(sign_sequences(n, ell))
+            assert set(seen.values()) == {1}
+
+
+def test_row_weights_match_the_tuple_definition():
+    for n in range(2, 9):
+        for ell in range(1, n):
+            for block in sign_sequence_blocks(n, ell):
+                expected = [sequence_weight(tuple(row), n) for row in block.tolist()]
+                assert sequence_weights(block, n).tolist() == expected
+
+
+def test_mid_oracle_is_exact_at_large_n():
+    # absolute values past the int8 range, summed exactly to the engine's totals
+    assert dim_orbit_ppa_D_oracle_mid(200, 199) == (79600, 400) == (engine_dim_D(200, 199), 400)
+    assert (
+        dim_orbit_ppa_D_oracle_mid(300, 298)
+        == (107101800, 179400)
+        == (engine_dim_D(300, 298), 179400)
+    )
 
 
 def test_mid_oracle_matches_formula():

@@ -1,4 +1,4 @@
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -13,14 +13,20 @@ from taupoly.oracles import (
     all_group_matrices,
     coxeter_element_matrix,
     default_coxeter_order,
+    descent_count_permutation,
     descent_count_signed,
+    descent_counts,
     eulerian_a_by_enumeration,
     eulerian_by_orbit,
     eulerian_d_by_enumeration,
+    even_signed_blocks,
     integer_rank,
     narayana_a,
     narayana_oracle,
+    permutation_blocks,
+    permutation_rows,
     reflection_length_table,
+    signed_descent_counts,
 )
 from taupoly.polynomials import ONE, Polynomial
 from taupoly.weyl import cartan_matrix, eulerian_poly, narayana_poly
@@ -47,13 +53,50 @@ def test_two_letter_even_signed_model_by_hand():
 
 
 def test_eulerian_closed_matches_enumeration_type_a():
-    for rank in range(1, 8):
+    # A9 is the largest rank within the oracle budget
+    for rank in range(1, 10):
         assert eulerian_poly(A(rank)) == eulerian_a_by_enumeration(rank)
 
 
 def test_eulerian_closed_matches_enumeration_type_d():
-    for rank in range(4, 7):
+    # D8 is the largest rank within the oracle budget
+    for rank in range(4, 9):
         assert eulerian_poly(D(rank)) == eulerian_d_by_enumeration(rank)
+
+
+def _rows(blocks):
+    return [tuple(row) for block in blocks for row in block.tolist()]
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_permutation_arrays_hold_each_permutation_once(m):
+    letters = list(range(1, m + 1))
+    arrays = [_rows([permutation_rows(m)])]
+    if m >= 2:  # permutation_blocks inserts two letters
+        arrays.append(_rows(permutation_blocks(m)))
+    for rows in arrays:
+        assert len(rows) == len(set(rows)) == factorial(m)
+        assert all(sorted(row) == letters for row in rows)
+
+
+@pytest.mark.parametrize("rank", range(4, 7))
+def test_even_signed_blocks_hold_each_word_once(rank):
+    rows = _rows(even_signed_blocks(rank))
+    assert len(rows) == len(set(rows)) == D(rank).group_order()
+    for row in rows:
+        assert sorted(map(abs, row)) == list(range(1, rank + 1))
+        assert sum(v < 0 for v in row) % 2 == 0
+
+
+def test_row_descent_counts_match_the_tuple_definitions():
+    for rank in range(1, 7):
+        for block in permutation_blocks(rank + 1):
+            expected = [descent_count_permutation(row) for row in block.tolist()]
+            assert descent_counts(block).tolist() == expected
+    for rank in range(4, 7):
+        for block in even_signed_blocks(rank):
+            expected = [descent_count_signed(row) for row in block.tolist()]
+            assert signed_descent_counts(block).tolist() == expected
 
 
 def test_signed_and_orbit_models_agree_on_d4_d5():
@@ -295,11 +338,12 @@ def test_oracles_refuse_over_budget_before_any_work(calls):
         for module, name in (
             (oracles, "interval_walk"),
             (oracles, "descent_distribution"),
-            (oracles, "descent_count_permutation"),
-            (oracles, "descent_count_signed"),
+            (oracles, "permutation_rows"),
+            (oracles, "permutation_blocks"),
+            (oracles, "even_signed_blocks"),
             (lattice, "area_rect"),
             (lattice, "area_corner"),
-            (lattice, "sequence_weight"),
+            (lattice, "sign_sequence_blocks"),
         ):
             patch.setattr(module, name, work)
         for call, estimate in calls:
