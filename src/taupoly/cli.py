@@ -244,6 +244,8 @@ def cmd_oracle(args) -> Report:
         return report
     if args.oracle_command == "tau-orbit":
         diagram = parse_diagram(args.type)
+        if args.vertex is not None:
+            diagram.check_vertex(args.vertex)
         q = hereditary.OrientedQuiver.from_diagram(diagram)
         report = Report(command=f"oracle tau-orbit {diagram}")
         if args.vertex is None:

@@ -1,4 +1,4 @@
-"""Simply-laced Dynkin diagrams, vertex deletion, and component classification.
+"""Simply-laced Dynkin diagrams, vertex deletion, and weight heights.
 
 Vertex labels follow fixed conventions so that per-vertex formulas can
 address vertices unambiguously:
@@ -9,20 +9,23 @@ address vertices unambiguously:
 * ``E_n`` (n in 6..8): the chain ``1 - 2 - 3 - 5 - 6 - ... - n`` with the
   extra vertex ``4`` attached to ``3``.
 
-Deleting a vertex yields a forest; each component is classified back into
-the A/D/E families by tree shape, never by a rank lookup, so malformed
-inputs fail structurally.  The rank-2 and rank-3 "D" shapes fall out as
-``A1 x A1`` and ``A3`` automatically because that is what the trees are.
+Every one of them is a star: a centre (vertex 1 of A_n, 2 of D_n, 3 of
+E_n) with three arms, of lengths (0, 0, n-1), (1, 1, n-3) and (2, 1, n-4).
+Deletion and weight heights are worked out in O(1) from the arm lengths
+and where the vertex sits.  A star with arms a <= b <= c is A_(b+c+1)
+when a = 0, D_(c+3) when a = b = 1 and E_(c+4) when (a, b) = (1, 2), so
+the rank-2 and rank-3 "D" shapes come back as ``A1 x A1`` and ``A3``;
+any other shape is an internal error.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from fractions import Fraction
 from math import comb, factorial
 
-from .errors import NotAVertex, UsageError
+from .errors import ConsistencyError, NotAVertex, UsageError
 
 _VALID_E_RANKS = (6, 7, 8)
 
@@ -137,69 +140,76 @@ class DiagramUnion:
         return "x".join(str(d) for d in self.components)
 
 
-def _classify_tree(vertices: frozenset[int], adjacency: dict[int, set[int]]) -> DynkinDiagram:
-    """Classify a connected tree as A_k, D_k or E_k by its branch shape."""
-    k = len(vertices)
-    degrees = {v: len(adjacency[v] & vertices) for v in vertices}
-    deg3 = [v for v in vertices if degrees[v] == 3]
-    if any(degrees[v] > 3 for v in vertices):
-        raise RuntimeError("unreachable: degree > 3 in a Dynkin minor")
-    if not deg3:
-        return DynkinDiagram("A", k)
-    if len(deg3) > 1:
-        raise RuntimeError("unreachable: two branch vertices in a Dynkin minor")
-    center = deg3[0]
-    lengths = sorted(_branch_length(center, nbr, vertices, adjacency) for nbr in adjacency[center] & vertices)
-    if lengths[0] == 1 and lengths[1] == 1:
-        return DynkinDiagram("D", k)
-    if lengths[:2] == [1, 2] and lengths[2] in (2, 3, 4):
-        return DynkinDiagram("E", k)
-    raise RuntimeError(f"unreachable: branch shape {lengths} is not a Dynkin minor")
+# family -> (short arm lengths, centre label, short-arm label -> (arm,
+# distance), label minus distance along the long arm, which is arm 2)
+_STARS = {
+    "A": ((0, 0), 1, {}, 1),
+    "D": ((1, 1), 2, {1: (0, 1), -1: (1, 1)}, 2),
+    "E": ((2, 1), 3, {2: (0, 1), 1: (0, 2), 4: (1, 1)}, 4),
+}
 
 
-def _branch_length(center: int, start: int, vertices: frozenset[int], adjacency: dict[int, set[int]]) -> int:
-    length = 0
-    prev, cur = center, start
-    while True:
-        length += 1
-        nxt = [v for v in adjacency[cur] & vertices if v != prev]
-        if not nxt:
-            return length
-        prev, cur = cur, nxt[0]
+def _star(d: DynkinDiagram, ell: int) -> tuple[tuple[int, int, int], tuple[int, int] | None]:
+    """The three arm lengths of ``d`` about its centre, and where ``ell``
+    sits: ``(arm, distance from the centre)``, or None for the centre."""
+    d.check_vertex(ell)
+    short, centre, placed, offset = _STARS[d.family]
+    arms = (*short, d.rank - 1 - sum(short))
+    if ell == centre:
+        return arms, None
+    return arms, placed.get(ell, (2, ell - offset))
 
 
-# one entry per (diagram, vertex): rank-many for each diagram the engine meets
-@lru_cache(maxsize=None)
+def _star_diagram(arms: tuple[int, ...]) -> DynkinDiagram:
+    """The connected diagram of a star with these arm lengths."""
+    a, b, c = sorted(arms)
+    if a == 0:
+        return DynkinDiagram("A", b + c + 1)
+    if (a, b) == (1, 1):
+        return DynkinDiagram("D", c + 3)
+    if (a, b) == (1, 2) and c <= 4:
+        return DynkinDiagram("E", c + 4)
+    raise ConsistencyError(f"a star with arms {arms} is not a Dynkin diagram")
+
+
 def delete_vertex(d: DynkinDiagram, ell: int) -> DiagramUnion:
-    """Remove vertex ``ell`` and classify the resulting forest.
+    """Remove vertex ``ell``: deleting the centre leaves its arms, deleting
+    the vertex at distance i on an arm of length m leaves the star with
+    that arm cut to i - 1 and, if m > i, a path of m - i vertices.
 
     >>> str(delete_vertex(DynkinDiagram("E", 6), 4))
     'A5'
     >>> str(delete_vertex(DynkinDiagram("E", 8), 1))
     'D7'
     """
-    d.check_vertex(ell)
-    remaining = frozenset(v for v in d.vertices if v != ell)
-    adjacency: dict[int, set[int]] = {v: set() for v in d.vertices}
-    for a, b in d.edges:
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    seen: set[int] = set()
-    components = []
-    for v in remaining:
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            cur = stack.pop()
-            for nbr in adjacency[cur] & remaining:
-                if nbr not in comp:
-                    comp.add(nbr)
-                    stack.append(nbr)
-        seen |= comp
-        components.append(_classify_tree(frozenset(comp), adjacency))
-    return DiagramUnion(tuple(components))
+    arms, where = _star(d, ell)
+    if where is None:
+        return DiagramUnion(tuple(DynkinDiagram("A", m) for m in arms if m))
+    arm, i = where
+    m = arms[arm]
+    pieces = [_star_diagram(arms[:arm] + (i - 1,) + arms[arm + 1 :])]
+    if m > i:
+        pieces.append(DynkinDiagram("A", m - i))
+    return DiagramUnion(tuple(pieces))
+
+
+def weight_height(d: DynkinDiagram, ell: int) -> Fraction:
+    """ht(w_ell), the row-ell sum of the inverse Cartan matrix C^-1.
+
+    C x = (1, ..., 1) solved arm by arm: on an arm of length m, with
+    p = m + 1 - i, the vertex at distance i has x = p i / 2 + p x_c / (m + 1),
+    and the centre's row gives x_c = (1 + sum m / 2) / (2 - sum m / (m + 1)).
+
+    >>> weight_height(DynkinDiagram("D", 4), 2)
+    Fraction(5, 1)
+    """
+    arms, where = _star(d, ell)
+    centre = (1 + Fraction(sum(arms), 2)) / (2 - sum(Fraction(m, m + 1) for m in arms))
+    if where is None:
+        return centre
+    arm, i = where
+    p = arms[arm] + 1 - i
+    return Fraction(p * i, 2) + p * centre / (arms[arm] + 1)
 
 
 def as_union(d) -> DiagramUnion:

@@ -11,20 +11,19 @@ where P is the descent polynomial for the preprojective family and the
 Narayana polynomial for the path family; P(.; t+1) is the face-count
 polynomial that ``weyl.face_polynomial`` computes by the link recursion.
 The orbit total is one height formula for every type: with ht(w_l) the
-height of the fundamental weight at l (the column-l sum of the inverse
-Cartan matrix), Dim_l = [W : W(diagram minus l)] * ht(w_l) for the
-preprojective family and 2 * ht(w_l) for the path family.
+height of the fundamental weight at l (the row-l sum of the inverse
+Cartan matrix, which ``dynkin.weight_height`` solves arm by arm),
+Dim_l = [W : W(diagram minus l)] * ht(w_l) for the preprojective family
+and 2 * ht(w_l) for the path family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 
 from . import tables, weyl
-from .dynkin import DiagramUnion, DynkinDiagram, delete_vertex
+from .dynkin import DiagramUnion, DynkinDiagram, delete_vertex, weight_height
 from .errors import ConsistencyError, UsageError
 from .polynomials import ZERO, Polynomial
 from .weyl import PATH, PREPROJECTIVE
@@ -43,42 +42,6 @@ class AlgebraSpec:
 
     def __str__(self) -> str:
         return f"{self.family} {self.diagram}"
-
-
-def rational_solve(matrix: list[list[int]], rhs: list[int]) -> list[Fraction]:
-    """The solution x of matrix . x = rhs, exact; raises on singular input.
-
-    Elimination touches only rows with a nonzero entry below the pivot,
-    so a Cartan matrix of a tree in its vertex order takes about n^2
-    steps, not n^3.
-
-    >>> rational_solve([[2, -1], [-1, 2]], [1, 1])
-    [Fraction(1, 1), Fraction(1, 1)]
-    """
-    n = len(matrix)
-    rows = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        for r in range(col + 1, n):
-            if rows[r][col]:
-                f = rows[r][col] / rows[col][col]
-                rows[r] = [a - f * b if b else a for a, b in zip(rows[r], rows[col])]
-    x = [Fraction(0)] * n
-    for i in reversed(range(n)):
-        tail = sum(rows[i][j] * x[j] for j in range(i + 1, n) if rows[i][j])
-        x[i] = (rows[i][n] - tail) / rows[i][i]
-    return x
-
-
-# one entry per connected diagram whose orbit totals are asked for
-@lru_cache(maxsize=None)
-def _weight_heights(d: DynkinDiagram) -> tuple[Fraction, ...]:
-    """ht(w_l) for each vertex l in order: the column sums of C^-1, which
-    equal its row sums C^-1 (1, ..., 1) since C is symmetric."""
-    return tuple(rational_solve(weyl.cartan_matrix(d).tolist(), [1] * d.rank))
 
 
 def orbit_dim_total(family: str, d: DynkinDiagram, ell: int) -> int:
@@ -101,7 +64,7 @@ def orbit_dim_total(family: str, d: DynkinDiagram, ell: int) -> int:
         factor = 2
     else:
         raise UsageError(f"family must be {PREPROJECTIVE!r} or {PATH!r}")
-    total = factor * _weight_heights(d)[d.vertices.index(ell)]
+    total = factor * weight_height(d, ell)
     if total.denominator != 1:
         raise ConsistencyError(f"{family} orbit total of {d} at {ell} is {total}, not an integer")
     return int(total)

@@ -258,6 +258,13 @@ def _clique_census(adjacency: list[int], dims: list[int], max_size: int):
 _COMPLEX_RANK_CAP = 8
 
 
+# keys are Cartan matrices of rank at most _COMPLEX_RANK_CAP, as tau_rigid_complex's are
+@lru_cache(maxsize=None)
+def _graph_roots(cartan: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """The positive roots of a graph, shared by all its orientations."""
+    return tuple(positive_roots(np.array(cartan, dtype=np.int64)))
+
+
 # keys are quivers of rank at most _COMPLEX_RANK_CAP = 8, a finite set
 @lru_cache(maxsize=None)
 def tau_rigid_complex(q: OrientedQuiver) -> CompatibilityComplex:
@@ -273,7 +280,7 @@ def tau_rigid_complex(q: OrientedQuiver) -> CompatibilityComplex:
         raise RankTooLarge(f"complex enumeration capped at rank {_COMPLEX_RANK_CAP}")
     arrows = q.arrow_counts()
     cartan = 2 * np.eye(q.rank, dtype=np.int64) - arrows - arrows.T
-    root_list = positive_roots(cartan)
+    root_list = _graph_roots(tuple(map(tuple, cartan.tolist())))
     roots = np.array(root_list, dtype=np.int64)
     _check_euler_form(q, roots)
     verts = [ComplexVertex(MODULE, r) for r in root_list]

@@ -52,12 +52,21 @@ import numpy as np
 from .dynkin import DynkinDiagram, as_union
 from .errors import ConsistencyError, check_oracle_budget
 from .polynomials import ONE, Polynomial
-from .weyl import cartan_matrix
 
 _P1 = 2147483647  # 2**31 - 1, prime
 _P2 = 2147483629  # prime
 
 _KEY_OFFSET = 32  # weight coordinates lie in [-(h-1), h-1], h <= 30
+
+
+def cartan_matrix(d: DynkinDiagram) -> np.ndarray:
+    """Cartan matrix in the diagram's vertex order (symmetric, ADE)."""
+    index = {v: i for i, v in enumerate(d.vertices)}
+    C = 2 * np.eye(d.rank, dtype=np.int64)
+    for a, b in d.edges:
+        C[index[a], index[b]] = -1
+        C[index[b], index[a]] = -1
+    return C
 
 
 def simple_reflection_matrices(cartan: np.ndarray) -> list[np.ndarray]:

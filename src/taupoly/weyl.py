@@ -20,7 +20,10 @@ for k = 1..n, where N_l counts the complex's vertices of type l:
 The face polynomial is Phi with its coefficients reversed, and its shift
 by -1 is the h-polynomial: the descent polynomial of the Weyl group
 (preprojective) or the W-Narayana polynomial (path).  Every division is
-checked to be exact, and a failure raises ``ConsistencyError``.
+checked to be exact, and a failure raises ``ConsistencyError``.  The
+connected diagrams below a diagram are filled in by rank, smallest
+first, so the recursion is a loop and no rank overflows the Python
+stack.
 
 The brute-force routes the tests compare these with are in ``oracles``;
 nothing here calls them.
@@ -28,10 +31,7 @@ nothing here calls them.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import prod
-
-import numpy as np
 
 from .dynkin import DynkinDiagram, as_union, delete_vertex
 from .errors import ConsistencyError, UsageError
@@ -39,18 +39,6 @@ from .polynomials import ONE, Polynomial
 
 PREPROJECTIVE = "preprojective"
 PATH = "path"
-
-
-def cartan_matrix(d: DynkinDiagram) -> np.ndarray:
-    """Cartan matrix in the diagram's vertex order (symmetric, ADE)."""
-    verts = d.vertices
-    index = {v: i for i, v in enumerate(verts)}
-    n = d.rank
-    C = 2 * np.eye(n, dtype=np.int64)
-    for a, b in d.edges:
-        C[index[a], index[b]] = -1
-        C[index[b], index[a]] = -1
-    return C
 
 
 def _exact_quotient(numerator: int, denominator: int, what: str) -> int:
@@ -70,10 +58,13 @@ def coset_count(d: DynkinDiagram, ell: int) -> int:
     return _exact_quotient(d.group_order(), parabolic, f"[W({d}) : W({d} minus {ell})]")
 
 
-# keys are (family, connected A/D/E diagram) up to the largest rank asked
-# for, so at most six per rank
-@lru_cache(maxsize=None)
-def _face_counts_connected(family: str, d: DynkinDiagram) -> Polynomial:
+# (family, connected A/D/E diagram) -> Phi, for every diagram up to the
+# largest rank asked for, so at most six keys per rank
+_FACE_COUNTS: dict[tuple[str, DynkinDiagram], Polynomial] = {}
+
+
+def _link_recursion(family: str, d: DynkinDiagram) -> Polynomial:
+    """Phi of ``d``, reading the Phi of each link from the memo."""
     if family == PREPROJECTIVE:
         weights, scale = [coset_count(d, ell) for ell in d.vertices], 1
     elif family == PATH:
@@ -86,6 +77,22 @@ def _face_counts_connected(family: str, d: DynkinDiagram) -> Polynomial:
         total = sum(w * link.coefficient(k - 1) for w, link in zip(weights, links))
         phi.append(_exact_quotient(total, scale * k, f"{k}-faces of the {family} complex of {d}"))
     return Polynomial(phi)
+
+
+def _face_counts_connected(family: str, d: DynkinDiagram) -> Polynomial:
+    if (family, d) not in _FACE_COUNTS:
+        # the minors of a memoised diagram are memoised, so collect the
+        # rest and fill them in by rank: each link is there when read
+        todo, stack = {d}, [d]
+        while stack:
+            top = stack.pop()
+            below = {m for ell in top.vertices for m in delete_vertex(top, ell)}
+            below = {m for m in below - todo if (family, m) not in _FACE_COUNTS}
+            stack += below
+            todo |= below
+        for minor in sorted(todo, key=lambda c: c.rank):
+            _FACE_COUNTS[family, minor] = _link_recursion(family, minor)
+    return _FACE_COUNTS[family, d]
 
 
 def _face_counts(family: str, u) -> Polynomial:

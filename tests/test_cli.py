@@ -159,6 +159,15 @@ def test_dim_orbit_bad_vertex_names_the_diagram(capsys, dfam, n, vertex, oracle)
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("diagram, vertex", [("A3", 9), ("D4", 0), ("D4", 4)])
+def test_tau_orbit_bad_vertex_names_the_diagram(capsys, diagram, vertex):
+    argv = ["oracle", "tau-orbit", "--type", diagram, "--vertex", str(vertex)]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {diagram} has no vertex {vertex}\n"
+    assert captured.out == ""
+
+
 def test_oracle_path(capsys):
     code, payload = run_json(
         capsys, "oracle", "path", "--rank", "3", "--orientation", "++", "--kind", "f"
@@ -285,9 +294,9 @@ def test_internal_consistency_failure_exits_4(capsys, monkeypatch):
 
 @pytest.fixture
 def fresh_engine_cache():
-    weyl._face_counts_connected.cache_clear()
+    weyl._FACE_COUNTS.clear()
     yield
-    weyl._face_counts_connected.cache_clear()
+    weyl._FACE_COUNTS.clear()
 
 
 def test_engine_divisibility_failure_exits_4(capsys, monkeypatch, fresh_engine_cache):

@@ -1,13 +1,19 @@
+from collections import Counter
+
+import numpy as np
 import pytest
 
+from taupoly import oracles
 from taupoly.dynkin import (
     DiagramUnion,
     DynkinDiagram,
+    _star_diagram,
     delete_vertex,
     parse_diagram,
     parse_union,
+    weight_height,
 )
-from taupoly.errors import NotAVertex, UsageError
+from taupoly.errors import ConsistencyError, NotAVertex, UsageError
 
 
 def u(text):
@@ -116,3 +122,66 @@ def test_every_deletion_classifies():
         for v in diagram.vertices:
             union = delete_vertex(diagram, v)
             assert union.rank == diagram.rank - 1
+
+
+def _diagrams(a_ranks, d_ranks):
+    return (
+        [DynkinDiagram("A", n) for n in a_ranks]
+        + [DynkinDiagram("D", n) for n in d_ranks]
+        + [DynkinDiagram("E", n) for n in (6, 7, 8)]
+    )
+
+
+def _components_by_search(diagram, ell):
+    """Vertex sets of the components of the diagram minus ell, from its
+    edges alone."""
+    adjacency = {v: set() for v in diagram.vertices if v != ell}
+    for a, b in diagram.edges:
+        if ell not in (a, b):
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+    seen = set()
+    for v in adjacency:
+        if v in seen:
+            continue
+        comp, stack = {v}, [v]
+        while stack:
+            for w in adjacency[stack.pop()] - comp:
+                comp.add(w)
+                stack.append(w)
+        seen |= comp
+        yield sorted(comp)
+
+
+def test_deletion_matches_a_component_search():
+    # (size, positive roots of the induced Cartan matrix) tells the A, D
+    # and E components of these ranks apart
+    for diagram in _diagrams(range(1, 13), range(4, 13)):
+        for ell in diagram.vertices:
+            found = Counter()
+            for comp in _components_by_search(diagram, ell):
+                index = {v: i for i, v in enumerate(comp)}
+                cartan = 2 * np.eye(len(comp), dtype=np.int64)
+                for a, b in diagram.edges:
+                    if a in index and b in index:
+                        cartan[index[a], index[b]] = cartan[index[b], index[a]] = -1
+                found[len(comp), len(oracles.positive_roots(cartan))] += 1
+            pieces = Counter((c.rank, c.positive_root_count()) for c in delete_vertex(diagram, ell))
+            assert found == pieces, (diagram, ell)
+
+
+def test_weight_heights_solve_every_cartan_row():
+    # sum_j C[i][j] ht(w_j) = 2 ht(w_i) - (the neighbours' heights) = 1
+    for diagram in _diagrams(range(1, 61), range(4, 61)):
+        height = {v: weight_height(diagram, v) for v in diagram.vertices}
+        residual = {v: 2 * height[v] for v in diagram.vertices}
+        for a, b in diagram.edges:
+            residual[a] -= height[b]
+            residual[b] -= height[a]
+        assert set(residual.values()) == {1}, diagram
+
+
+@pytest.mark.parametrize("arms", [(2, 2, 2), (1, 3, 3), (1, 2, 5)])
+def test_a_star_outside_a_d_e_is_an_internal_error(arms):
+    with pytest.raises(ConsistencyError, match="not a Dynkin diagram"):
+        _star_diagram(arms)

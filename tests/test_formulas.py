@@ -143,7 +143,7 @@ def test_path_orbit_totals_match_translate_orbits():
 
 
 # Run in a fresh interpreter: the engine reproduces every table and h(1)
-# without ever importing an oracle module.
+# without ever importing an oracle module or numpy.
 _ENGINE_ONLY = textwrap.dedent(
     """
     import sys
@@ -158,21 +158,44 @@ _ENGINE_ONLY = textwrap.dedent(
             diagram = DynkinDiagram(family, n)
             assert eulerian_poly(diagram)(1) == diagram.group_order(), diagram
             assert narayana_poly(diagram)(1) == diagram.catalan_count(), diagram
-    loaded = {"taupoly.oracles", "taupoly.lattice", "taupoly.hereditary"} & set(sys.modules)
+    loaded = {"taupoly.oracles", "taupoly.lattice", "taupoly.hereditary", "numpy"} & set(sys.modules)
     assert not loaded, sorted(loaded)
     """
 )
 
+# The link recursion is a loop: rank 60 needs no deeper Python stack
+# than rank 1.
+_SHALLOW_STACK = textwrap.dedent(
+    """
+    import sys
+    from taupoly.dynkin import DynkinDiagram
+    from taupoly.weyl import eulerian_poly, narayana_poly
 
-def test_engine_reproduces_tables_without_oracles():
+    sys.setrecursionlimit(150)
+    a60, d60 = DynkinDiagram("A", 60), DynkinDiagram("D", 60)
+    assert eulerian_poly(a60)(1) == a60.group_order()
+    assert narayana_poly(d60)(1) == d60.catalan_count()
+    """
+)
+
+
+def _run_fresh(code):
     src = Path(taupoly.__file__).resolve().parents[1]
     run = subprocess.run(
-        [sys.executable, "-c", _ENGINE_ONLY],
+        [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
     )
     assert run.returncode == 0, run.stderr
+
+
+def test_engine_reproduces_tables_without_oracles():
+    _run_fresh(_ENGINE_ONLY)
+
+
+def test_engine_runs_under_a_shallow_recursion_limit():
+    _run_fresh(_SHALLOW_STACK)
 
 
 def test_catalan_count():

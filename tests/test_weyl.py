@@ -11,6 +11,7 @@ from taupoly.errors import ORACLE_BUDGET, ConsistencyError, RankTooLarge
 from taupoly.oracles import (
     absolute_length,
     all_group_matrices,
+    cartan_matrix,
     coxeter_element_matrix,
     default_coxeter_order,
     descent_count_permutation,
@@ -29,7 +30,7 @@ from taupoly.oracles import (
     signed_descent_counts,
 )
 from taupoly.polynomials import ONE, Polynomial
-from taupoly.weyl import cartan_matrix, eulerian_poly, narayana_poly
+from taupoly.weyl import eulerian_poly, narayana_poly
 
 A = lambda n: DynkinDiagram("A", n)
 D = lambda n: DynkinDiagram("D", n)
