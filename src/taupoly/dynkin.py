@@ -23,6 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 
 from .errors import ConsistencyError, NotAVertex, UsageError
@@ -58,7 +59,8 @@ class DynkinDiagram:
 
     def check_vertex(self, ell: int) -> None:
         """Raise ``NotAVertex`` unless ``ell`` labels a vertex."""
-        if ell not in self.vertices:
+        is_d = self.family == "D"
+        if not (1 <= ell <= self.rank - is_d or (is_d and ell == -1)):
             raise NotAVertex(f"{self} has no vertex {ell}")
 
     @property
@@ -72,6 +74,9 @@ class DynkinDiagram:
         chain = [(1, 2), (2, 3), (3, 5)] + [(i, i + 1) for i in range(5, n)]
         return tuple(chain[: n - 2]) + ((3, 4),)
 
+    # keys are the diagrams asked about, one int each: the deletions of
+    # A1000 (dim-orbit) leave 1,000 of them, about 0.5 MB in all
+    @cache
     def group_order(self) -> int:
         """Order of the associated reflection group."""
         n = self.rank

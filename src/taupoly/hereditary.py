@@ -15,7 +15,10 @@ orientation of a diagram.  Neither is called by the engine.
   reachability: <alpha, alpha> = 1 for every root and <P_l, alpha> =
   alpha_l for every vertex l.  Face counts of the complex give the
   face-count polynomial, dimension-weighted face counts give the
-  dimension polynomial, with no closed formula anywhere.
+  dimension polynomial, with no closed formula anywhere.  The faces are
+  counted level by level in numpy: a face is its last vertex and the
+  bitmask of the vertices compatible with all of it, so each level is a
+  few array operations over the one below.
 
 * The translate-orbit dimension sum, computed by iterating the inverse
   Coxeter transformation on the dimension vector of a projective until
@@ -27,7 +30,7 @@ orientation of a diagram.  Neither is called by the engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from typing import Iterator
 
@@ -182,16 +185,17 @@ class ComplexVertex:
 class CompatibilityComplex:
     """Flag complex of pairwise-compatible rigid objects.
 
-    ``adjacency[i]`` is the bitmask of vertices compatible with vertex i.
-    Face counts and dimension-weighted face counts are precomputed per
-    size; every maximal face was checked to have exactly ``rank``
-    vertices during the census.
+    ``compatible[i, j]`` is True when vertices i and j are compatible (a
+    read-only boolean matrix with a False diagonal).  Face counts and
+    dimension-weighted face counts are precomputed per size; every
+    maximal face was checked to have exactly ``rank`` vertices during the
+    census.
     """
 
     quiver: OrientedQuiver
     rank: int
     vertices: tuple[ComplexVertex, ...]
-    adjacency: tuple[int, ...]
+    compatible: np.ndarray = field(compare=False)
     face_counts: tuple[int, ...]
     face_dim_sums: tuple[int, ...]
     maximal_face_count: int
@@ -212,46 +216,72 @@ class CompatibilityComplex:
         """Face-count polynomial of the link of a module vertex."""
         if self.vertices[vertex_index].kind != MODULE:
             raise NotAModule(f"{self.vertices[vertex_index]} is not a module vertex")
-        neighbors = [
-            j for j in range(len(self.vertices)) if (self.adjacency[vertex_index] >> j) & 1
-        ]
-        remap = {j: k for k, j in enumerate(neighbors)}
-        sub_adj = []
-        for j in neighbors:
-            mask = 0
-            for other in neighbors:
-                if (self.adjacency[j] >> other) & 1:
-                    mask |= 1 << remap[other]
-            sub_adj.append(mask)
-        counts, _, _ = _clique_census(sub_adj, [0] * len(neighbors), self.rank)
+        neighbors = np.flatnonzero(self.compatible[vertex_index])
+        sub = self.compatible[np.ix_(neighbors, neighbors)]
+        counts, _, _ = _clique_census(sub, [0] * len(neighbors), self.rank)
         n = self.rank - 1
         return Polynomial([counts[n - power] for power in range(n + 1)])
 
 
-def _clique_census(adjacency: list[int], dims: list[int], max_size: int):
-    """Count cliques by size, with dimension-weighted totals and
-    maximal-clique sizes; raises if any clique exceeds max_size."""
-    v_count = len(adjacency)
+# candidate edges the census expands at once: bounds its temporaries
+_CENSUS_EDGES = 1 << 16
+
+
+def _clique_census(compatible: np.ndarray, dims, max_size: int):
+    """Count the cliques of a graph by size, with dimension-weighted
+    totals and the number of maximal cliques of each size; raises if any
+    clique exceeds max_size.
+
+    The census runs level by level.  A clique of size k is a row: its
+    last (largest) vertex, the mask of the vertices adjacent to all of it
+    (bit j % 64 of uint64 word j // 64 for vertex j) and its dimension
+    total.  Its children are the later neighbours of its last vertex
+    whose bit is set in the mask, and it is maximal when the mask is
+    empty.  Each level is expanded in chunks of at most ``_CENSUS_EDGES``
+    candidate edges.  Dimension totals are summed in int64: in a complex
+    of rank at most 8 a face totals at most 8 * 29 and a level holds at
+    most 163,856 faces (E8), far below 2**63.
+
+    >>> _clique_census(~np.eye(3, dtype=bool), [1, 2, 3], 3)
+    ([1, 3, 3, 1], [0, 6, 12, 6], [0, 0, 0, 1])
+    """
+    n = len(compatible)
+    dims = np.asarray(dims, dtype=np.int64)
+    words = max(1, -(-n // 64))
+    packed = np.zeros((n, 8 * words), dtype=np.uint8)
+    packed[:, : -(-n // 8)] = np.packbits(compatible, axis=1, bitorder="little")
+    bits = packed.view("<u8")
+    # the later neighbours of each vertex, in CSR form
+    later = np.triu(compatible, 1)
+    degree = later.sum(axis=1)
+    start = np.concatenate(([0], np.cumsum(degree)))
+    neighbor = np.nonzero(later)[1]
+    word = neighbor >> 6
+    bit = np.left_shift(np.uint64(1), (neighbor & 63).astype(np.uint64))
+    rows_per_chunk = max(1, _CENSUS_EDGES // max(1, int(degree.max(initial=0))))
+
     counts = [0] * (max_size + 1)
     dim_sums = [0] * (max_size + 1)
     maximal = [0] * (max_size + 1)
-    full = (1 << v_count) - 1
-
-    def rec(common: int, candidates: int, size: int, dim_total: int) -> None:
+    counts[0], maximal[0] = 1, int(n == 0)
+    last, mask, dim_total, size = np.arange(n), bits, dims, 1
+    while len(last):
         if size > max_size:
             raise ImpurityError("clique larger than the ambient rank")
-        counts[size] += 1
-        dim_sums[size] += dim_total
-        if common == 0:
-            maximal[size] += 1
-        c = candidates
-        while c:
-            low = c & -c
-            v = low.bit_length() - 1
-            c &= c - 1
-            rec(common & adjacency[v], c & adjacency[v], size + 1, dim_total + dims[v])
-
-    rec(full, full, 0, 0)
+        counts[size] = len(last)
+        dim_sums[size] = int(dim_total.sum())
+        maximal[size] = int(np.count_nonzero(~mask.any(axis=1)))
+        chunks = []
+        for lo in range(0, len(last), rows_per_chunk):
+            rows = np.arange(lo, min(lo + rows_per_chunk, len(last)))
+            fan = degree[last[rows]]
+            parent = np.repeat(rows, fan)
+            pos = np.arange(len(parent)) + np.repeat(start[last[rows]] - np.cumsum(fan) + fan, fan)
+            keep = (mask[parent, word[pos]] & bit[pos]) != 0
+            parent, child = parent[keep], neighbor[pos[keep]]
+            chunks.append((child, mask[parent] & bits[child], dim_total[parent] + dims[child]))
+        last, mask, dim_total = (np.concatenate(level) for level in zip(*chunks))
+        size += 1
     return counts, dim_sums, maximal
 
 
@@ -295,20 +325,17 @@ def tau_rigid_complex(q: OrientedQuiver) -> CompatibilityComplex:
         ]
     )
     np.fill_diagonal(compatible, False)
-    adjacency = [
-        int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-        for row in compatible
-    ]
+    compatible.flags.writeable = False
 
     n = q.rank
-    counts, dim_sums, maximal = _clique_census(adjacency, [v.dim for v in verts], n)
+    counts, dim_sums, maximal = _clique_census(compatible, [v.dim for v in verts], n)
     if any(maximal[k] for k in range(n)):
         raise ImpurityError("complex is not pure: maximal face below full rank")
     return CompatibilityComplex(
         quiver=q,
         rank=n,
         vertices=tuple(verts),
-        adjacency=tuple(adjacency),
+        compatible=compatible,
         face_counts=tuple(counts),
         face_dim_sums=tuple(dim_sums),
         maximal_face_count=maximal[n],

@@ -60,6 +60,18 @@ def test_deletion_errors():
         delete_vertex(DynkinDiagram("D", 4), 4)  # D4 vertices are -1,1,2,3
 
 
+def test_check_vertex_accepts_exactly_the_labels():
+    for family, ranks in (("A", range(1, 10)), ("D", range(4, 10)), ("E", (6, 7, 8))):
+        for n in ranks:
+            d = DynkinDiagram(family, n)
+            for ell in range(-3, n + 3):
+                if ell in d.vertices:
+                    d.check_vertex(ell)
+                else:
+                    with pytest.raises(NotAVertex, match=f"{d} has no vertex {ell}"):
+                        d.check_vertex(ell)
+
+
 def test_rank_of_unions():
     assert DiagramUnion().rank == 0
     assert u("A2xA1xA2").rank == 5

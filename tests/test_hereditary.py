@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from taupoly import formulas, hereditary
 from taupoly.dynkin import DynkinDiagram
-from taupoly.errors import ConventionError, NotAModule, RankTooLarge, UsageError
+from taupoly.errors import (
+    ConventionError,
+    ImpurityError,
+    NotAModule,
+    RankTooLarge,
+    UsageError,
+)
 from taupoly.formulas import PATH, AlgebraSpec, golden_table
 from taupoly.hereditary import (
     MODULE,
@@ -116,6 +122,79 @@ def test_flipped_euler_form_raises(monkeypatch):
     monkeypatch.setattr(hereditary, "euler_form", lambda x, y, q: -original(x, y, q))
     with pytest.raises(ConventionError):
         build(OrientedQuiver.line(1))
+
+
+def test_both_impurity_branches_raise(monkeypatch):
+    build = tau_rigid_complex.__wrapped__  # bypass the memo
+    q = OrientedQuiver.line(3)
+    # every module compatible with every other: a 6-clique in a rank-3 complex
+    monkeypatch.setattr(hereditary, "ext_dim", lambda x, y, q: np.zeros((len(x), len(y)), int))
+    with pytest.raises(ImpurityError, match="clique larger than the ambient rank"):
+        build(q)
+    # no two modules compatible: the root (1,1,0) with P3[1] is a maximal edge
+    monkeypatch.setattr(hereditary, "ext_dim", lambda x, y, q: np.ones((len(x), len(y)), int))
+    with pytest.raises(ImpurityError, match="maximal face below full rank"):
+        build(q)
+
+
+def reference_census(n, edges, dims, max_size):
+    """Every clique listed as a set, grown one later vertex at a time."""
+    neighbors = [set() for _ in range(n)]
+    for a, b in edges:
+        if a != b:
+            neighbors[a].add(b)
+            neighbors[b].add(a)
+    counts, dim_sums, maximal = ([0] * (max_size + 1) for _ in range(3))
+    level = [frozenset()]
+    while level:
+        size = len(next(iter(level)))
+        if size > max_size:
+            return None
+        grown = set()
+        for clique in level:
+            common = set(range(n)).intersection(*(neighbors[v] for v in clique)) - clique
+            counts[size] += 1
+            dim_sums[size] += sum(dims[v] for v in clique)
+            maximal[size] += not common
+            grown.update(clique | {v} for v in common if v > max(clique, default=-1))
+        level = grown
+    return counts, dim_sums, maximal
+
+
+@st.composite
+def census_graphs(draw):
+    """A small dense graph, or a sparse one of 65-130 vertices with a
+    planted clique so that both uint64 words of a mask hold bits; random
+    dims and a max size at most one below or two above the clique number."""
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 10))
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        edges = [pair for pair in pairs if draw(st.booleans())]
+    else:
+        n = draw(st.integers(65, 130))
+        vertex = st.integers(0, n - 1)
+        edges = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
+        planted = draw(st.lists(vertex, max_size=7, unique=True))
+        edges += [(a, b) for a in planted for b in planted if a < b]
+    dims = draw(st.lists(st.integers(0, 30), min_size=n, max_size=n))
+    return n, edges, dims, draw(st.integers(-1, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(census_graphs())
+def test_clique_census_matches_a_set_listing(case):
+    n, edges, dims, slack = case
+    counts = reference_census(n, edges, dims, n)[0]
+    max_size = max(0, max(k for k, count in enumerate(counts) if count) + slack)
+    compatible = np.zeros((n, n), dtype=bool)
+    for a, b in edges:
+        compatible[a, b] = compatible[b, a] = a != b
+    want = reference_census(n, edges, dims, max_size)
+    if want is None:
+        with pytest.raises(ImpurityError, match="clique larger than the ambient rank"):
+            hereditary._clique_census(compatible, dims, max_size)
+    else:
+        assert hereditary._clique_census(compatible, dims, max_size) == want
 
 
 def test_interval_modules_are_bricks():
