@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import cache
 from math import comb
 
 from . import formulas, hereditary, lattice, oracles, series, tables, weyl
@@ -538,6 +539,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# built once per process: main reuses it, as parsing leaves it unchanged
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="taupoly", description=__doc__)
     parser.add_argument("--format", choices=("plain", "json", "csv"), default="plain")

@@ -237,10 +237,12 @@ def _clique_census(compatible: np.ndarray, dims, max_size: int):
     (bit j % 64 of uint64 word j // 64 for vertex j) and its dimension
     total.  Its children are the later neighbours of its last vertex
     whose bit is set in the mask, and it is maximal when the mask is
-    empty.  Each level is expanded in chunks of at most ``_CENSUS_EDGES``
-    candidate edges.  Dimension totals are summed in int64: in a complex
-    of rank at most 8 a face totals at most 8 * 29 and a level holds at
-    most 163,856 faces (E8), far below 2**63.
+    empty.  Faces of size max_size are not expanded: one with a nonempty
+    mask extends to a larger clique, so it raises.  Each level is
+    expanded in chunks of at most ``_CENSUS_EDGES`` candidate edges.
+    Dimension totals are summed in int64: in a complex of rank at most 8
+    a face totals at most 8 * 29 and a level holds at most 163,856 faces
+    (E8), far below 2**63.
 
     >>> _clique_census(~np.eye(3, dtype=bool), [1, 2, 3], 3)
     ([1, 3, 3, 1], [0, 6, 12, 6], [0, 0, 0, 1])
@@ -266,20 +268,25 @@ def _clique_census(compatible: np.ndarray, dims, max_size: int):
     counts[0], maximal[0] = 1, int(n == 0)
     last, mask, dim_total, size = np.arange(n), bits, dims, 1
     while len(last):
-        if size > max_size:
+        if size > max_size:  # only when max_size is 0; larger ones stop at their top level
             raise ImpurityError("clique larger than the ambient rank")
         counts[size] = len(last)
         dim_sums[size] = int(dim_total.sum())
         maximal[size] = int(np.count_nonzero(~mask.any(axis=1)))
+        if size == max_size:
+            if maximal[size] < len(last):
+                raise ImpurityError("clique larger than the ambient rank")
+            break
         chunks = []
         for lo in range(0, len(last), rows_per_chunk):
             rows = np.arange(lo, min(lo + rows_per_chunk, len(last)))
             fan = degree[last[rows]]
             parent = np.repeat(rows, fan)
             pos = np.arange(len(parent)) + np.repeat(start[last[rows]] - np.cumsum(fan) + fan, fan)
-            keep = (mask[parent, word[pos]] & bit[pos]) != 0
+            keep = (mask.reshape(-1)[parent * words + word[pos]] & bit[pos]) != 0
             parent, child = parent[keep], neighbor[pos[keep]]
             chunks.append((child, mask[parent] & bits[child], dim_total[parent] + dims[child]))
+        del last, mask, dim_total  # free this level before its children are joined
         last, mask, dim_total = (np.concatenate(level) for level in zip(*chunks))
         size += 1
     return counts, dim_sums, maximal

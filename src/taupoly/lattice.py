@@ -17,18 +17,21 @@ Each enumeration also reports its path count so callers can check the
 counting identities alongside the weighted sums; that count, known in
 closed form, is checked against the oracle budget before enumerating.
 
-The sign-sequence model runs in numpy blocks of a few thousand rows
-(``sign_sequence_blocks``): every sequence is still built, sorted and
-weighted, but per block rather than per tuple.  The tuple functions
-``sign_sequences`` and ``sequence_weight`` are the one-element
-definitions the tests compare the blocks with.
+All three models run in numpy blocks of at most ``_BLOCK_ROWS`` rows
+(``rect_path_blocks``, ``corner_path_blocks``, ``sign_sequence_blocks``):
+every path or sequence is still built exactly once, but per block rather
+than per tuple, and each block is reduced straight to its total
+(``block_area_rect``, ``block_area_corner``, ``block_sequence_weight``).
+The tuple functions ``rect_paths``, ``area_rect``, ``corner_paths``,
+``area_corner``, ``sign_sequences`` and ``sequence_weight`` are the
+one-element definitions the tests compare the blocks with.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import comb
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -37,14 +40,27 @@ from .errors import MalformedPath, NotAVertex, UsageError, check_oracle_budget
 East = 0
 North = 1
 
-# rows per sign-sequence block; within the oracle budget n - ell <= 23,
-# so no array of a block passes 400 KB
+# rows per block of every model; within the oracle budget a corner path or
+# a sign sequence has at most 23 entries, and a rectangle block is cut to
+# at most _BLOCK_ROWS * 24 entries, so no array of a block passes 400 KB
 _BLOCK_ROWS = 2048
 
 
 class OracleSum(NamedTuple):
     total: int
     count: int
+
+
+def _sum_blocks(
+    blocks: Iterable[np.ndarray], block_total: Callable[[np.ndarray], int]
+) -> OracleSum:
+    """The exact total and the row count over a stream of blocks."""
+    total = 0
+    count = 0
+    for block in blocks:
+        total += block_total(block)
+        count += len(block)
+    return OracleSum(total, count)
 
 
 def rect_paths(s: int, t: int) -> Iterator[tuple[int, ...]]:
@@ -73,6 +89,32 @@ def area_rect(path: tuple[int, ...], s: int, t: int) -> int:
     return area
 
 
+def rect_path_blocks(s: int, t: int) -> Iterator[np.ndarray]:
+    """The members of ``rect_paths(s, t)`` for s >= 1, each once, as int64
+    rows of East-step positions (entry j is the index of the j-th East
+    step), in arrays of at most ``_BLOCK_ROWS`` rows; long rows cut a
+    block to ``_BLOCK_ROWS * 24`` entries, or to a single row.
+
+    >>> next(rect_path_blocks(2, 2)).tolist()
+    [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
+    """
+    rows_per_block = max(1, min(_BLOCK_ROWS, _BLOCK_ROWS * 24 // s))
+    combos = itertools.combinations(range(s + t), s)
+    while True:
+        chunk = itertools.chain.from_iterable(itertools.islice(combos, rows_per_block))
+        positions = np.fromiter(chunk, dtype=np.int64).reshape(-1, s)
+        if not len(positions):
+            return
+        yield positions
+
+
+def block_area_rect(positions: np.ndarray) -> int:
+    """The sum of ``area_rect`` over a block of ``rect_path_blocks``: the
+    j-th East step (from 0) lies above p_j - j North steps."""
+    rows, s = positions.shape
+    return int(positions.sum()) - rows * comb(s, 2)
+
+
 def dim_orbit_ppa_A_oracle(n: int, ell: int) -> OracleSum:
     """Enumerate the rectangle paths and sum their areas.
 
@@ -81,13 +123,7 @@ def dim_orbit_ppa_A_oracle(n: int, ell: int) -> OracleSum:
     if not 1 <= ell <= n:
         raise NotAVertex(f"vertex {ell} not in A{n}")
     check_oracle_budget(f"A{n} rectangle model at vertex {ell}", comb(n + 1, ell))
-    s, t = ell, n - ell + 1
-    total = 0
-    count = 0
-    for path in rect_paths(s, t):
-        total += area_rect(path, s, t)
-        count += 1
-    return OracleSum(total, count)
+    return _sum_blocks(rect_path_blocks(ell, n - ell + 1), block_area_rect)
 
 
 def corner_paths(length: int) -> Iterator[tuple[int, ...]]:
@@ -116,17 +152,33 @@ def area_corner(path: tuple[int, ...], n: int) -> int:
     return area
 
 
+def corner_path_blocks(length: int) -> Iterator[np.ndarray]:
+    """The members of ``corner_paths(length)``, each once, as int64 rows
+    of steps in arrays of at most ``_BLOCK_ROWS`` rows: step i of the
+    m-th path is bit i of m.
+
+    >>> next(corner_path_blocks(2)).tolist()
+    [[0, 0], [1, 0], [0, 1], [1, 1]]
+    """
+    bits = np.arange(length)
+    for start in range(0, 1 << length, _BLOCK_ROWS):
+        masks = np.arange(start, min(start + _BLOCK_ROWS, 1 << length))
+        yield (masks[:, None] >> bits) & 1
+
+
+def block_area_corner(steps: np.ndarray, n: int) -> int:
+    """The sum of ``area_corner`` over a block of ``corner_path_blocks``:
+    a North step at index i, after j North and x East steps, adds
+    (n - 1) - j - x = (n - 1) - i."""
+    return int((steps @ np.arange(n - 1, 0, -1)).sum())
+
+
 def dim_orbit_ppa_D_oracle_pm1(n: int) -> OracleSum:
     """Enumerate corner paths; the total must equal n(n-1)2^(n-3)."""
     if n < 2:
         raise UsageError("corner model needs n >= 2")
     check_oracle_budget(f"D{n} corner model", 2 ** (n - 1))
-    total = 0
-    count = 0
-    for path in corner_paths(n - 1):
-        total += area_corner(path, n)
-        count += 1
-    return OracleSum(total, count)
+    return _sum_blocks(corner_path_blocks(n - 1), lambda steps: block_area_corner(steps, n))
 
 
 def sign_sequences(n: int, ell: int) -> Iterator[tuple[int, ...]]:
@@ -186,12 +238,13 @@ def sign_sequence_blocks(n: int, ell: int) -> Iterator[np.ndarray]:
             yield np.sort(rows, axis=1)[:, ::-1]
 
 
-def sequence_weights(rows: np.ndarray, n: int) -> np.ndarray:
-    """Row-wise ``sequence_weight``, in int64: the positions
-    n - k + 1..n plus the entries, less 2 for each positive entry."""
-    k = rows.shape[1]
-    positions = np.arange(n - k + 1, n + 1, dtype=np.int64)
-    return (positions + rows).sum(axis=1) - 2 * (rows > 0).sum(axis=1)
+def block_sequence_weight(rows: np.ndarray, n: int) -> int:
+    """The sum of ``sequence_weight`` over a block of
+    ``sign_sequence_blocks``: each row adds the positions n - k + 1..n
+    and its entries, less 2 for each positive entry."""
+    count, k = rows.shape
+    positions = k * (2 * n - k + 1) // 2
+    return count * positions + int(rows.sum()) - 2 * int(np.count_nonzero(rows > 0))
 
 
 def dim_orbit_ppa_D_oracle_mid(n: int, ell: int) -> OracleSum:
@@ -204,9 +257,4 @@ def dim_orbit_ppa_D_oracle_mid(n: int, ell: int) -> OracleSum:
     if not 2 <= ell <= n - 1:
         raise NotAVertex(f"tail vertex {ell} not in 2..{n - 1}")
     check_oracle_budget(f"D{n} sign-sequence model at vertex {ell}", 2 ** (n - ell) * comb(n, ell))
-    total = 0
-    count = 0
-    for rows in sign_sequence_blocks(n, ell):
-        total += int(sequence_weights(rows, n).sum())
-        count += len(rows)
-    return OracleSum(total, count)
+    return _sum_blocks(sign_sequence_blocks(n, ell), lambda rows: block_sequence_weight(rows, n))

@@ -2,7 +2,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from taupoly import formulas, hereditary
@@ -182,6 +182,7 @@ def census_graphs(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(census_graphs())
+@example((1, [], [1], -1))  # max size 0: the lone vertex is already too large
 def test_clique_census_matches_a_set_listing(case):
     n, edges, dims, slack = case
     counts = reference_census(n, edges, dims, n)[0]

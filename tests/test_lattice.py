@@ -12,13 +12,17 @@ from taupoly.lattice import (
     North,
     area_corner,
     area_rect,
+    block_area_corner,
+    block_area_rect,
+    block_sequence_weight,
+    corner_path_blocks,
     corner_paths,
     dim_orbit_ppa_A_oracle,
     dim_orbit_ppa_D_oracle_mid,
     dim_orbit_ppa_D_oracle_pm1,
+    rect_path_blocks,
     rect_paths,
     sequence_weight,
-    sequence_weights,
     sign_sequence_blocks,
     sign_sequences,
 )
@@ -147,7 +151,48 @@ def test_sequence_weight():
             assert min(weights) == 0
 
 
-@pytest.mark.parametrize("block_rows", [1, 3, 64, 2048])
+def steps_of(positions, s, t):
+    """The step tuple of a rectangle path given its East-step positions."""
+    path = [North] * (s + t)
+    for pos in positions:
+        path[pos] = East
+    return tuple(path)
+
+
+BLOCK_SIZES = pytest.mark.parametrize("block_rows", [1, 3, 64, lattice._BLOCK_ROWS])
+
+
+@BLOCK_SIZES
+def test_rect_path_blocks_yield_each_path_once(block_rows, monkeypatch):
+    monkeypatch.setattr(lattice, "_BLOCK_ROWS", block_rows)
+    for n in range(1, 9):
+        for s in range(1, n + 1):
+            t = n - s + 1
+            blocks = list(rect_path_blocks(s, t))
+            assert all(len(block) <= block_rows for block in blocks)
+            seen = Counter(steps_of(row, s, t) for block in blocks for row in block.tolist())
+            assert set(seen) == set(rect_paths(s, t))
+            assert set(seen.values()) == {1}
+            for block in blocks:
+                paths = [steps_of(row, s, t) for row in block.tolist()]
+                assert block_area_rect(block) == sum(area_rect(p, s, t) for p in paths)
+
+
+@BLOCK_SIZES
+def test_corner_path_blocks_yield_each_path_once(block_rows, monkeypatch):
+    monkeypatch.setattr(lattice, "_BLOCK_ROWS", block_rows)
+    for n in range(2, 10):
+        blocks = list(corner_path_blocks(n - 1))
+        assert all(len(block) <= block_rows for block in blocks)
+        seen = Counter(tuple(row) for block in blocks for row in block.tolist())
+        assert set(seen) == set(corner_paths(n - 1))
+        assert set(seen.values()) == {1}
+        for block in blocks:
+            expected = sum(area_corner(tuple(row), n) for row in block.tolist())
+            assert block_area_corner(block, n) == expected
+
+
+@BLOCK_SIZES
 def test_sign_sequence_blocks_yield_each_sequence_once(block_rows, monkeypatch):
     # small blocks split both the combinations and the sign vectors
     monkeypatch.setattr(lattice, "_BLOCK_ROWS", block_rows)
@@ -158,14 +203,18 @@ def test_sign_sequence_blocks_yield_each_sequence_once(block_rows, monkeypatch):
             seen = Counter(tuple(row) for block in blocks for row in block.tolist())
             assert set(seen) == set(sign_sequences(n, ell))
             assert set(seen.values()) == {1}
+            for block in blocks:
+                expected = sum(sequence_weight(tuple(row), n) for row in block.tolist())
+                assert block_sequence_weight(block, n) == expected
 
 
-def test_row_weights_match_the_tuple_definition():
-    for n in range(2, 9):
-        for ell in range(1, n):
-            for block in sign_sequence_blocks(n, ell):
-                expected = [sequence_weight(tuple(row), n) for row in block.tolist()]
-                assert sequence_weights(block, n).tolist() == expected
+def test_rectangle_oracle_is_exact_at_large_n():
+    # positions past the int8 range; a long side cuts the blocks by entries
+    assert dim_orbit_ppa_A_oracle(200, 2) == (engine_dim_A(200, 2), comb(201, 2))
+    assert dim_orbit_ppa_A_oracle(200, 199) == (engine_dim_A(200, 199), comb(201, 199))
+    blocks = list(rect_path_blocks(199, 2))
+    assert max(block.size for block in blocks) <= lattice._BLOCK_ROWS * 24
+    assert sum(map(len, blocks)) == comb(201, 199)
 
 
 def test_mid_oracle_is_exact_at_large_n():

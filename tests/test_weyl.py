@@ -342,8 +342,8 @@ def test_oracles_refuse_over_budget_before_any_work(calls):
             (oracles, "permutation_rows"),
             (oracles, "permutation_blocks"),
             (oracles, "even_signed_blocks"),
-            (lattice, "area_rect"),
-            (lattice, "area_corner"),
+            (lattice, "rect_path_blocks"),
+            (lattice, "corner_path_blocks"),
             (lattice, "sign_sequence_blocks"),
         ):
             patch.setattr(module, name, work)
