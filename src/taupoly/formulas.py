@@ -190,26 +190,17 @@ def _d_catalan_count(ell: int) -> int:
     return DynkinDiagram("D", ell).catalan_count()
 
 
-_TABLE_RANKS = {
-    1: range(1, 10),
-    2: range(4, 10),
-    3: range(6, 9),
-    4: range(1, 10),
-    5: range(4, 10),
-    6: range(6, 9),
-}
-
-
 def reproduce_table(k: int) -> dict[int, tuple[int, ...]]:
-    """Recompute a published grid from the formula engine.
+    """Recompute a published grid from the formula engine, at the ranks
+    the published grid lists.
 
     Row n lists d_0..d_(n-1) with d_j the coefficient of t^(n-1-j).
     """
     if k not in tables.TABLES:
         raise UsageError(f"table number must be 1..6, got {k}")
-    family, diagram_family, _ = tables.TABLES[k]
+    family, diagram_family, published = tables.TABLES[k]
     rows = {}
-    for n in _TABLE_RANKS[k]:
+    for n in sorted(published):
         spec = AlgebraSpec(family, DynkinDiagram(diagram_family, n))
         poly = d_polynomial(spec)
         rows[n] = tuple(poly.coefficient(n - 1 - j) for j in range(n))

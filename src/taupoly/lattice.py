@@ -116,14 +116,16 @@ def block_area_rect(positions: np.ndarray) -> int:
 
 
 def dim_orbit_ppa_A_oracle(n: int, ell: int) -> OracleSum:
-    """Enumerate the rectangle paths and sum their areas.
+    """Enumerate the ell x (n-ell+1) rectangle paths and sum their areas.
 
-    The count equals binom(n+1, ell).
+    The count equals binom(n+1, ell).  Reversing a path and swapping East
+    and North maps the s x t paths one-to-one onto the t x s paths, area
+    for area, so the paths are listed by their steps along the shorter side.
     """
     if not 1 <= ell <= n:
         raise NotAVertex(f"vertex {ell} not in A{n}")
     check_oracle_budget(f"A{n} rectangle model at vertex {ell}", comb(n + 1, ell))
-    return _sum_blocks(rect_path_blocks(ell, n - ell + 1), block_area_rect)
+    return _sum_blocks(rect_path_blocks(*sorted((ell, n - ell + 1))), block_area_rect)
 
 
 def corner_paths(length: int) -> Iterator[tuple[int, ...]]:

@@ -28,8 +28,9 @@ one-element definitions the tests compare the row-wise counts with.
 The weight orbit visits each group element once: the stabilizer of the
 regular weight rho = (1, ..., 1) is trivial, so orbit points and group
 elements are in bijection.  Points are stored in fundamental-weight
-coordinates (bounded by the Coxeter number, so int8 is safe) and
-deduplicated through a packed int64 key.
+coordinates (bounded by the Coxeter number, so int8 is safe) and each is
+made once, from its canonical parent (``orbit_levels``); the positive
+roots are made the same way, one height at a time.
 
 The walk goes level by level from c down to the identity.  The elements
 covered by w are the t*w for the reflections t whose root lies in
@@ -55,8 +56,6 @@ from .polynomials import ONE, Polynomial
 
 _P1 = 2147483647  # 2**31 - 1, prime
 _P2 = 2147483629  # prime
-
-_KEY_OFFSET = 32  # weight coordinates lie in [-(h-1), h-1], h <= 30
 
 
 def cartan_matrix(d: DynkinDiagram) -> np.ndarray:
@@ -88,56 +87,54 @@ def reflection_matrix_for_root(root: np.ndarray, cartan: np.ndarray) -> np.ndarr
 
 
 def positive_roots(cartan: np.ndarray) -> list[tuple[int, ...]]:
-    """All positive roots in simple-root coordinates, by reflection closure."""
+    """All positive roots in simple-root coordinates, sorted, built up by
+    height: gamma = beta + alpha_i is a root exactly when <beta, alpha_i> =
+    -1, and is kept only from its canonical parent, where i is the first j
+    with <gamma, alpha_j> = 1 (every non-simple positive root has one)."""
     C = np.asarray(cartan, dtype=np.int64)
     n = C.shape[0]
-    simples = [tuple(int(v) for v in row) for row in np.eye(n, dtype=np.int64)]
-    seen = set(simples)
-    frontier = list(simples)
-    while frontier:
-        nxt = []
-        for r in frontier:
-            vec = np.array(r, dtype=np.int64)
-            for i in range(n):
-                img = vec.copy()
-                img[i] -= int(C[i] @ vec)
-                t = tuple(int(x) for x in img)
-                if t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    return sorted(r for r in seen if min(r) >= 0 and max(r) > 0)
-
-
-def _keys_of(points: np.ndarray) -> np.ndarray:
-    n = points.shape[1]
-    powers = (64 ** np.arange(n, dtype=np.int64))
-    return ((points.astype(np.int64) + _KEY_OFFSET) * powers).sum(axis=1)
+    level = np.eye(n, dtype=np.int64)  # the roots of one height, as rows
+    levels = [level]
+    while len(level):
+        pairing = level @ C  # entry (r, j) is <beta_r, alpha_j>; C is symmetric
+        children = []
+        for i in range(n):
+            up = pairing[:, i] == -1
+            gamma = level[up]
+            gamma[:, i] += 1
+            first = np.argmax(pairing[up] + C[i] == 1, axis=1)
+            children.append(gamma[first == i])
+        level = np.concatenate(children)
+        levels.append(level)
+    return sorted(map(tuple, np.concatenate(levels).tolist()))
 
 
 def orbit_levels(cartan: np.ndarray) -> Iterator[np.ndarray]:
-    """Yield BFS levels of the rho-orbit as (k, n) int8 points in
-    fundamental-weight coordinates."""
-    C = np.asarray(cartan, dtype=np.int16)
-    n = C.shape[0]
-    pts = np.ones((1, n), dtype=np.int8)
-    visited = np.sort(_keys_of(pts))
+    """The rho-orbit by length, as (n, points) int8 columns of
+    fundamental-weight coordinates: level k holds the w(rho) with l(w) = k.
 
-    while pts.shape[0]:
-        yield pts
-        cand_pts = []
+    s_i lengthens w exactly when mu_i > 0 for mu = w(rho), and the first
+    negative coordinate j of any point but rho names its one parent
+    s_j(mu); so a child s_i(mu) is kept only with no negative coordinate
+    before i, and each point is made once.
+
+    >>> [level.shape[1] for level in orbit_levels(cartan_matrix(DynkinDiagram("A", 2)))]
+    [1, 2, 2, 1]
+    """
+    # |mu_i| is the height of a root, at most h - 1 <= 29, so every value
+    # below, mu_i * C[i, j] and mu_j - mu_i * C[i, j] included, is at most
+    # 58 in absolute value and int8 holds it
+    C = np.asarray(cartan, dtype=np.int8)
+    n = C.shape[0]
+    level = np.ones((n, 1), dtype=np.int8)
+    while level.shape[1]:
+        yield level
+        children = []
         for i in range(n):
-            nxt = pts.astype(np.int16).copy()
-            nxt -= pts[:, i : i + 1].astype(np.int16) * C[i][None, :]
-            cand_pts.append(nxt.astype(np.int8))
-        allpts = np.concatenate(cand_pts, axis=0)
-        keys = _keys_of(allpts)
-        uniq_keys, first = np.unique(keys, return_index=True)
-        pos = np.searchsorted(visited, uniq_keys)
-        pos = np.minimum(pos, len(visited) - 1)
-        fresh = visited[pos] != uniq_keys
-        pts = allpts[first[fresh]]
-        visited = np.sort(np.concatenate([visited, uniq_keys[fresh]]))
+            mu = level[:, level[i] > 0]
+            child = mu - mu[i] * C[i][:, None]
+            children.append(child[:, ~(child[:i] < 0).any(axis=0)])
+        level = np.concatenate(children, axis=1)
 
 
 def descent_distribution(cartan: np.ndarray, progress: Callable[[int], None] | None = None) -> list[int]:
@@ -148,17 +145,14 @@ def descent_distribution(cartan: np.ndarray, progress: Callable[[int], None] | N
     distribution over the whole group.
     """
     n = np.asarray(cartan).shape[0]
-    hist = np.zeros(n + 1, dtype=object)
+    hist = np.zeros(n + 1, dtype=np.int64)
     total = 0
-    for pts in orbit_levels(cartan):
-        counts = (pts < 0).sum(axis=1)
-        binned = np.bincount(counts, minlength=n + 1)
-        for j, v in enumerate(binned):
-            hist[j] += int(v)
-        total += pts.shape[0]
+    for level in orbit_levels(cartan):
+        hist += np.bincount((level < 0).sum(axis=0), minlength=n + 1)
+        total += level.shape[1]
         if progress is not None:
             progress(total)
-    return [int(v) for v in hist]
+    return hist.tolist()
 
 
 def _eliminate_mod_p(mats: np.ndarray, p: int, pivot_cols: int) -> tuple[np.ndarray, np.ndarray]:
@@ -428,10 +422,15 @@ def eulerian_by_orbit(d: DynkinDiagram) -> Polynomial:
 
     Works for every family; it is the only route for type E.  The orbit
     has one point per group element, so E8 (696,729,600) is over the
-    oracle budget.
+    oracle budget; a traversal that visits any other number of points
+    raises ConsistencyError.
     """
     check_oracle_budget(f"{d} weight orbit", d.group_order())
-    return Polynomial(descent_distribution(cartan_matrix(d)))
+    hist = descent_distribution(cartan_matrix(d))
+    # no visited set guards the traversal, so its point count does
+    if sum(hist) != d.group_order():
+        raise ConsistencyError(f"{d} weight orbit: {sum(hist):,} points, not {d.group_order():,}")
+    return Polynomial(hist)
 
 
 def eulerian(u) -> Polynomial:

@@ -178,6 +178,15 @@ def test_rect_path_blocks_yield_each_path_once(block_rows, monkeypatch):
                 assert block_area_rect(block) == sum(area_rect(p, s, t) for p in paths)
 
 
+def test_rectangle_totals_are_symmetric_in_the_sides():
+    # the oracle lists the paths along the shorter side
+    for s in range(1, 8):
+        for t in range(1, 8):
+            total = lattice._sum_blocks(rect_path_blocks(s, t), block_area_rect)
+            assert total == lattice._sum_blocks(rect_path_blocks(t, s), block_area_rect)
+            assert total == (sum(area_rect(p, s, t) for p in rect_paths(s, t)), comb(s + t, s))
+
+
 @BLOCK_SIZES
 def test_corner_path_blocks_yield_each_path_once(block_rows, monkeypatch):
     monkeypatch.setattr(lattice, "_BLOCK_ROWS", block_rows)

@@ -105,6 +105,38 @@ def test_signed_and_orbit_models_agree_on_d4_d5():
         assert eulerian_d_by_enumeration(rank) == eulerian_by_orbit(D(rank))
 
 
+def test_orbit_levels_make_each_point_once():
+    # no visited set: level k must be exactly the points w(rho) with l(w) = k,
+    # l(w) being the number of positive roots that pair negatively with them
+    for diagram in (A(1), A(2), A(3), A(4), A(5), D(4), D(5), E(6)):
+        cartan = cartan_matrix(diagram)
+        roots = np.array(oracles.positive_roots(cartan))
+        levels = list(oracles.orbit_levels(cartan))
+        for k, level in enumerate(levels):
+            assert ((roots @ level < 0).sum(axis=0) == k).all(), (diagram, k)
+        points = np.concatenate(levels, axis=1)
+        assert len(np.unique(points, axis=1).T) == points.shape[1] == diagram.group_order()
+
+
+def test_descent_distribution_reports_running_counts():
+    seen = []
+    hist = oracles.descent_distribution(cartan_matrix(A(2)), progress=seen.append)
+    assert hist == [1, 4, 1]
+    assert seen == [1, 3, 5, 6]
+
+
+def test_miscounted_orbit_is_an_internal_error(monkeypatch):
+    traverse = oracles.orbit_levels
+
+    def one_point_too_many(cartan):
+        yield from traverse(cartan)
+        yield np.ones((cartan.shape[0], 1), dtype=np.int8)
+
+    monkeypatch.setattr(oracles, "orbit_levels", one_point_too_many)
+    with pytest.raises(ConsistencyError, match="A2 weight orbit: 7 points, not 6"):
+        eulerian_by_orbit(A(2))
+
+
 def test_eulerian_engine_matches_weight_orbit():
     # the orbit's point count is the group order, which also pins the
     # type E literals in DynkinDiagram.group_order
@@ -283,8 +315,12 @@ def test_coxeter_element_is_admissible_for_bipartition():
 
 def test_positive_roots_closure():
     for diagram, count in ((A(4), 10), (D(4), 12), (E(6), 36)):
-        roots = oracles.positive_roots(cartan_matrix(diagram))
+        cartan = cartan_matrix(diagram)
+        roots = oracles.positive_roots(cartan)
         assert len(roots) == count
+        assert roots == sorted(set(roots))
+        # every one has norm 2, so is a root; sorted and distinct, they are all of them
+        assert all(np.array(r) @ cartan @ np.array(r) == 2 for r in roots)
 
 
 def test_feature_gates():
