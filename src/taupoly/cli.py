@@ -23,7 +23,7 @@ from math import comb
 
 from . import formulas, hereditary, lattice, oracles, series, tables, weyl
 from .dynkin import DynkinDiagram, parse_diagram, parse_union
-from .errors import ConsistencyError, TaupolyError, UsageError
+from .errors import ConsistencyError, TaupolyError, UsageError, check_oracle_budget
 from .formulas import PATH, PREPROJECTIVE, AlgebraSpec
 from .polynomials import Polynomial
 
@@ -195,38 +195,42 @@ def cmd_h_polynomial(args) -> Report:
     return report
 
 
+# diagram family -> (brute force for (total, count) at one vertex, the
+# name of its count); each count is the size of the orbit of w_ell
+_DIM_ORBIT_ORACLES = {
+    "A": (lambda d, ell: lattice.dim_orbit_ppa_A_oracle(d.rank, ell), "path_count"),
+    "D": (
+        lambda d, ell: lattice.dim_orbit_ppa_D_oracle_pm1(d.rank)
+        if ell in (1, -1)
+        else lattice.dim_orbit_ppa_D_oracle_mid(d.rank, ell),
+        "count",
+    ),
+    "E": (oracles.weight_orbit_total, "count"),
+}
+
+
 def cmd_dim_orbit(args) -> Report:
     if _family_arg(args.family) != PREPROJECTIVE:
         raise UsageError("dim-orbit models the doubled-quiver projectives; use --family ppa")
-    dfam = args.type.upper()
-    if dfam not in ("A", "D"):
-        raise UsageError("dim-orbit supports --type A or D")
-    n = args.rank
-    diagram = DynkinDiagram(dfam, n)
+    diagram = DynkinDiagram(args.type.upper(), args.rank)
     ell = args.vertex
     if ell is not None:
-        # before a lattice model is picked, so every route names the diagram
+        # before an oracle is picked, so every route names the diagram
         diagram.check_vertex(ell)
-    report = Report(command=f"dim-orbit --type {dfam} --rank {n}")
-    if ell is None:
-        if dfam == "D":
-            raise UsageError("type D needs --vertex (use -1, 1, or 2..n-1)")
+    report = Report(command=f"dim-orbit --type {diagram.family} --rank {diagram.rank}")
+    oracle, count_name = _DIM_ORBIT_ORACLES[diagram.family]
+    if ell is not None and args.oracle:
+        report.results["total"], report.results[count_name] = oracle(diagram, ell)
+    elif ell is not None:
+        report.results["total"] = formulas.orbit_dim_total(PREPROJECTIVE, diagram, ell)
+    elif args.oracle:
+        estimate = sum(weyl.coset_count(diagram, v) for v in diagram.vertices)
+        check_oracle_budget(f"{diagram} orbit-total oracle over every vertex", estimate)
+        report.results["totals"] = {v: oracle(diagram, v)[0] for v in diagram.vertices}
+    else:
         report.results["totals"] = {
             v: formulas.orbit_dim_total(PREPROJECTIVE, diagram, v) for v in diagram.vertices
         }
-    elif not args.oracle:
-        report.results["total"] = formulas.orbit_dim_total(PREPROJECTIVE, diagram, ell)
-    elif dfam == "A":
-        total, count = lattice.dim_orbit_ppa_A_oracle(n, ell)
-        report.results["total"] = total
-        report.results["path_count"] = count
-    else:
-        if ell in (1, -1):
-            total, count = lattice.dim_orbit_ppa_D_oracle_pm1(n)
-        else:
-            total, count = lattice.dim_orbit_ppa_D_oracle_mid(n, ell)
-        report.results["total"] = total
-        report.results["count"] = count
     return report
 
 

@@ -24,11 +24,15 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial
+from math import prod
 
 from .errors import ConsistencyError, NotAVertex, UsageError
 
-_VALID_E_RANKS = (6, 7, 8)
+_E_DEGREES = {
+    6: (2, 5, 6, 8, 9, 12),
+    7: (2, 6, 8, 10, 12, 14, 18),
+    8: (2, 8, 12, 14, 18, 20, 24, 30),
+}
 
 
 @dataclass(frozen=True, order=True)
@@ -46,7 +50,7 @@ class DynkinDiagram:
             if self.rank < 4:
                 raise UsageError(f"D_n needs n >= 4 as a diagram, got {self.rank}")
         elif self.family == "E":
-            if self.rank not in _VALID_E_RANKS:
+            if self.rank not in _E_DEGREES:
                 raise UsageError(f"E_n needs n in {{6,7,8}}, got {self.rank}")
         else:
             raise UsageError(f"unknown family {self.family!r}")
@@ -74,17 +78,22 @@ class DynkinDiagram:
         chain = [(1, 2), (2, 3), (3, 5)] + [(i, i + 1) for i in range(5, n)]
         return tuple(chain[: n - 2]) + ((3, 4),)
 
+    @property
+    def degrees(self) -> tuple[int, ...]:
+        """Degrees of the basic invariants of the Weyl group."""
+        n = self.rank
+        if self.family == "A":
+            return tuple(range(2, n + 2))
+        if self.family == "D":
+            return (*range(2, 2 * n - 1, 2), n)
+        return _E_DEGREES[n]
+
     # keys are the diagrams asked about, one int each: the deletions of
     # A1000 (dim-orbit) leave 1,000 of them, about 0.5 MB in all
     @cache
     def group_order(self) -> int:
         """Order of the associated reflection group."""
-        n = self.rank
-        if self.family == "A":
-            return factorial(n + 1)
-        if self.family == "D":
-            return 2 ** (n - 1) * factorial(n)
-        return {6: 51840, 7: 2903040, 8: 696729600}[n]
+        return prod(self.degrees)
 
     def catalan_count(self) -> int:
         """W-Catalan number: the maximal rigid objects of the path algebra.
@@ -92,23 +101,14 @@ class DynkinDiagram:
         >>> DynkinDiagram("D", 4).catalan_count()
         50
         """
-        n = self.rank
-        if self.family == "A":
-            return comb(2 * n + 2, n + 1) // (n + 2)
-        if self.family == "D":
-            return (3 * n - 2) * comb(2 * n - 1, n - 1) // (2 * n - 1)
-        return {6: 833, 7: 4160, 8: 25080}[n]
+        h = self.coxeter_number()
+        return prod(h + d for d in self.degrees) // self.group_order()
 
     def positive_root_count(self) -> int:
-        n = self.rank
-        if self.family == "A":
-            return n * (n + 1) // 2
-        if self.family == "D":
-            return n * (n - 1)
-        return {6: 36, 7: 63, 8: 120}[n]
+        return sum(d - 1 for d in self.degrees)
 
     def coxeter_number(self) -> int:
-        return 2 * self.positive_root_count() // self.rank
+        return max(self.degrees)
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"

@@ -142,7 +142,7 @@ def aggregate_totals_closed(spec: AlgebraSpec) -> tuple[int, int]:
 def expected_aggregates(spec: AlgebraSpec) -> tuple[int, int] | None:
     """Closed forms for the aggregates where the families admit one.
 
-    Returns None for type E, where only the embedded data applies.  The
+    Returns None for type E, where only the published grids apply.  The
     second path-D value is the sum over vertices of (projective
     dimension) * (Catalan count of the deleted diagram).
     """
@@ -181,13 +181,9 @@ def expected_aggregates(spec: AlgebraSpec) -> tuple[int, int] | None:
 
 
 def _d_catalan_count(ell: int) -> int:
-    """Total count of maximal objects for the rank-ell D diagram, with the
-    rank 2 and 3 cases read as A1xA1 and A3."""
-    if ell == 2:
-        return DynkinDiagram("A", 1).catalan_count() ** 2
-    if ell == 3:
-        return DynkinDiagram("A", 3).catalan_count()
-    return DynkinDiagram("D", ell).catalan_count()
+    """The W-Catalan number of D_ell, whose closed form also gives those
+    of A1xA1 and A3 at ell = 2 and 3."""
+    return (3 * ell - 2) * comb(2 * ell - 1, ell - 1) // (2 * ell - 1)
 
 
 def reproduce_table(k: int) -> dict[int, tuple[int, ...]]:

@@ -6,6 +6,7 @@ and the ``--oracle`` routes compare the engine with these:
 * descent counts by enumerating permutations (type A) and even-signed
   permutations (type D), by the classical triangle recurrences, and by
   breadth-first traversal of the regular-weight orbit (every type);
+* preprojective orbit totals by traversing a fundamental-weight orbit;
 * Narayana polynomials by the closed binomial formula (type A) and by
   walking the absolute-order interval down from a Coxeter element,
   visiting only its Catalan(W) elements; the tests check the walk against
@@ -25,12 +26,13 @@ times one even sign vector).  The tuple functions
 ``descent_count_permutation`` and ``descent_count_signed`` are the
 one-element definitions the tests compare the row-wise counts with.
 
-The weight orbit visits each group element once: the stabilizer of the
-regular weight rho = (1, ..., 1) is trivial, so orbit points and group
-elements are in bijection.  Points are stored in fundamental-weight
-coordinates (bounded by the Coxeter number, so int8 is safe) and each is
-made once, from its canonical parent (``orbit_levels``); the positive
-roots are made the same way, one height at a time.
+One kernel, ``orbit_levels``, traverses the orbit of a dominant weight,
+making each point once, from its canonical parent, in fundamental-weight
+coordinates (int8) and with its height below the start.  From the
+regular weight rho = (1, ..., 1) the points match the group elements;
+from a fundamental weight w_l they match the rigid submodules of the
+projective at l over the preprojective algebra, of dimension that height
+(Geiss-Leclerc-Schroer).  Positive roots are made likewise, by height.
 
 The walk goes level by level from c down to the identity.  The elements
 covered by w are the t*w for the reflections t whose root lies in
@@ -50,7 +52,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .dynkin import DynkinDiagram, as_union
+from .dynkin import DynkinDiagram, as_union, delete_vertex
 from .errors import ConsistencyError, check_oracle_budget
 from .polynomials import ONE, Polynomial
 
@@ -109,32 +111,39 @@ def positive_roots(cartan: np.ndarray) -> list[tuple[int, ...]]:
     return sorted(map(tuple, np.concatenate(levels).tolist()))
 
 
-def orbit_levels(cartan: np.ndarray) -> Iterator[np.ndarray]:
-    """The rho-orbit by length, as (n, points) int8 columns of
-    fundamental-weight coordinates: level k holds the w(rho) with l(w) = k.
+def orbit_levels(cartan: np.ndarray, start) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The orbit of the dominant weight ``start`` by length, as (n, points)
+    int8 columns of fundamental-weight coordinates and the int64 heights
+    ht(start - mu): level k holds the w(start) whose shortest w has l(w) = k.
 
-    s_i lengthens w exactly when mu_i > 0 for mu = w(rho), and the first
-    negative coordinate j of any point but rho names its one parent
-    s_j(mu); so a child s_i(mu) is kept only with no negative coordinate
-    before i, and each point is made once.
+    s_i lengthens w, and adds mu_i to the height, exactly when mu_i > 0 for
+    mu = w(start), and the first negative coordinate j of any point but the
+    start names its one parent s_j(mu); so a child s_i(mu) is kept only
+    with no negative coordinate before i, and each point is made once.
 
-    >>> [level.shape[1] for level in orbit_levels(cartan_matrix(DynkinDiagram("A", 2)))]
+    >>> [level.shape[1] for level, _ in orbit_levels(cartan_matrix(DynkinDiagram("A", 2)), (1, 1))]
     [1, 2, 2, 1]
     """
-    # |mu_i| is the height of a root, at most h - 1 <= 29, so every value
-    # below, mu_i * C[i, j] and mu_j - mu_i * C[i, j] included, is at most
-    # 58 in absolute value and int8 holds it
+    # mu_i = <start, beta> for a root beta: from rho its height, at most
+    # h - 1 <= 29, and from w_ell its alpha_ell coefficient, at most 6.  So
+    # every value below, mu_i * C[i, j] and mu_j - mu_i * C[i, j] included,
+    # is at most 58 in absolute value and int8 holds it
     C = np.asarray(cartan, dtype=np.int8)
     n = C.shape[0]
-    level = np.ones((n, 1), dtype=np.int8)
+    level = np.array(start, dtype=np.int8).reshape(n, 1)
+    heights = np.zeros(1, dtype=np.int64)
     while level.shape[1]:
-        yield level
-        children = []
+        yield level, heights
+        children, lowered = [], []
         for i in range(n):
-            mu = level[:, level[i] > 0]
+            up = level[i] > 0
+            mu = level[:, up]
             child = mu - mu[i] * C[i][:, None]
-            children.append(child[:, ~(child[:i] < 0).any(axis=0)])
+            canonical = ~(child[:i] < 0).any(axis=0)
+            children.append(child[:, canonical])
+            lowered.append((heights[up] + mu[i])[canonical])
         level = np.concatenate(children, axis=1)
+        heights = np.concatenate(lowered)
 
 
 def descent_distribution(cartan: np.ndarray, progress: Callable[[int], None] | None = None) -> list[int]:
@@ -147,12 +156,32 @@ def descent_distribution(cartan: np.ndarray, progress: Callable[[int], None] | N
     n = np.asarray(cartan).shape[0]
     hist = np.zeros(n + 1, dtype=np.int64)
     total = 0
-    for level in orbit_levels(cartan):
+    for level, _ in orbit_levels(cartan, (1,) * n):
         hist += np.bincount((level < 0).sum(axis=0), minlength=n + 1)
         total += level.shape[1]
         if progress is not None:
             progress(total)
     return hist.tolist()
+
+
+def weight_orbit_total(d: DynkinDiagram, ell: int) -> tuple[int, int]:
+    """The sum of the heights over the orbit of w_ell, which is the
+    preprojective orbit total, and the point count |W| / |W(d minus ell)|:
+    checked against the budget before any work, and any other count made
+    raises ConsistencyError.
+
+    >>> weight_orbit_total(DynkinDiagram("E", 6), 1)
+    (216, 27)
+    """
+    size = d.group_order() // prod(comp.group_order() for comp in delete_vertex(d, ell))
+    check_oracle_budget(f"{d} weight orbit at vertex {ell}", size)
+    total = count = 0
+    for level, heights in orbit_levels(cartan_matrix(d), [int(v == ell) for v in d.vertices]):
+        total += int(heights.sum())
+        count += level.shape[1]
+    if count != size:
+        raise ConsistencyError(f"{d} weight orbit at vertex {ell}: {count:,} points, not {size:,}")
+    return total, count
 
 
 def _eliminate_mod_p(mats: np.ndarray, p: int, pivot_cols: int) -> tuple[np.ndarray, np.ndarray]:

@@ -10,6 +10,8 @@ correction: the dimension-polynomial grid for the doubled-quiver algebra
 of E7 prints its third entry with a dropped digit in the source text;
 the value here (267083208) is pinned by the two independent aggregate
 identities on the row ends and by palindromicity of the shifted row.
+Besides the invariant degrees in ``dynkin``, these grids are the only
+reference data here; brute-force oracles check every per-vertex total.
 """
 
 TABLE_PPA_A = {
@@ -111,15 +113,4 @@ TABLES = {
     4: ("path", "A", TABLE_PATH_A),
     5: ("path", "D", TABLE_PATH_D),
     6: ("path", "E", TABLE_PATH_E),
-}
-
-# Per-vertex totals of submodule dimensions of the indecomposable
-# projectives over the type E preprojective algebras, computed outside
-# this package by repeated ideal multiplication in the algebra.  The
-# engine derives them from weight heights; the tests compare the two,
-# since the grids above fix only sums over symmetric vertex pairs.
-E_PPA_SUBMODULE_DIM_TOTALS = {
-    6: (216, 3240, 15120, 792, 3240, 216),
-    7: (2142, 66528, 483840, 14112, 151200, 19656, 756),
-    8: (99360, 6289920, 65318400, 1175040, 26611200, 5080320, 383040, 6960),
 }

@@ -146,6 +146,42 @@ def test_dim_orbit(capsys):
     assert code == 0
     assert payload["results"]["total"] == "24"
     assert payload["results"]["count"] == "8"
+    # type E has a brute-force route too: the orbit of w_3 in E6
+    code, payload = run_json(
+        capsys, "dim-orbit", "--type", "E", "--rank", "6", "--vertex", "3", "--oracle"
+    )
+    assert code == 0
+    assert payload["results"] == {"total": "15120", "count": "720"}
+
+
+@pytest.mark.parametrize("oracle", [[], ["--oracle"]])
+def test_dim_orbit_lists_every_vertex_of_every_type(capsys, oracle):
+    for dfam, n, totals in (
+        ("A", 4, {"1": "10", "2": "30", "3": "30", "4": "10"}),
+        ("D", 5, {"-1": "80", "1": "80", "2": "720", "3": "280", "4": "40"}),
+        ("E", 6, {"1": "216", "2": "3240", "3": "15120", "4": "792", "5": "3240", "6": "216"}),
+    ):
+        code, payload = run_json(capsys, "dim-orbit", "--type", dfam, "--rank", str(n), *oracle)
+        assert code == 0
+        assert payload["results"] == {"totals": totals}
+
+
+def test_dim_orbit_oracle_over_every_vertex_is_refused_before_any_work(capsys):
+    # 2^1001 - 2 rectangle paths in all, though vertex 1 alone has 1,001
+    assert cli.main(["dim-orbit", "--type", "A", "--rank", "1000", "--oracle"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: A1000 orbit-total oracle over every vertex visits {2**1001 - 2:,} elements,"
+        " over the oracle budget of 10,000,000\n"
+    )
+    assert captured.out == ""
+
+
+def test_dim_orbit_unknown_type_is_a_usage_error(capsys):
+    assert cli.main(["dim-orbit", "--type", "B", "--rank", "3"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == "usage error: unknown family 'B'\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("oracle", [[], ["--oracle"]])

@@ -1,4 +1,5 @@
 from collections import Counter
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -100,12 +101,26 @@ def test_group_orders_and_root_counts():
     assert DynkinDiagram("A", 4).positive_root_count() == 10
     assert DynkinDiagram("D", 6).positive_root_count() == 30
     assert [DynkinDiagram("E", n).positive_root_count() for n in (6, 7, 8)] == [36, 63, 120]
+    # the invariants read off the degrees equal the classical closed forms
+    for n in range(1, 61):
+        a = DynkinDiagram("A", n)
+        assert a.group_order() == factorial(n + 1)
+        assert a.positive_root_count() == n * (n + 1) // 2
+        assert a.coxeter_number() == n + 1
+        assert a.catalan_count() == comb(2 * n + 2, n + 1) // (n + 2)
+    for n in range(4, 61):
+        d = DynkinDiagram("D", n)
+        assert d.group_order() == 2 ** (n - 1) * factorial(n)
+        assert d.positive_root_count() == n * (n - 1)
+        assert d.coxeter_number() == 2 * n - 2
+        assert d.catalan_count() == (3 * n - 2) * comb(2 * n - 1, n - 1) // (2 * n - 1)
 
 
 def test_coxeter_numbers():
     assert DynkinDiagram("A", 5).coxeter_number() == 6
     assert DynkinDiagram("D", 4).coxeter_number() == 6
     assert DynkinDiagram("E", 8).coxeter_number() == 30
+    assert [DynkinDiagram("E", n).catalan_count() for n in (6, 7, 8)] == [833, 4160, 25080]
 
 
 def test_parse():

@@ -26,7 +26,7 @@ from taupoly.formulas import (
 )
 from taupoly.polynomials import Polynomial
 from taupoly.hereditary import tau_orbit_dims_all
-from taupoly.tables import E_PPA_SUBMODULE_DIM_TOTALS
+from taupoly.weyl import coset_count
 
 
 def spec(family, dfam, n):
@@ -70,13 +70,18 @@ def test_path_e6_row():
 
 
 def test_e_table_identities_without_enumeration():
-    # the embedded per-vertex totals equal the engine's, and re-derive
-    # both end columns of the E-family grid through two identities
+    # the weight orbit's per-vertex totals and counts equal the engine's,
+    # and re-derive both end columns of the E-family grid through two
+    # identities
     for rank in (6, 7, 8):
         diagram = DynkinDiagram("E", rank)
-        dims = E_PPA_SUBMODULE_DIM_TOTALS[rank]
+        orbits = [oracles.weight_orbit_total(diagram, ell) for ell in diagram.vertices]
+        dims = tuple(total for total, _ in orbits)
         engine = tuple(orbit_dim_total(PREPROJECTIVE, diagram, ell) for ell in diagram.vertices)
         assert engine == dims
+        assert [count for _, count in orbits] == [
+            coset_count(diagram, ell) for ell in diagram.vertices
+        ]
         golden = golden_table(3)[rank]
         assert sum(dims) == golden[0]
         weighted = 0

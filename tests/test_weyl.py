@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taupoly import lattice, oracles
+from taupoly import cli, lattice, oracles, weyl
 from taupoly.dynkin import DiagramUnion, DynkinDiagram, parse_union
 from taupoly.errors import ORACLE_BUDGET, ConsistencyError, RankTooLarge
 from taupoly.oracles import (
@@ -28,7 +28,9 @@ from taupoly.oracles import (
     permutation_rows,
     reflection_length_table,
     signed_descent_counts,
+    weight_orbit_total,
 )
+from taupoly.formulas import PATH, orbit_dim_total
 from taupoly.polynomials import ONE, Polynomial
 from taupoly.weyl import eulerian_poly, narayana_poly
 
@@ -105,17 +107,27 @@ def test_signed_and_orbit_models_agree_on_d4_d5():
         assert eulerian_d_by_enumeration(rank) == eulerian_by_orbit(D(rank))
 
 
+def _fundamental(diagram, ell):
+    return [int(v == ell) for v in diagram.vertices]
+
+
 def test_orbit_levels_make_each_point_once():
-    # no visited set: level k must be exactly the points w(rho) with l(w) = k,
-    # l(w) being the number of positive roots that pair negatively with them
+    # no visited set: level k must be exactly the points w(start) with k
+    # positive roots pairing negatively with them, the length of the
+    # shortest w in their coset; from rho that is every group element
     for diagram in (A(1), A(2), A(3), A(4), A(5), D(4), D(5), E(6)):
         cartan = cartan_matrix(diagram)
         roots = np.array(oracles.positive_roots(cartan))
-        levels = list(oracles.orbit_levels(cartan))
-        for k, level in enumerate(levels):
-            assert ((roots @ level < 0).sum(axis=0) == k).all(), (diagram, k)
-        points = np.concatenate(levels, axis=1)
-        assert len(np.unique(points, axis=1).T) == points.shape[1] == diagram.group_order()
+        starts = [((1,) * diagram.rank, diagram.group_order())] + [
+            (_fundamental(diagram, ell), weyl.coset_count(diagram, ell))
+            for ell in diagram.vertices
+        ]
+        for start, size in starts:
+            levels = [level for level, _ in oracles.orbit_levels(cartan, start)]
+            for k, level in enumerate(levels):
+                assert ((roots @ level < 0).sum(axis=0) == k).all(), (diagram, start, k)
+            points = np.concatenate(levels, axis=1)
+            assert len(np.unique(points, axis=1).T) == points.shape[1] == size
 
 
 def test_descent_distribution_reports_running_counts():
@@ -128,22 +140,47 @@ def test_descent_distribution_reports_running_counts():
 def test_miscounted_orbit_is_an_internal_error(monkeypatch):
     traverse = oracles.orbit_levels
 
-    def one_point_too_many(cartan):
-        yield from traverse(cartan)
-        yield np.ones((cartan.shape[0], 1), dtype=np.int8)
+    def one_point_too_many(cartan, start):
+        yield from traverse(cartan, start)
+        yield np.ones((cartan.shape[0], 1), dtype=np.int8), np.zeros(1, dtype=np.int64)
 
     monkeypatch.setattr(oracles, "orbit_levels", one_point_too_many)
     with pytest.raises(ConsistencyError, match="A2 weight orbit: 7 points, not 6"):
         eulerian_by_orbit(A(2))
+    with pytest.raises(ConsistencyError, match="E6 weight orbit at vertex 1: 28 points, not 27"):
+        weight_orbit_total(E(6), 1)
 
 
 def test_eulerian_engine_matches_weight_orbit():
     # the orbit's point count is the group order, which also pins the
-    # type E literals in DynkinDiagram.group_order
+    # type E degrees that DynkinDiagram.group_order multiplies
     for diagram in (D(4), D(5), E(6), E(7)):
         orbit = eulerian_by_orbit(diagram)
         assert eulerian_poly(diagram) == orbit
         assert orbit(1) == diagram.group_order()
+
+
+def test_weight_orbit_matches_lattice_models():
+    for n in range(1, 9):
+        for ell in A(n).vertices:
+            assert weight_orbit_total(A(n), ell) == lattice.dim_orbit_ppa_A_oracle(n, ell)
+    for n in range(4, 9):
+        assert weight_orbit_total(D(n), 1) == lattice.dim_orbit_ppa_D_oracle_pm1(n)
+        assert weight_orbit_total(D(n), -1) == lattice.dim_orbit_ppa_D_oracle_pm1(n)
+        for ell in range(2, n):
+            assert weight_orbit_total(D(n), ell) == lattice.dim_orbit_ppa_D_oracle_mid(n, ell)
+
+
+def test_weight_orbit_largest_height_is_the_path_total():
+    # the height of w_ell - w0(w_ell) is 2 ht(w_ell), the dimension of the
+    # preprojective projective at ell
+    diagrams = [A(n) for n in range(1, 10)] + [D(n) for n in range(4, 10)] + [E(6), E(7), E(8)]
+    for diagram in diagrams:
+        cartan = cartan_matrix(diagram)
+        for ell in diagram.vertices:
+            levels = oracles.orbit_levels(cartan, _fundamental(diagram, ell))
+            highest = max(int(heights.max()) for _, heights in levels)
+            assert highest == orbit_dim_total(PATH, diagram, ell), (diagram, ell)
 
 
 def test_eulerian_engine_matches_triangles():
@@ -362,7 +399,21 @@ def oracle_calls_over_budget(draw):
         (lambda: lattice.dim_orbit_ppa_A_oracle(n, near_half), comb(n + 1, near_half)),
         (lambda: lattice.dim_orbit_ppa_D_oracle_pm1(n), 2 ** (n - 1)),
         (lambda: lattice.dim_orbit_ppa_D_oracle_mid(n, tail), 2 ** (n - tail) * comb(n, tail)),
+        (lambda: weight_orbit_total(A(n), near_half), comb(n + 1, near_half)),
+        (lambda: weight_orbit_total(D(n), tail), 2 ** (n - tail) * comb(n, tail)),
+        # the first vertices of A_n are within the budget on their own, so
+        # the sum over every vertex must be refused before any of them runs
+        (lambda: _dim_orbit_every_vertex("A", n), 2 ** (n + 1) - 2),
+        (
+            lambda: _dim_orbit_every_vertex("D", n),
+            sum(weyl.coset_count(D(n), v) for v in D(n).vertices),
+        ),
     ]
+
+
+def _dim_orbit_every_vertex(dfam, n):
+    argv = ["dim-orbit", "--type", dfam, "--rank", str(n), "--oracle"]
+    return cli.cmd_dim_orbit(cli.build_parser().parse_args(argv))
 
 
 @settings(max_examples=20, deadline=None)
@@ -375,6 +426,7 @@ def test_oracles_refuse_over_budget_before_any_work(calls):
         for module, name in (
             (oracles, "interval_walk"),
             (oracles, "descent_distribution"),
+            (oracles, "orbit_levels"),
             (oracles, "permutation_rows"),
             (oracles, "permutation_blocks"),
             (oracles, "even_signed_blocks"),
