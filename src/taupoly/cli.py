@@ -2,10 +2,11 @@
 
 Commands compute polynomials, reproduce the published tables, run the
 brute-force oracles against the link-recursion engine, and verify the
-generating-function identities.  Every run emits a report: results plus a
-list of named checks with expected/actual values.  All integers are
-serialized as decimal strings so nothing is ever squeezed through a
-floating-point JSON number.
+generating-function identities.  The oracle modules, and numpy with
+them, are imported only where an oracle runs.  Every run emits a report:
+results plus a list of named checks with expected/actual values.  All
+integers are serialized as decimal strings so nothing is ever squeezed
+through a floating-point JSON number.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 usage error (or
 an --oracle input over the oracle budget, refused before enumerating),
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from math import comb
 
-from . import formulas, hereditary, lattice, oracles, series, tables, weyl
+from . import formulas, series, tables, weyl
 from .dynkin import DynkinDiagram, parse_diagram, parse_union
 from .errors import ConsistencyError, TaupolyError, UsageError, check_oracle_budget
 from .formulas import PATH, PREPROJECTIVE, AlgebraSpec
@@ -178,63 +179,67 @@ def _table_for(spec: AlgebraSpec) -> int | None:
 # ---------------------------------------------------------------------------
 
 
-# command -> (engine, oracle); --oracle is the only thing that picks a route
-_H_POLYNOMIALS = {
-    "eulerian": (weyl.eulerian_poly, oracles.eulerian),
-    "narayana": (weyl.narayana_poly, oracles.narayana),
-}
-
-
 def cmd_h_polynomial(args) -> Report:
+    # --oracle is the only thing that picks a route: the engine is
+    # weyl.<command>_poly and the brute force oracles.<command>
     union = parse_union(args.diagram)
-    engine, oracle = _H_POLYNOMIALS[args.command]
-    poly = (oracle if args.oracle else engine)(union)
+    if args.oracle:
+        from . import oracles
+
+        poly = getattr(oracles, args.command)(union)
+    else:
+        poly = getattr(weyl, f"{args.command}_poly")(union)
     report = Report(command=f"{args.command} {union}")
     report.results["polynomial"] = poly
     report.results["coefficients_ascending"] = poly.to_decimal_strings()
     return report
 
 
-# diagram family -> (brute force for (total, count) at one vertex, the
-# name of its count); each count is the size of the orbit of w_ell
-_DIM_ORBIT_ORACLES = {
-    "A": (lambda d, ell: lattice.dim_orbit_ppa_A_oracle(d.rank, ell), "path_count"),
-    "D": (
-        lambda d, ell: lattice.dim_orbit_ppa_D_oracle_pm1(d.rank)
-        if ell in (1, -1)
-        else lattice.dim_orbit_ppa_D_oracle_mid(d.rank, ell),
-        "count",
-    ),
-    "E": (oracles.weight_orbit_total, "count"),
-}
+def _orbit_route(family: str, d: DynkinDiagram, oracle: bool):
+    """The route of ``dim-orbit``: a function of a vertex of ``d`` giving
+    the results to report.  Each preprojective oracle also counts the
+    orbit of w_ell; a translate orbit's length depends on the
+    orientation, so the path family reports its total alone."""
+    if not oracle:
+        return lambda ell: {"total": formulas.orbit_dim_total(family, d, ell)}
+    if family == PATH:
+        from .hereditary import tau_orbit_total
+
+        return lambda ell: {"total": tau_orbit_total(d, ell)}
+    if d.family == "E":
+        from .oracles import weight_orbit_total as total_and_count
+    else:
+        from .lattice import orbit_total as total_and_count
+    return lambda ell: dict(zip(("total", "count"), total_and_count(d, ell)))
 
 
 def cmd_dim_orbit(args) -> Report:
-    if _family_arg(args.family) != PREPROJECTIVE:
-        raise UsageError("dim-orbit models the doubled-quiver projectives; use --family ppa")
+    family = _family_arg(args.family)
     diagram = DynkinDiagram(args.type.upper(), args.rank)
     ell = args.vertex
     if ell is not None:
-        # before an oracle is picked, so every route names the diagram
+        # before a route is picked, so every route names the diagram
         diagram.check_vertex(ell)
-    report = Report(command=f"dim-orbit --type {diagram.family} --rank {diagram.rank}")
-    oracle, count_name = _DIM_ORBIT_ORACLES[diagram.family]
-    if ell is not None and args.oracle:
-        report.results["total"], report.results[count_name] = oracle(diagram, ell)
-    elif ell is not None:
-        report.results["total"] = formulas.orbit_dim_total(PREPROJECTIVE, diagram, ell)
-    elif args.oracle:
+    report = Report(
+        command=f"dim-orbit --family {family} --type {diagram.family} --rank {diagram.rank}"
+    )
+    route = _orbit_route(family, diagram, args.oracle)
+    if ell is not None:
+        report.results.update(route(ell))
+        return report
+    if args.oracle and family == PREPROJECTIVE:
         estimate = sum(weyl.coset_count(diagram, v) for v in diagram.vertices)
         check_oracle_budget(f"{diagram} orbit-total oracle over every vertex", estimate)
-        report.results["totals"] = {v: oracle(diagram, v)[0] for v in diagram.vertices}
-    else:
-        report.results["totals"] = {
-            v: formulas.orbit_dim_total(PREPROJECTIVE, diagram, v) for v in diagram.vertices
-        }
+    # the automorphism of D_n swaps the fork vertices -1 and 1 and fixes
+    # every other vertex, so one run serves both
+    route = cache(route)
+    report.results["totals"] = {v: route(abs(v))["total"] for v in diagram.vertices}
     return report
 
 
 def cmd_oracle_path(args) -> Report:
+    from . import hereditary
+
     diagram = DynkinDiagram(args.type.upper(), args.rank)
     q = hereditary.OrientedQuiver.from_diagram(diagram, args.orientation)
     complex_ = hereditary.tau_rigid_complex(q)
@@ -243,19 +248,6 @@ def cmd_oracle_path(args) -> Report:
     report.results["polynomial"] = poly
     report.results["coefficients_ascending"] = poly.to_decimal_strings()
     report.results["maximal_faces"] = complex_.maximal_face_count
-    return report
-
-
-def cmd_oracle_tau_orbit(args) -> Report:
-    diagram = parse_diagram(args.type)
-    if args.vertex is not None:
-        diagram.check_vertex(args.vertex)
-    q = hereditary.OrientedQuiver.from_diagram(diagram)
-    report = Report(command=f"oracle tau-orbit {diagram}")
-    if args.vertex is None:
-        report.results["totals"] = {v: hereditary.tau_orbit_dim(q, v) for v in diagram.vertices}
-    else:
-        report.results["total"] = hereditary.tau_orbit_dim(q, args.vertex)
     return report
 
 
@@ -353,6 +345,8 @@ def _suite_tables(report: Report, args) -> None:
 
 
 def _suite_examples(report: Report, args) -> None:
+    from . import hereditary
+
     q = hereditary.OrientedQuiver.line(3)
     complex_ = hereditary.tau_rigid_complex(q)
     report.add_check("example-path-A3-f", Polynomial([14, 21, 9, 1]), complex_.f_polynomial())
@@ -365,6 +359,8 @@ def _suite_examples(report: Report, args) -> None:
 
 
 def _suite_oracles(report: Report, args) -> None:
+    from . import hereditary, lattice, oracles
+
     # every orientation of the type A quivers against the closed engine
     for n in range(1, args.max_rank + 1):
         spec = AlgebraSpec(PATH, DynkinDiagram("A", n))
@@ -385,21 +381,22 @@ def _suite_oracles(report: Report, args) -> None:
         return formulas.orbit_dim_total(PREPROJECTIVE, DynkinDiagram(dfam, n), ell)
 
     rect_ok = all(
-        lattice.dim_orbit_ppa_A_oracle(n, ell) == (ppa_dim("A", n, ell), comb(n + 1, ell))
+        lattice.orbit_total(DynkinDiagram("A", n), ell)
+        == (ppa_dim("A", n, ell), comb(n + 1, ell))
         for n in range(1, 13)
         for ell in range(1, n + 1)
     )
     report.add_pass_fail("rectangle-paths-vs-formula-n<=12", rect_ok)
     # one corner enumeration per n serves both fork vertices
     corner_ok = all(
-        lattice.dim_orbit_ppa_D_oracle_pm1(n)
+        lattice.orbit_total(DynkinDiagram("D", n), 1)
         == (ppa_dim("D", n, 1), 2 ** (n - 1))
         == (ppa_dim("D", n, -1), 2 ** (n - 1))
         for n in range(4, 13)
     )
     report.add_pass_fail("corner-paths-vs-formula-n<=12", corner_ok)
     sign_ok = all(
-        lattice.dim_orbit_ppa_D_oracle_mid(n, ell)
+        lattice.orbit_total(DynkinDiagram("D", n), ell)
         == (ppa_dim("D", n, ell), 2 ** (n - ell) * comb(n, ell))
         for n in range(4, 13)
         for ell in range(2, n)
@@ -409,7 +406,7 @@ def _suite_oracles(report: Report, args) -> None:
     for rank in (6, 7, 8):
         diagram = DynkinDiagram("E", rank)
         engine = tuple(formulas.orbit_dim_total(PATH, diagram, ell) for ell in diagram.vertices)
-        orbit = tuple(hereditary.tau_orbit_dims_all(diagram).values())
+        orbit = tuple(hereditary.tau_orbit_total(diagram, ell) for ell in diagram.vertices)
         report.add_check(f"tau-orbit-E{rank}", engine, orbit)
     # Narayana closed formula vs oracle on small ranks
     for rank in range(1, min(args.max_rank, 5) + 1):
@@ -447,6 +444,8 @@ def _suite_aggregates(report: Report, args) -> None:
 
 
 def _suite_structural(report: Report, args) -> None:
+    from . import hereditary
+
     diagrams = [
         DynkinDiagram(dfam, n)
         for dfam, ranks in (("A", range(1, 10)), ("D", range(4, 10)), ("E", (6, 7, 8)))
@@ -503,7 +502,8 @@ def _suite_structural(report: Report, args) -> None:
 
 
 def _check_max_rank(max_rank: int) -> None:
-    cap = hereditary._COMPLEX_RANK_CAP
+    from .hereditary import _COMPLEX_RANK_CAP as cap
+
     if not 1 <= max_rank <= cap:
         raise UsageError(f"--max-rank must be between 1 and {cap}, got {max_rank}")
 
@@ -580,10 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--orientation")
     po.add_argument("--kind", default="d", choices=("d", "f", "h"))
     po.set_defaults(fn=cmd_oracle_path)
-    pt = orc.add_parser("tau-orbit", help="translate-orbit dimension totals")
-    pt.add_argument("--type", required=True)
-    pt.add_argument("--vertex", type=int)
-    pt.set_defaults(fn=cmd_oracle_tau_orbit)
 
     p = sub.add_parser("table", help="recompute a published table")
     p.add_argument("number", type=int, choices=range(1, 7))

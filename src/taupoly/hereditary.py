@@ -38,6 +38,7 @@ import numpy as np
 
 from .dynkin import DynkinDiagram
 from .errors import ConventionError, ImpurityError, NotAModule, RankTooLarge, UsageError
+from .errors import check_oracle_budget
 from .oracles import positive_roots
 from .polynomials import Polynomial
 
@@ -382,10 +383,22 @@ def _check_convention() -> None:
     probe = OrientedQuiver.line(3)
     for ell in (1, 2, 3):
         expected = ell * (3 - ell + 1)
-        if _tau_orbit_total(probe, ell) != expected:
+        if sum(map(sum, tau_orbit_vectors(probe, ell))) != expected:
             raise ConventionError(
                 "Coxeter transform convention failed the rank 3 self-check"
             )
+
+
+# an all-vertex run asks for one quiver's matrices at every vertex in turn
+@lru_cache(maxsize=1)
+def _translate_matrices(q: OrientedQuiver) -> tuple[np.ndarray, np.ndarray]:
+    """The projectives C (row i at vertex i) and the inverse translate on
+    row vectors, read-only: dim tau M = dim M . Phi with Phi = -C^-1 C^T,
+    and C = (I - A)^-1 turns the inverse -(C^T)^-1 C into -(I - A^T) C."""
+    C = np.array(path_cartan(q), dtype=np.int64)
+    phi_inv = (q.arrow_counts().T - np.eye(q.rank, dtype=np.int64)) @ C
+    C.flags.writeable = phi_inv.flags.writeable = False
+    return C, phi_inv
 
 
 def tau_orbit_vectors(q: OrientedQuiver, ell: int) -> list[tuple[int, ...]]:
@@ -393,10 +406,7 @@ def tau_orbit_vectors(q: OrientedQuiver, ell: int) -> list[tuple[int, ...]]:
     in quiver vertex order, until the orbit leaves the positive orthant."""
     if ell not in q.vertices:
         raise UsageError(f"vertex {ell} not in quiver")
-    # the translate is dim tau M = dim M . Phi with Phi = -C^-1 C^T, and
-    # C = (I - A)^-1 turns the inverse -(C^T)^-1 C into -(I - A^T) C
-    C = np.array(path_cartan(q), dtype=np.int64)
-    phi_inv = (q.arrow_counts().T - np.eye(q.rank, dtype=np.int64)) @ C
+    C, phi_inv = _translate_matrices(q)
     v = C[q.vertices.index(ell)]
     out = []
     while (v >= 0).all() and (v > 0).any():
@@ -407,10 +417,6 @@ def tau_orbit_vectors(q: OrientedQuiver, ell: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _tau_orbit_total(q: OrientedQuiver, ell: int) -> int:
-    return sum(sum(vec) for vec in tau_orbit_vectors(q, ell))
-
-
 def tau_orbit_dim(q: OrientedQuiver, ell: int) -> int:
     """Total dimension of the translate orbit of the projective at a vertex.
 
@@ -418,10 +424,16 @@ def tau_orbit_dim(q: OrientedQuiver, ell: int) -> int:
     doubled-quiver algebra, independently of the orientation.
     """
     _check_convention()
-    return _tau_orbit_total(q, ell)
+    return sum(map(sum, tau_orbit_vectors(q, ell)))
 
 
-def tau_orbit_dims_all(d: DynkinDiagram) -> dict[int, int]:
-    """tau_orbit_dim for every vertex of a diagram, default orientation."""
-    q = OrientedQuiver.from_diagram(d)
-    return {ell: tau_orbit_dim(q, ell) for ell in d.vertices}
+def tau_orbit_total(d: DynkinDiagram, ell: int) -> int:
+    """tau_orbit_dim at ell of the default orientation of a diagram.  The
+    orbits of all the projectives hold the N positive roots once each, as
+    vectors of n entries, so N * n is checked against the budget first."""
+    d.check_vertex(ell)
+    check_oracle_budget(
+        f"{d} translate orbits ({d.positive_root_count():,} modules of {d.rank} entries)",
+        d.positive_root_count() * d.rank,
+    )
+    return tau_orbit_dim(OrientedQuiver.from_diagram(d), ell)

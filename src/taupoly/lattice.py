@@ -1,8 +1,9 @@
 """Lattice-path and sign-sequence models for submodule dimension totals.
 
 Three combinatorial models, each an exhaustive enumeration oracle for the
-per-vertex totals that ``formulas.orbit_dim_total`` computes from weight
-heights:
+preprojective per-vertex totals that ``formulas.orbit_dim_total``
+computes from weight heights; ``orbit_total`` picks the model from the
+vertex:
 
 * rectangle paths with the area-below statistic (type A vertices);
 * corner paths in a staircase region (type D, the two fork vertices);
@@ -35,7 +36,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import MalformedPath, NotAVertex, UsageError, check_oracle_budget
+from .dynkin import DynkinDiagram
+from .errors import MalformedPath, UsageError, check_oracle_budget
 
 East = 0
 North = 1
@@ -115,19 +117,6 @@ def block_area_rect(positions: np.ndarray) -> int:
     return int(positions.sum()) - rows * comb(s, 2)
 
 
-def dim_orbit_ppa_A_oracle(n: int, ell: int) -> OracleSum:
-    """Enumerate the ell x (n-ell+1) rectangle paths and sum their areas.
-
-    The count equals binom(n+1, ell).  Reversing a path and swapping East
-    and North maps the s x t paths one-to-one onto the t x s paths, area
-    for area, so the paths are listed by their steps along the shorter side.
-    """
-    if not 1 <= ell <= n:
-        raise NotAVertex(f"vertex {ell} not in A{n}")
-    check_oracle_budget(f"A{n} rectangle model at vertex {ell}", comb(n + 1, ell))
-    return _sum_blocks(rect_path_blocks(*sorted((ell, n - ell + 1))), block_area_rect)
-
-
 def corner_paths(length: int) -> Iterator[tuple[int, ...]]:
     """All 2**length step sequences of the given length."""
     return itertools.product((East, North), repeat=length)
@@ -173,14 +162,6 @@ def block_area_corner(steps: np.ndarray, n: int) -> int:
     a North step at index i, after j North and x East steps, adds
     (n - 1) - j - x = (n - 1) - i."""
     return int((steps @ np.arange(n - 1, 0, -1)).sum())
-
-
-def dim_orbit_ppa_D_oracle_pm1(n: int) -> OracleSum:
-    """Enumerate corner paths; the total must equal n(n-1)2^(n-3)."""
-    if n < 2:
-        raise UsageError("corner model needs n >= 2")
-    check_oracle_budget(f"D{n} corner model", 2 ** (n - 1))
-    return _sum_blocks(corner_path_blocks(n - 1), lambda steps: block_area_corner(steps, n))
 
 
 def sign_sequences(n: int, ell: int) -> Iterator[tuple[int, ...]]:
@@ -249,14 +230,28 @@ def block_sequence_weight(rows: np.ndarray, n: int) -> int:
     return count * positions + int(rows.sum()) - 2 * int(np.count_nonzero(rows > 0))
 
 
-def dim_orbit_ppa_D_oracle_mid(n: int, ell: int) -> OracleSum:
-    """Enumerate the sign sequences and sum their weights, one
-    ``sign_sequence_blocks`` block at a time.
+def orbit_total(d: DynkinDiagram, ell: int) -> OracleSum:
+    """The preprojective orbit total at vertex ell of a type A or D
+    diagram, and the orbit's size, from the model where ell sits: the
+    ell x (n-ell+1) rectangle paths in A_n, the corner paths at a fork
+    vertex of D_n and the sign sequences at a tail vertex.
 
-    >>> dim_orbit_ppa_D_oracle_mid(4, 2)
+    Reversing a path and swapping East and North maps the s x t paths
+    one-to-one onto the t x s paths, area for area, so the rectangle paths
+    are listed by their steps along the shorter side.
+
+    >>> orbit_total(DynkinDiagram("D", 4), 2)
     OracleSum(total=120, count=24)
     """
-    if not 2 <= ell <= n - 1:
-        raise NotAVertex(f"tail vertex {ell} not in 2..{n - 1}")
-    check_oracle_budget(f"D{n} sign-sequence model at vertex {ell}", 2 ** (n - ell) * comb(n, ell))
+    d.check_vertex(ell)
+    n = d.rank
+    if d.family == "A":
+        check_oracle_budget(f"{d} rectangle model at vertex {ell}", comb(n + 1, ell))
+        return _sum_blocks(rect_path_blocks(*sorted((ell, n - ell + 1))), block_area_rect)
+    if d.family != "D":
+        raise UsageError(f"{d} has no lattice model")
+    if abs(ell) == 1:
+        check_oracle_budget(f"{d} corner model", 2 ** (n - 1))
+        return _sum_blocks(corner_path_blocks(n - 1), lambda steps: block_area_corner(steps, n))
+    check_oracle_budget(f"{d} sign-sequence model at vertex {ell}", 2 ** (n - ell) * comb(n, ell))
     return _sum_blocks(sign_sequence_blocks(n, ell), lambda rows: block_sequence_weight(rows, n))

@@ -48,10 +48,6 @@ class Polynomial:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def constant(cls, c: int) -> "Polynomial":
-        return cls((c,))
-
-    @classmethod
     def from_decimal_strings(cls, strings: Iterable[str]) -> "Polynomial":
         coeffs = []
         for s in strings:
@@ -68,9 +64,6 @@ class Polynomial:
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.coeffs)

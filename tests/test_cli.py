@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from taupoly import oracles, weyl
+from taupoly import formulas, hereditary, lattice, oracles, weyl
 from taupoly.dynkin import DynkinDiagram
 from taupoly.errors import ConsistencyError
 
@@ -84,6 +84,73 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_poly_csv_prints_the_coefficients_alone(capsys):
+    argv = ["--format", "csv", "poly", "--family", "path", "--diagram", "A3", "--kind", "d"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out == "46,46,10\n"
+
+
+def test_poly_h_verify_checks_the_palindrome(capsys):
+    argv = ["poly", "--family", "preprojective", "--diagram", "D5", "--kind", "h", "--verify"]
+    code, payload = run_json(capsys, *argv)
+    assert code == 0
+    assert payload["checks"] == [
+        {"name": "palindromic", "expected": "pass", "actual": "pass", "pass": True}
+    ]
+
+
+def test_aggregates_command(capsys):
+    code, payload = run_json(capsys, "aggregates", "--family", "ppa", "--diagram", "D5")
+    assert code == 0
+    assert payload["command"] == "aggregates preprojective D5"
+    expected = formulas.expected_aggregates(
+        formulas.AlgebraSpec(formulas.PREPROJECTIVE, DynkinDiagram("D", 5))
+    )
+    assert payload["results"] == {
+        "indecomposable_total": str(expected[0]),
+        "maximal_total": str(expected[1]),
+    }
+    assert [c["name"] for c in payload["checks"]] == ["closed-form-aggregates"]
+    assert payload["checks"][0]["pass"]
+    # type E has no closed form, so no check
+    code, payload = run_json(capsys, "aggregates", "--family", "path", "--diagram", "E6")
+    assert code == 0
+    assert payload["checks"] == []
+
+
+def test_plain_format_renders_results_and_checks(capsys):
+    code, out = run(capsys, "poly", "--family", "path", "--diagram", "A3", "--kind", "d")
+    assert code == 0
+    assert out == "polynomial: 10t^2 + 46t + 46\ncoefficients_ascending: [46, 46, 10]\n"
+    code, out = run(capsys, "dim-orbit", "--type", "A", "--rank", "3")
+    assert code == 0
+    assert out == "totals: {1: 6, 2: 12, 3: 6}\n"
+    code, out = run(capsys, "aggregates", "--family", "path", "--diagram", "A3")
+    assert code == 0
+    assert out == (
+        "indecomposable_total: 10\nmaximal_total: 46\n[PASS] closed-form-aggregates\n"
+    )
+
+
+def test_plain_format_renders_a_failing_check(capsys, monkeypatch):
+    monkeypatch.setattr(formulas, "expected_aggregates", lambda spec: (10, 45))
+    code, out = run(capsys, "aggregates", "--family", "path", "--diagram", "A3")
+    assert code == cli.EXIT_CHECK_FAILED == 1
+    assert out.splitlines()[-1] == (
+        "[FAIL] closed-form-aggregates (expected ['10', '45'], got ['10', '46'])"
+    )
+
+
+def test_parser_errors_exit_2(capsys):
+    assert cli.main(["table", "7"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "usage error: argument number: invalid choice: 7 (choose from 1, 2, 3, 4, 5, 6)\n"
+    )
+    assert captured.out == ""
+
+
 def test_oracle_over_budget_exits_2(capsys):
     # the E8 interval walk is within the budget and matches the engine
     code, payload = run_json(capsys, "narayana", "E8", "--oracle")
@@ -131,6 +198,7 @@ def test_dim_orbit(capsys):
         capsys, "dim-orbit", "--family", "ppa", "--type", "A", "--rank", "4"
     )
     assert code == 0
+    assert payload["command"] == "dim-orbit --family preprojective --type A --rank 4"
     assert payload["results"]["totals"] == {"1": "10", "2": "30", "3": "30", "4": "10"}
     # past the enumeration caps: n(n+1)/2 * binom(n-1, n-l) at vertex l of A_n
     code, payload = run_json(capsys, "dim-orbit", "--type", "A", "--rank", "20")
@@ -138,6 +206,10 @@ def test_dim_orbit(capsys):
     assert payload["results"]["totals"] == {
         str(ell): str(210 * comb(19, 20 - ell)) for ell in range(1, 21)
     }
+    # the engine at one vertex
+    code, payload = run_json(capsys, "dim-orbit", "--type", "D", "--rank", "5", "--vertex", "2")
+    assert code == 0
+    assert payload["results"] == {"total": "720"}
     code, payload = run_json(
         capsys,
         "dim-orbit", "--family", "ppa", "--type", "D", "--rank", "4",
@@ -156,14 +228,28 @@ def test_dim_orbit(capsys):
 
 @pytest.mark.parametrize("oracle", [[], ["--oracle"]])
 def test_dim_orbit_lists_every_vertex_of_every_type(capsys, oracle):
-    for dfam, n, totals in (
-        ("A", 4, {"1": "10", "2": "30", "3": "30", "4": "10"}),
-        ("D", 5, {"-1": "80", "1": "80", "2": "720", "3": "280", "4": "40"}),
-        ("E", 6, {"1": "216", "2": "3240", "3": "15120", "4": "792", "5": "3240", "6": "216"}),
+    for family, dfam, n, totals in (
+        ("ppa", "A", 4, {"1": "10", "2": "30", "3": "30", "4": "10"}),
+        ("ppa", "D", 5, {"-1": "80", "1": "80", "2": "720", "3": "280", "4": "40"}),
+        (
+            "ppa", "E", 6,
+            {"1": "216", "2": "3240", "3": "15120", "4": "792", "5": "3240", "6": "216"},
+        ),
+        ("path", "A", 4, {"1": "4", "2": "6", "3": "6", "4": "4"}),
+        ("path", "D", 4, {"-1": "6", "1": "6", "2": "10", "3": "6"}),
+        ("path", "E", 6, {"1": "16", "2": "30", "3": "42", "4": "22", "5": "30", "6": "16"}),
     ):
-        code, payload = run_json(capsys, "dim-orbit", "--type", dfam, "--rank", str(n), *oracle)
+        argv = ["dim-orbit", "--family", family, "--type", dfam, "--rank", str(n), *oracle]
+        code, payload = run_json(capsys, *argv)
         assert code == 0
         assert payload["results"] == {"totals": totals}
+        for vertex, total in totals.items():
+            code, payload = run_json(capsys, *argv, "--vertex", vertex)
+            assert code == 0
+            assert payload["results"]["total"] == total
+            # no count on the path family: a translate orbit's length
+            # depends on the orientation
+            assert ("count" in payload["results"]) == (family == "ppa" and bool(oracle))
 
 
 def test_dim_orbit_oracle_over_every_vertex_is_refused_before_any_work(capsys):
@@ -197,7 +283,8 @@ def test_dim_orbit_bad_vertex_names_the_diagram(capsys, dfam, n, vertex, oracle)
 
 @pytest.mark.parametrize("diagram, vertex", [("A3", 9), ("D4", 0), ("D4", 4)])
 def test_tau_orbit_bad_vertex_names_the_diagram(capsys, diagram, vertex):
-    argv = ["oracle", "tau-orbit", "--type", diagram, "--vertex", str(vertex)]
+    argv = ["dim-orbit", "--family", "path", "--type", diagram[0], "--rank", diagram[1:]]
+    argv += ["--vertex", str(vertex), "--oracle"]
     assert cli.main(argv) == cli.EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.err == f"error: {diagram} has no vertex {vertex}\n"
@@ -233,9 +320,85 @@ def test_oracle_path_orientation_errors(capsys):
 
 
 def test_oracle_tau_orbit(capsys):
-    code, payload = run_json(capsys, "oracle", "tau-orbit", "--type", "E6", "--vertex", "3")
+    # the translate orbit is the path family's --oracle route of dim-orbit
+    code, payload = run_json(
+        capsys, "dim-orbit", "--family", "path", "--type", "E", "--rank", "6", "--vertex", "3",
+        "--oracle",
+    )
     assert code == 0
-    assert payload["results"]["total"] == "42"
+    assert payload["command"] == "dim-orbit --family path --type E --rank 6"
+    assert payload["results"] == {"total": "42"}
+    assert cli.main(["oracle", "tau-orbit", "--type", "E6"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        "usage error: argument oracle_command: invalid choice: 'tau-orbit'"
+    )
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("vertex", [[], ["--vertex", "500"]])
+def test_dim_orbit_path_oracle_over_budget_exits_2(capsys, vertex, monkeypatch):
+    # 500,500 positive roots of 1,000 entries, refused before any orbit is built
+    monkeypatch.setattr(hereditary, "tau_orbit_dim", None)
+    argv = ["dim-orbit", "--family", "path", "--type", "A", "--rank", "1000", *vertex, "--oracle"]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: A1000 translate orbits (500,500 modules of 1000 entries) visits 500,500,000"
+        " elements, over the oracle budget of 10,000,000\n"
+    )
+    assert captured.out == ""
+
+
+def _plus_one(module, name):
+    """``module.name`` with 1 added to its result, or to its first entry."""
+    original = getattr(module, name)
+
+    def patched(*args):
+        result = original(*args)
+        return result + 1 if isinstance(result, int) else (result[0] + 1, *result[1:])
+
+    return patched
+
+
+@pytest.mark.parametrize(
+    "family, dfam, n, vertex, module, name",
+    [
+        ("path", "A", 5, 2, hereditary, "tau_orbit_dim"),
+        ("path", "D", 5, -1, hereditary, "tau_orbit_dim"),
+        ("path", "E", 7, 4, hereditary, "tau_orbit_dim"),
+        ("preprojective", "A", 5, 2, lattice, "block_area_rect"),
+        ("preprojective", "D", 5, -1, lattice, "block_area_corner"),
+        ("preprojective", "D", 5, 3, lattice, "block_sequence_weight"),
+        ("preprojective", "E", 6, 3, oracles, "weight_orbit_total"),
+    ],
+)
+def test_dim_orbit_oracle_route_runs_its_oracle(
+    capsys, monkeypatch, family, dfam, n, vertex, module, name
+):
+    # a wrong oracle shows in the output: --oracle never hands back the engine's number
+    engine = formulas.orbit_dim_total(family, DynkinDiagram(dfam, n), vertex)
+    monkeypatch.setattr(module, name, _plus_one(module, name))
+    argv = ["dim-orbit", "--family", family, "--type", dfam, "--rank", str(n)]
+    code, payload = run_json(capsys, *argv, "--vertex", str(vertex), "--oracle")
+    assert code == 0
+    assert payload["results"]["total"] == str(engine + 1)
+    code, payload = run_json(capsys, *argv, "--oracle")
+    assert code == 0
+    assert payload["results"]["totals"][str(vertex)] == str(engine + 1)
+    code, payload = run_json(capsys, *argv, "--vertex", str(vertex))
+    assert payload["results"] == {"total": str(engine)}
+
+
+def test_dim_orbit_oracle_runs_the_corner_model_once(capsys, monkeypatch):
+    # the fork vertices -1 and 1 of D_n share one corner enumeration
+    lengths = []
+    blocks = lattice.corner_path_blocks
+    monkeypatch.setattr(lattice, "corner_path_blocks", lambda m: lengths.append(m) or blocks(m))
+    code, payload = run_json(capsys, "dim-orbit", "--type", "D", "--rank", "6", "--oracle")
+    assert code == 0
+    assert lengths == [5]
+    assert payload["results"]["totals"]["-1"] == payload["results"]["totals"]["1"] == "240"
 
 
 def test_genfun_families(capsys):

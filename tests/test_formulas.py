@@ -25,7 +25,7 @@ from taupoly.formulas import (
     reproduce_table,
 )
 from taupoly.polynomials import Polynomial
-from taupoly.hereditary import tau_orbit_dims_all
+from taupoly.hereditary import tau_orbit_total
 from taupoly.weyl import coset_count
 
 
@@ -144,14 +144,16 @@ def test_path_orbit_totals_match_translate_orbits():
     )
     for d in diagrams:
         engine = {ell: orbit_dim_total(PATH, d, ell) for ell in d.vertices}
-        assert engine == tau_orbit_dims_all(d), d
+        assert engine == {ell: tau_orbit_total(d, ell) for ell in d.vertices}, d
 
 
-# Run in a fresh interpreter: the engine reproduces every table and h(1)
-# without ever importing an oracle module or numpy.
+# Run in a fresh interpreter: the engine reproduces every table and h(1),
+# and every engine-only command runs, without ever importing an oracle
+# module or numpy.
 _ENGINE_ONLY = textwrap.dedent(
     """
-    import sys
+    import contextlib, io, sys
+    from taupoly import cli
     from taupoly.dynkin import DynkinDiagram
     from taupoly.formulas import golden_table, reproduce_table
     from taupoly.weyl import eulerian_poly, narayana_poly
@@ -163,6 +165,23 @@ _ENGINE_ONLY = textwrap.dedent(
             diagram = DynkinDiagram(family, n)
             assert eulerian_poly(diagram)(1) == diagram.group_order(), diagram
             assert narayana_poly(diagram)(1) == diagram.catalan_count(), diagram
+    commands = [
+        "table 1",
+        "--format csv table 6",
+        "poly --family ppa --diagram E7 --kind d --verify",
+        "poly --family path --diagram D6 --kind f",
+        "eulerian A2xE6",
+        "narayana D7",
+        "aggregates --family path --diagram D5",
+        "genfun ord-h-path-A --order 6 --verify",
+        "dim-orbit --family ppa --type E --rank 8",
+        "dim-orbit --family path --type D --rank 6 --vertex -1",
+        "dim-orbit --family path --type A --rank 9",
+        "verify --suite tables",
+    ]
+    for command in commands:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(command.split()) == 0, command
     loaded = {"taupoly.oracles", "taupoly.lattice", "taupoly.hereditary", "numpy"} & set(sys.modules)
     assert not loaded, sorted(loaded)
     """

@@ -11,6 +11,7 @@ from taupoly.errors import (
     ConventionError,
     ImpurityError,
     NotAModule,
+    NotAVertex,
     RankTooLarge,
     UsageError,
 )
@@ -25,7 +26,7 @@ from taupoly.hereditary import (
     path_cartan,
     poly_from_complex,
     tau_orbit_dim,
-    tau_orbit_dims_all,
+    tau_orbit_total,
     tau_orbit_vectors,
     tau_rigid_complex,
 )
@@ -336,10 +337,41 @@ def test_tau_orbit_type_a():
 
 
 def test_tau_orbit_type_d_and_e():
-    d4 = tau_orbit_dims_all(DynkinDiagram("D", 4))
-    assert d4 == {-1: 6, 1: 6, 2: 10, 3: 6}
-    e6 = tau_orbit_dims_all(DynkinDiagram("E", 6))
-    assert tuple(e6.values()) == (16, 30, 42, 22, 30, 16)
+    d4 = DynkinDiagram("D", 4)
+    assert {ell: tau_orbit_total(d4, ell) for ell in d4.vertices} == {-1: 6, 1: 6, 2: 10, 3: 6}
+    e6 = DynkinDiagram("E", 6)
+    assert [tau_orbit_total(e6, ell) for ell in e6.vertices] == [16, 30, 42, 22, 30, 16]
+
+
+def test_tau_orbit_total_is_checked_against_the_budget_first(monkeypatch):
+    # N positive roots of n entries each: A200 has 20,100 * 200, A300 45,150 * 300
+    a200, a300 = DynkinDiagram("A", 200), DynkinDiagram("A", 300)
+    assert tau_orbit_total(a200, 100) == formulas.orbit_dim_total(PATH, a200, 100)
+    monkeypatch.setattr(hereditary, "tau_orbit_dim", None)  # no work may start
+    for ell in (1, 150, 300):
+        with pytest.raises(RankTooLarge, match="45,150 modules of 300 entries.* 13,545,000 "):
+            tau_orbit_total(a300, ell)
+    with pytest.raises(NotAVertex, match="A300 has no vertex 301"):
+        tau_orbit_total(a300, 301)
+
+
+def test_translate_matrices_are_built_once_per_quiver(monkeypatch):
+    calls = []
+
+    def counting_path_cartan(q):
+        calls.append(q)
+        return path_cartan(q)
+
+    monkeypatch.setattr(hereditary, "path_cartan", counting_path_cartan)
+    hereditary._translate_matrices.cache_clear()
+    hereditary._check_convention()
+    for d in (DynkinDiagram("A", 12), DynkinDiagram("E", 8)):
+        calls.clear()
+        totals = [tau_orbit_total(d, ell) for ell in d.vertices]
+        assert totals == [formulas.orbit_dim_total(PATH, d, ell) for ell in d.vertices]
+        assert calls == [OrientedQuiver.from_diagram(d)]
+    C, phi_inv = hereditary._translate_matrices(OrientedQuiver.from_diagram(d))
+    assert not C.flags.writeable and not phi_inv.flags.writeable
 
 
 def test_tau_orbit_enumerates_each_root_once():

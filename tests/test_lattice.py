@@ -17,15 +17,21 @@ from taupoly.lattice import (
     block_sequence_weight,
     corner_path_blocks,
     corner_paths,
-    dim_orbit_ppa_A_oracle,
-    dim_orbit_ppa_D_oracle_mid,
-    dim_orbit_ppa_D_oracle_pm1,
+    orbit_total,
     rect_path_blocks,
     rect_paths,
     sequence_weight,
     sign_sequence_blocks,
     sign_sequences,
 )
+
+
+def A(n):
+    return DynkinDiagram("A", n)
+
+
+def D(n):
+    return DynkinDiagram("D", n)
 
 
 def engine_dim_A(n, ell):
@@ -57,7 +63,7 @@ def test_rectangle_small_enumeration_by_hand():
     # the six (2,2) paths carry areas 0,1,2,2,3,4
     areas = sorted(area_rect(p, 2, 2) for p in rect_paths(2, 2))
     assert areas == [0, 1, 2, 2, 3, 4]
-    assert dim_orbit_ppa_A_oracle(3, 2) == (12, 6)
+    assert orbit_total(A(3), 2) == (12, 6)
     assert engine_dim_A(3, 2) == 12
 
 
@@ -65,14 +71,14 @@ def test_rectangle_closed_formula_values():
     assert engine_dim_A(1, 1) == 1
     assert [engine_dim_A(4, ell) for ell in range(1, 5)] == [10, 30, 30, 10]
     assert engine_dim_A(9, 4) == 2520
-    assert dim_orbit_ppa_A_oracle(9, 4).total == 2520
-    assert dim_orbit_ppa_A_oracle(1, 1) == (1, 2)
+    assert orbit_total(A(9), 4).total == 2520
+    assert orbit_total(A(1), 1) == (1, 2)
 
 
 def test_rectangle_oracle_matches_formula():
     for n in range(1, 12):
         for ell in range(1, n + 1):
-            total, count = dim_orbit_ppa_A_oracle(n, ell)
+            total, count = orbit_total(A(n), ell)
             assert total == engine_dim_A(n, ell)
             assert count == comb(n + 1, ell)
 
@@ -82,7 +88,7 @@ def test_rectangle_recurrence():
     def total(n, ell):
         if ell < 1 or ell > n:
             return 0
-        return dim_orbit_ppa_A_oracle(n, ell).total
+        return orbit_total(A(n), ell).total
 
     for n in range(2, 11):
         for ell in range(1, n + 1):
@@ -114,13 +120,15 @@ def test_corner_area_anchors():
 
 
 def test_corner_oracle():
-    assert dim_orbit_ppa_D_oracle_pm1(2) == (1, 2)
-    assert dim_orbit_ppa_D_oracle_pm1(4) == (24, 8)
-    assert dim_orbit_ppa_D_oracle_pm1(6).total == 240
+    # the model at n = 2, below the D diagrams
+    assert lattice._sum_blocks(corner_path_blocks(1), lambda s: block_area_corner(s, 2)) == (1, 2)
+    assert orbit_total(D(4), 1) == orbit_total(D(4), -1) == (24, 8)
+    assert orbit_total(D(6), -1).total == 240
     for n in range(4, 13):
-        total, count = dim_orbit_ppa_D_oracle_pm1(n)
-        assert count == 2 ** (n - 1)
-        assert total == engine_dim_D(n, 1) == engine_dim_D(n, -1)
+        for fork in (1, -1):
+            total, count = orbit_total(D(n), fork)
+            assert count == 2 ** (n - 1)
+            assert total == engine_dim_D(n, fork)
 
 
 def test_corner_max_area_is_projective_dim():
@@ -219,8 +227,8 @@ def test_sign_sequence_blocks_yield_each_sequence_once(block_rows, monkeypatch):
 
 def test_rectangle_oracle_is_exact_at_large_n():
     # positions past the int8 range; a long side cuts the blocks by entries
-    assert dim_orbit_ppa_A_oracle(200, 2) == (engine_dim_A(200, 2), comb(201, 2))
-    assert dim_orbit_ppa_A_oracle(200, 199) == (engine_dim_A(200, 199), comb(201, 199))
+    assert orbit_total(A(200), 2) == (engine_dim_A(200, 2), comb(201, 2))
+    assert orbit_total(A(200), 199) == (engine_dim_A(200, 199), comb(201, 199))
     blocks = list(rect_path_blocks(199, 2))
     assert max(block.size for block in blocks) <= lattice._BLOCK_ROWS * 24
     assert sum(map(len, blocks)) == comb(201, 199)
@@ -228,20 +236,20 @@ def test_rectangle_oracle_is_exact_at_large_n():
 
 def test_mid_oracle_is_exact_at_large_n():
     # absolute values past the int8 range, summed exactly to the engine's totals
-    assert dim_orbit_ppa_D_oracle_mid(200, 199) == (79600, 400) == (engine_dim_D(200, 199), 400)
+    assert orbit_total(D(200), 199) == (79600, 400) == (engine_dim_D(200, 199), 400)
     assert (
-        dim_orbit_ppa_D_oracle_mid(300, 298)
+        orbit_total(D(300), 298)
         == (107101800, 179400)
         == (engine_dim_D(300, 298), 179400)
     )
 
 
 def test_mid_oracle_matches_formula():
-    assert dim_orbit_ppa_D_oracle_mid(4, 2) == (120, 24)
-    assert dim_orbit_ppa_D_oracle_mid(4, 3) == (24, 8)
+    assert orbit_total(D(4), 2) == (120, 24)
+    assert orbit_total(D(4), 3) == (24, 8)
     for n in range(4, 12):
         for ell in range(2, n):
-            total, count = dim_orbit_ppa_D_oracle_mid(n, ell)
+            total, count = orbit_total(D(n), ell)
             assert total == engine_dim_D(n, ell)
             assert count == 2 ** (n - ell) * comb(n, ell)
 
@@ -261,10 +269,11 @@ def test_range_errors():
         engine_dim_D(3, 1)
     with pytest.raises(NotAVertex):
         engine_dim_D(5, 5)
-    with pytest.raises(NotAVertex):
-        dim_orbit_ppa_D_oracle_mid(5, 1)
-    with pytest.raises(UsageError):
-        dim_orbit_ppa_D_oracle_pm1(1)
-    assert dim_orbit_ppa_A_oracle(15, 3).count == comb(16, 3)
+    for d, ell in ((D(5), 5), (D(5), 0), (D(5), -2), (A(3), 4), (A(3), 0)):
+        with pytest.raises(NotAVertex, match=f"{d} has no vertex {ell}"):
+            orbit_total(d, ell)
+    with pytest.raises(UsageError, match="E6 has no lattice model"):
+        orbit_total(DynkinDiagram("E", 6), 1)
+    assert orbit_total(A(15), 3).count == comb(16, 3)
     with pytest.raises(RankTooLarge, match="300,540,195"):
-        dim_orbit_ppa_A_oracle(30, 15)
+        orbit_total(A(30), 15)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taupoly import cli, lattice, oracles, weyl
+from taupoly import cli, hereditary, lattice, oracles, weyl
 from taupoly.dynkin import DiagramUnion, DynkinDiagram, parse_union
 from taupoly.errors import ORACLE_BUDGET, ConsistencyError, RankTooLarge
 from taupoly.oracles import (
@@ -163,12 +163,10 @@ def test_eulerian_engine_matches_weight_orbit():
 def test_weight_orbit_matches_lattice_models():
     for n in range(1, 9):
         for ell in A(n).vertices:
-            assert weight_orbit_total(A(n), ell) == lattice.dim_orbit_ppa_A_oracle(n, ell)
+            assert weight_orbit_total(A(n), ell) == lattice.orbit_total(A(n), ell)
     for n in range(4, 9):
-        assert weight_orbit_total(D(n), 1) == lattice.dim_orbit_ppa_D_oracle_pm1(n)
-        assert weight_orbit_total(D(n), -1) == lattice.dim_orbit_ppa_D_oracle_pm1(n)
-        for ell in range(2, n):
-            assert weight_orbit_total(D(n), ell) == lattice.dim_orbit_ppa_D_oracle_mid(n, ell)
+        for ell in D(n).vertices:
+            assert weight_orbit_total(D(n), ell) == lattice.orbit_total(D(n), ell)
 
 
 def test_weight_orbit_largest_height_is_the_path_total():
@@ -383,6 +381,8 @@ def oracle_calls_over_budget(draw):
     near_half = draw(st.integers(n // 2 - 2, n // 2 + 2))
     tail = draw(st.integers(2, n // 2))
     small = A(1)
+    quiver = A(300 + extra)  # N * n = 45,150 * 300 at the least
+    vertex = draw(st.integers(1, quiver.rank))
     return [
         (lambda: eulerian_a_by_enumeration(a.rank), a.group_order()),
         (lambda: eulerian_d_by_enumeration(d.rank), d.group_order()),
@@ -396,9 +396,13 @@ def oracle_calls_over_budget(draw):
             lambda: oracles.narayana(DiagramUnion((small, walk_a))),
             walk_a.catalan_count() * walk_a.positive_root_count(),
         ),
-        (lambda: lattice.dim_orbit_ppa_A_oracle(n, near_half), comb(n + 1, near_half)),
-        (lambda: lattice.dim_orbit_ppa_D_oracle_pm1(n), 2 ** (n - 1)),
-        (lambda: lattice.dim_orbit_ppa_D_oracle_mid(n, tail), 2 ** (n - tail) * comb(n, tail)),
+        (lambda: lattice.orbit_total(A(n), near_half), comb(n + 1, near_half)),
+        (lambda: lattice.orbit_total(D(n), 1), 2 ** (n - 1)),
+        (lambda: lattice.orbit_total(D(n), tail), 2 ** (n - tail) * comb(n, tail)),
+        (
+            lambda: hereditary.tau_orbit_total(quiver, vertex),
+            quiver.positive_root_count() * quiver.rank,
+        ),
         (lambda: weight_orbit_total(A(n), near_half), comb(n + 1, near_half)),
         (lambda: weight_orbit_total(D(n), tail), 2 ** (n - tail) * comb(n, tail)),
         # the first vertices of A_n are within the budget on their own, so
@@ -408,11 +412,15 @@ def oracle_calls_over_budget(draw):
             lambda: _dim_orbit_every_vertex("D", n),
             sum(weyl.coset_count(D(n), v) for v in D(n).vertices),
         ),
+        (
+            lambda: _dim_orbit_every_vertex("A", quiver.rank, "path"),
+            quiver.positive_root_count() * quiver.rank,
+        ),
     ]
 
 
-def _dim_orbit_every_vertex(dfam, n):
-    argv = ["dim-orbit", "--type", dfam, "--rank", str(n), "--oracle"]
+def _dim_orbit_every_vertex(dfam, n, family="ppa"):
+    argv = ["dim-orbit", "--family", family, "--type", dfam, "--rank", str(n), "--oracle"]
     return cli.cmd_dim_orbit(cli.build_parser().parse_args(argv))
 
 
@@ -433,6 +441,8 @@ def test_oracles_refuse_over_budget_before_any_work(calls):
             (lattice, "rect_path_blocks"),
             (lattice, "corner_path_blocks"),
             (lattice, "sign_sequence_blocks"),
+            (hereditary, "path_cartan"),
+            (hereditary, "tau_orbit_vectors"),
         ):
             patch.setattr(module, name, work)
         for call, estimate in calls:
