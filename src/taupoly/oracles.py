@@ -36,17 +36,14 @@ projective at l over the preprojective algebra, of dimension that height
 
 The walk goes level by level from c down to the identity.  The elements
 covered by w are the t*w for the reflections t whose root lies in
-Im(w - I) (Carter's lemma).  Membership of every positive root is read
-off one row reduction of the augmented matrix [w - I | roots], done in
-vectorized int64 arithmetic modulo two primes just under 2**31.  A root
-outside Im(w - I) has a nonzero integer minor which Hadamard's inequality
-bounds below the product of the primes, so it cannot vanish modulo both
-and the two-prime test is exact.
+Im(w - I) (Carter's lemma).  An element w of order m is semisimple, so
+S = I + w + ... + w^(m-1) is m times the projection onto Fix(w) along
+Im(w - I): a root lies in Im(w - I) exactly when S kills it, and
+trace S = m * (rank - l(w)) checks the reflection length, both exactly.
 """
 
 from __future__ import annotations
 
-import math
 from math import comb, prod
 from typing import Callable, Iterator
 
@@ -55,9 +52,6 @@ import numpy as np
 from .dynkin import DynkinDiagram, as_union, delete_vertex
 from .errors import ConsistencyError, check_oracle_budget
 from .polynomials import ONE, Polynomial
-
-_P1 = 2147483647  # 2**31 - 1, prime
-_P2 = 2147483629  # prime
 
 
 def cartan_matrix(d: DynkinDiagram) -> np.ndarray:
@@ -184,77 +178,38 @@ def weight_orbit_total(d: DynkinDiagram, ell: int) -> tuple[int, int]:
     return total, count
 
 
-def _eliminate_mod_p(mats: np.ndarray, p: int, pivot_cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row-reduce a batch of small integer matrices modulo a prime.
-
-    Pivots are taken only in the first ``pivot_cols`` columns.  Returns the
-    reduced matrices and the (batch, rows) mask of pivot rows; every other
-    row is zero in the pivot columns, and the mask's row count is the rank
-    of that left block modulo p.  Pivot rows are marked used instead of
-    swapped, and elimination uses cross multiplication
-    (row*pivot - factor*pivotrow) so no modular inverses are needed.  All
-    products stay below p**2 < 2**63.
-    """
-    A = np.mod(mats.astype(np.int64), p)
-    bsz, rows, _ = A.shape
-    used = np.zeros((bsz, rows), dtype=bool)
-    bidx = np.arange(bsz)
-    for col in range(pivot_cols):
-        colv = A[:, :, col]
-        eligible = ~used & (colv != 0)
-        has = eligible.any(axis=1)
-        piv = np.argmax(eligible, axis=1)
-        pivot_val = colv[bidx, piv]
-        pivot_row = A[bidx, piv, :]
-        transform = ~used & has[:, None]
-        transform[bidx, piv] = False
-        factors = np.where(transform, colv, 0)
-        scale = np.where(transform, pivot_val[:, None], 1)
-        A *= scale[:, :, None]
-        A -= factors[:, :, None] * pivot_row[:, None, :]
-        np.mod(A, p, out=A)
-        used[bidx, piv] |= has
-    return A, used
-
-
-def _hadamard_bound(max_entry: int, n: int) -> int:
-    """Bound on |det| of an n x n integer matrix with entries of at most
-    ``max_entry`` in absolute value; it also bounds every smaller minor."""
-    norm_sq = n * max_entry * max_entry
-    return math.isqrt(norm_sq**n) + 1
-
-
 def _as_int8(mats: np.ndarray) -> np.ndarray:
     if np.abs(mats).max(initial=0) > np.iinfo(np.int8).max:
         raise ConsistencyError("group element entry does not fit in int8")
     return mats.astype(np.int8)
 
 
-def _root_members(shifted: np.ndarray, roots: np.ndarray, k: int) -> np.ndarray:
-    """(batch, roots) mask of the positive roots lying in the column space
-    of each ``w - I`` in ``shifted``; every w must have reflection length k.
+def _fixed_space_sums(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """S = I + w + ... + w^(m-1) and the order m of each int64 matrix w
+    in a batch of group elements.  S is m times the projection onto
+    Fix(w) along Im(w - I); a power that leaves int8 raises
+    ConsistencyError.
 
-    Reducing ``[w - I | I]`` records the row operations in the right
-    block; applied to the roots they give the reduced ``[w - I | roots]``.
-    A root is a member when every pivot-free row of that is zero in its
-    column, modulo both primes.  Entries of the product stay below
-    n * max(root entry) * p, under 2**37 for ADE roots (entries <= 6).
+    >>> a2 = DynkinDiagram("A", 2)
+    >>> sums, order = _fixed_space_sums(coxeter_element_matrix(a2)[None])
+    >>> order.tolist(), bool(sums.any())
+    ([3], False)
+    >>> s1 = simple_reflection_matrices(cartan_matrix(a2))[0]
+    >>> sums, order = _fixed_space_sums(s1[None])
+    >>> order.tolist(), int(np.trace(sums[0]))
+    ([2], 2)
     """
-    bsz, n, _ = shifted.shape
-    max_entry = max(int(np.abs(shifted).max(initial=0)), int(roots.max(initial=0)))
-    if _hadamard_bound(max_entry, n) >= _P1 * _P2:
-        raise ConsistencyError("matrix entries too large for the two-prime membership test")
-    eye = np.broadcast_to(np.eye(n, dtype=np.int64), (bsz, n, n))
-    aug = np.concatenate([shifted, eye], axis=2)
-    members = np.ones((bsz, roots.shape[0]), dtype=bool)
-    for p in (_P1, _P2):
-        reduced, used = _eliminate_mod_p(aug, p, n)
-        if (used.sum(axis=1) != k).any():
-            raise ConsistencyError(f"an element at interval level {k} has another reflection length")
-        image = np.mod(reduced[:, :, n:] @ roots.T, p)
-        stray = (image != 0) & ~used[:, :, None]
-        members &= ~stray.any(axis=1)
-    return members
+    eye = np.eye(w.shape[1], dtype=np.int64)
+    sums = np.broadcast_to(eye, w.shape).copy()
+    order = np.ones(len(w), dtype=np.int64)
+    live, power = np.arange(len(w)), w
+    while live.size:
+        pending = ~(power == eye).all(axis=(1, 2))
+        live, power = live[pending], power[pending]
+        sums[live] += power
+        order[live] += 1
+        power = _as_int8(power @ w[live]).astype(np.int64)
+    return sums, order
 
 
 def interval_walk(
@@ -266,10 +221,11 @@ def interval_walk(
 
     Walks down from ``{c}`` one reflection length at a time: the level
     below k is every s_alpha * w with w at level k and alpha a positive
-    root in Im(w - I), deduplicated.  Entry k of the result is the size of
-    level k; ``progress`` gets the running element count after each level.
-    Raises ConsistencyError if a level's reflection lengths are not what
-    the walk assumes or the last level is not the identity.
+    root in Im(w - I) (read off ``_fixed_space_sums``), deduplicated.
+    Entry k of the result is the size of level k; ``progress`` gets the
+    running element count after each level.  Raises ConsistencyError if a
+    level's reflection lengths are not what the walk assumes or the last
+    level is not the identity.
     """
     C = np.asarray(cartan, dtype=np.int64)
     n = C.shape[0]
@@ -287,7 +243,10 @@ def interval_walk(
         if k == 0:
             break
         w = level.astype(np.int64)
-        b, j = np.nonzero(_root_members(w - eye[None, :, :], roots, k))
+        sums, order = _fixed_space_sums(w)
+        if (np.trace(sums, axis1=1, axis2=2) != order * (n - k)).any():
+            raise ConsistencyError(f"an element at interval level {k} has another reflection length")
+        b, j = np.nonzero(~(sums @ roots.T).any(axis=1))
         # s_alpha w = w - alpha ((C alpha)^T w)
         rows = np.einsum("mi,mij->mj", covectors[j], w[b])
         children = _as_int8(w[b] - roots[j][:, :, None] * rows[:, None, :])

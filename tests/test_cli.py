@@ -485,8 +485,13 @@ def test_verify_all_covers_every_operation_group(capsys):
 
 
 def test_internal_consistency_failure_exits_4(capsys, monkeypatch):
-    # a bound the two-prime test cannot certify trips the walk's check
-    monkeypatch.setattr(oracles, "_hadamard_bound", lambda max_entry, n: oracles._P1 * oracles._P2)
+    # a simple reflection as the Coxeter element trips the walk's
+    # reflection-length check at the top level
+    monkeypatch.setattr(
+        oracles,
+        "coxeter_element_matrix",
+        lambda d, order=None: oracles.simple_reflection_matrices(oracles.cartan_matrix(d))[0],
+    )
     assert cli.main(["narayana", "D4", "--oracle"]) == cli.EXIT_INTERNAL == 4
     assert "internal error" in capsys.readouterr().err
 

@@ -189,7 +189,7 @@ def test_eulerian_engine_matches_triangles():
 
 
 def test_narayana_engine_matches_interval_walk():
-    # E8 (~2 s) is compared through the CLI in test_oracle_over_budget_exits_2
+    # E8 (~1 s) is compared through the CLI in test_oracle_over_budget_exits_2
     diagrams = [A(n) for n in range(1, 10)] + [D(n) for n in range(4, 9)] + [E(6), E(7)]
     for diagram in diagrams:
         assert narayana_poly(diagram) == narayana_oracle(diagram), diagram
@@ -297,6 +297,25 @@ def test_interval_walk_matches_whole_group_enumeration(d):
     orders = (default_coxeter_order(d), d.vertices, d.vertices[::-1])
     expected = _interval_histograms_by_enumeration(d, orders)
     assert [narayana_oracle(d, coxeter_order=order) for order in orders] == expected
+
+
+@pytest.mark.parametrize("d", [A(1), A(2), A(3), A(4), D(4), D(5)], ids=str)
+def test_fixed_space_sums_match_the_rank_rule(d):
+    # S = I + w + ... + w^(m-1) against the fraction-free rank on the
+    # whole group: trace S = m (n - l(w)), and S kills a root exactly when
+    # it lies in Im(w - I), i.e. when [w - I | alpha] has rank l(w)
+    eye = np.eye(d.rank, dtype=np.int64)
+    roots = oracles.positive_roots(cartan_matrix(d))
+    mats = all_group_matrices(d)
+    sums, order = oracles._fixed_space_sums(np.array(mats))
+    for w, s, m in zip(mats, sums, order.tolist()):
+        assert (np.linalg.matrix_power(w, m) == eye).all()
+        length = absolute_length(w)
+        assert np.trace(s) == m * (d.rank - length)
+        shifted = w - eye
+        for alpha in roots:
+            spans = integer_rank(np.column_stack([shifted, alpha]).tolist()) == length
+            assert (not (s @ np.array(alpha)).any()) == spans, (w, alpha)
 
 
 def test_interval_walk_rejects_a_start_below_full_length():
