@@ -16,9 +16,10 @@ orientation of a diagram.  Neither is called by the engine.
   alpha_l for every vertex l.  Face counts of the complex give the
   face-count polynomial, dimension-weighted face counts give the
   dimension polynomial, with no closed formula anywhere.  The faces are
-  counted level by level in numpy: a face is its last vertex and the
-  bitmask of the vertices compatible with all of it, so each level is a
-  few array operations over the one below.
+  counted by ``oracles._clique_census``, the census that also counts the
+  antichains of the root poset for the Narayana oracle: level by level
+  in numpy, a face being its last vertex and the bitmask of the vertices
+  compatible with all of it.
 
 * The translate-orbit dimension sum, computed by iterating the inverse
   Coxeter transformation on the dimension vector of a projective until
@@ -39,7 +40,7 @@ import numpy as np
 from .dynkin import DynkinDiagram
 from .errors import ConventionError, ImpurityError, NotAModule, RankTooLarge, UsageError
 from .errors import check_oracle_budget
-from .oracles import positive_roots
+from .oracles import _clique_census, positive_roots
 from .polynomials import Polynomial
 
 
@@ -222,75 +223,6 @@ class CompatibilityComplex:
         counts, _, _ = _clique_census(sub, [0] * len(neighbors), self.rank)
         n = self.rank - 1
         return Polynomial([counts[n - power] for power in range(n + 1)])
-
-
-# candidate edges the census expands at once: bounds its temporaries
-_CENSUS_EDGES = 1 << 16
-
-
-def _clique_census(compatible: np.ndarray, dims, max_size: int):
-    """Count the cliques of a graph by size, with dimension-weighted
-    totals and the number of maximal cliques of each size; raises if any
-    clique exceeds max_size.
-
-    The census runs level by level.  A clique of size k is a row: its
-    last (largest) vertex, the mask of the vertices adjacent to all of it
-    (bit j % 64 of uint64 word j // 64 for vertex j) and its dimension
-    total.  Its children are the later neighbours of its last vertex
-    whose bit is set in the mask, and it is maximal when the mask is
-    empty.  Faces of size max_size are not expanded: one with a nonempty
-    mask extends to a larger clique, so it raises.  Each level is
-    expanded in chunks of at most ``_CENSUS_EDGES`` candidate edges.
-    Dimension totals are summed in int64: in a complex of rank at most 8
-    a face totals at most 8 * 29 and a level holds at most 163,856 faces
-    (E8), far below 2**63.
-
-    >>> _clique_census(~np.eye(3, dtype=bool), [1, 2, 3], 3)
-    ([1, 3, 3, 1], [0, 6, 12, 6], [0, 0, 0, 1])
-    """
-    n = len(compatible)
-    dims = np.asarray(dims, dtype=np.int64)
-    words = max(1, -(-n // 64))
-    packed = np.zeros((n, 8 * words), dtype=np.uint8)
-    packed[:, : -(-n // 8)] = np.packbits(compatible, axis=1, bitorder="little")
-    bits = packed.view("<u8")
-    # the later neighbours of each vertex, in CSR form
-    later = np.triu(compatible, 1)
-    degree = later.sum(axis=1)
-    start = np.concatenate(([0], np.cumsum(degree)))
-    neighbor = np.nonzero(later)[1]
-    word = neighbor >> 6
-    bit = np.left_shift(np.uint64(1), (neighbor & 63).astype(np.uint64))
-    rows_per_chunk = max(1, _CENSUS_EDGES // max(1, int(degree.max(initial=0))))
-
-    counts = [0] * (max_size + 1)
-    dim_sums = [0] * (max_size + 1)
-    maximal = [0] * (max_size + 1)
-    counts[0], maximal[0] = 1, int(n == 0)
-    last, mask, dim_total, size = np.arange(n), bits, dims, 1
-    while len(last):
-        if size > max_size:  # only when max_size is 0; larger ones stop at their top level
-            raise ImpurityError("clique larger than the ambient rank")
-        counts[size] = len(last)
-        dim_sums[size] = int(dim_total.sum())
-        maximal[size] = int(np.count_nonzero(~mask.any(axis=1)))
-        if size == max_size:
-            if maximal[size] < len(last):
-                raise ImpurityError("clique larger than the ambient rank")
-            break
-        chunks = []
-        for lo in range(0, len(last), rows_per_chunk):
-            rows = np.arange(lo, min(lo + rows_per_chunk, len(last)))
-            fan = degree[last[rows]]
-            parent = np.repeat(rows, fan)
-            pos = np.arange(len(parent)) + np.repeat(start[last[rows]] - np.cumsum(fan) + fan, fan)
-            keep = (mask.reshape(-1)[parent * words + word[pos]] & bit[pos]) != 0
-            parent, child = parent[keep], neighbor[pos[keep]]
-            chunks.append((child, mask[parent] & bits[child], dim_total[parent] + dims[child]))
-        del last, mask, dim_total  # free this level before its children are joined
-        last, mask, dim_total = (np.concatenate(level) for level in zip(*chunks))
-        size += 1
-    return counts, dim_sums, maximal
 
 
 _COMPLEX_RANK_CAP = 8

@@ -191,17 +191,17 @@ def sequence_weight(u: tuple[int, ...], n: int) -> int:
 
 
 def sign_sequence_blocks(n: int, ell: int) -> Iterator[np.ndarray]:
-    """The members of ``sign_sequences(n, ell)``, each once, as the rows
-    of arrays of at most ``_BLOCK_ROWS`` rows, every row sorted in
-    descending order.
+    """The members of ``sign_sequences(n, ell)``, each once and each up
+    to the order of its entries, as the rows of arrays of at most
+    ``_BLOCK_ROWS`` rows: ``block_sequence_weight`` reads no entry order.
 
     Each block pairs a run of sign vectors with a run of absolute-value
     combinations; the combinations are streamed once per run of sign
     vectors, so memory depends on the block size and not on n.  The
-    dtype is int32 (the fastest to sort), or wider if n needs it.
+    dtype is int32, or wider if n needs it.
 
     >>> next(sign_sequence_blocks(3, 1))[:4].tolist()
-    [[2, 1], [2, -1], [1, -2], [-1, -2]]
+    [[1, 2], [-1, 2], [1, -2], [-1, -2]]
     """
     k = n - ell
     dtype = np.promote_types(np.int32, np.min_scalar_type(-n))
@@ -218,7 +218,7 @@ def sign_sequence_blocks(n: int, ell: int) -> Iterator[np.ndarray]:
             if not len(absvals):
                 break
             rows = (absvals[:, None, :] * signs[None, :, :]).reshape(-1, k)
-            yield np.sort(rows, axis=1)[:, ::-1]
+            yield rows
 
 
 def block_sequence_weight(rows: np.ndarray, n: int) -> int:

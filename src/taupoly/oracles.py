@@ -8,10 +8,9 @@ and the ``--oracle`` routes compare the engine with these:
   breadth-first traversal of the regular-weight orbit (every type);
 * preprojective orbit totals by traversing a fundamental-weight orbit;
 * Narayana polynomials by the closed binomial formula (type A) and by
-  walking the absolute-order interval down from a Coxeter element,
-  visiting only its Catalan(W) elements; the tests check the walk against
-  whole-group enumeration with the codimension formula for reflection
-  length, itself checked by breadth-first search over all reflections.
+  counting the antichains of the root poset by size: Nar(W, k) is the
+  number of k-antichains (Athanasiadis, Trans. AMS 357, 2005; Armstrong,
+  Mem. AMS 202, 2009, ch. 5).
 
 Each oracle first works out from the diagram how many elements it will
 visit and raises ``RankTooLarge`` over ``errors.ORACLE_BUDGET``, as the
@@ -34,12 +33,12 @@ from a fundamental weight w_l they match the rigid submodules of the
 projective at l over the preprojective algebra, of dimension that height
 (Geiss-Leclerc-Schroer).  Positive roots are made likewise, by height.
 
-The walk goes level by level from c down to the identity.  The elements
-covered by w are the t*w for the reflections t whose root lies in
-Im(w - I) (Carter's lemma).  An element w of order m is semisimple, so
-S = I + w + ... + w^(m-1) is m times the projection onto Fix(w) along
-Im(w - I): a root lies in Im(w - I) exactly when S kills it, and
-trace S = m * (rank - l(w)) checks the reflection length, both exactly.
+One census, ``_clique_census``, counts the cliques of a graph level by
+level in numpy: a clique is its last vertex and the bitmask of the
+vertices adjacent to all of it.  The antichains of the root poset are
+the cliques of its incomparability graph; ``hereditary`` counts the
+faces of the tau-rigid complex, the cliques of its compatibility graph,
+with the same census.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .dynkin import DynkinDiagram, as_union, delete_vertex
-from .errors import ConsistencyError, check_oracle_budget
+from .errors import ORACLE_BUDGET, ConsistencyError, ImpurityError, check_oracle_budget
 from .polynomials import ONE, Polynomial
 
 
@@ -62,24 +61,6 @@ def cartan_matrix(d: DynkinDiagram) -> np.ndarray:
         C[index[a], index[b]] = -1
         C[index[b], index[a]] = -1
     return C
-
-
-def simple_reflection_matrices(cartan: np.ndarray) -> list[np.ndarray]:
-    """Reflection matrices acting on simple-root coordinates (column vectors)."""
-    n = cartan.shape[0]
-    mats = []
-    for i in range(n):
-        m = np.eye(n, dtype=np.int64)
-        m[i, :] -= cartan[i, :]
-        mats.append(m)
-    return mats
-
-
-def reflection_matrix_for_root(root: np.ndarray, cartan: np.ndarray) -> np.ndarray:
-    """Matrix of the reflection in the given root (simple-root coordinates)."""
-    a = np.asarray(root, dtype=np.int64)
-    n = cartan.shape[0]
-    return np.eye(n, dtype=np.int64) - np.outer(a, cartan @ a)
 
 
 def positive_roots(cartan: np.ndarray) -> list[tuple[int, ...]]:
@@ -176,87 +157,6 @@ def weight_orbit_total(d: DynkinDiagram, ell: int) -> tuple[int, int]:
     if count != size:
         raise ConsistencyError(f"{d} weight orbit at vertex {ell}: {count:,} points, not {size:,}")
     return total, count
-
-
-def _as_int8(mats: np.ndarray) -> np.ndarray:
-    if np.abs(mats).max(initial=0) > np.iinfo(np.int8).max:
-        raise ConsistencyError("group element entry does not fit in int8")
-    return mats.astype(np.int8)
-
-
-def _fixed_space_sums(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """S = I + w + ... + w^(m-1) and the order m of each int64 matrix w
-    in a batch of group elements.  S is m times the projection onto
-    Fix(w) along Im(w - I); a power that leaves int8 raises
-    ConsistencyError.
-
-    >>> a2 = DynkinDiagram("A", 2)
-    >>> sums, order = _fixed_space_sums(coxeter_element_matrix(a2)[None])
-    >>> order.tolist(), bool(sums.any())
-    ([3], False)
-    >>> s1 = simple_reflection_matrices(cartan_matrix(a2))[0]
-    >>> sums, order = _fixed_space_sums(s1[None])
-    >>> order.tolist(), int(np.trace(sums[0]))
-    ([2], 2)
-    """
-    eye = np.eye(w.shape[1], dtype=np.int64)
-    sums = np.broadcast_to(eye, w.shape).copy()
-    order = np.ones(len(w), dtype=np.int64)
-    live, power = np.arange(len(w)), w
-    while live.size:
-        pending = ~(power == eye).all(axis=(1, 2))
-        live, power = live[pending], power[pending]
-        sums[live] += power
-        order[live] += 1
-        power = _as_int8(power @ w[live]).astype(np.int64)
-    return sums, order
-
-
-def interval_walk(
-    cartan: np.ndarray,
-    coxeter_matrix: np.ndarray,
-    progress: Callable[[int], None] | None = None,
-) -> list[int]:
-    """Distribution of reflection length over the absolute-order interval [1, c].
-
-    Walks down from ``{c}`` one reflection length at a time: the level
-    below k is every s_alpha * w with w at level k and alpha a positive
-    root in Im(w - I) (read off ``_fixed_space_sums``), deduplicated.
-    Entry k of the result is the size of level k; ``progress`` gets the
-    running element count after each level.  Raises ConsistencyError if a
-    level's reflection lengths are not what the walk assumes or the last
-    level is not the identity.
-    """
-    C = np.asarray(cartan, dtype=np.int64)
-    n = C.shape[0]
-    roots = np.array(positive_roots(C), dtype=np.int64)  # (N, n)
-    covectors = roots @ C  # row j is (C alpha_j)^T; C is symmetric
-    eye = np.eye(n, dtype=np.int64)
-    level = _as_int8(np.asarray(coxeter_matrix)[None, :, :])
-    hist = [0] * (n + 1)
-    visited = 0
-    for k in range(n, -1, -1):
-        hist[k] = level.shape[0]
-        visited += level.shape[0]
-        if progress is not None:
-            progress(visited)
-        if k == 0:
-            break
-        w = level.astype(np.int64)
-        sums, order = _fixed_space_sums(w)
-        if (np.trace(sums, axis1=1, axis2=2) != order * (n - k)).any():
-            raise ConsistencyError(f"an element at interval level {k} has another reflection length")
-        b, j = np.nonzero(~(sums @ roots.T).any(axis=1))
-        # s_alpha w = w - alpha ((C alpha)^T w)
-        rows = np.einsum("mi,mij->mj", covectors[j], w[b])
-        children = _as_int8(w[b] - roots[j][:, :, None] * rows[:, None, :])
-        # each matrix as one n*n-byte key: a 1-D byte sort, far cheaper
-        # than np.unique(axis=0) over n*n int8 fields
-        keys = children.reshape(-1, n * n).view(np.dtype((np.void, n * n))).ravel()
-        level = children[np.unique(keys, return_index=True)[1]]
-    if hist[0] != 1 or not (level[0] == eye).all():
-        raise ConsistencyError("the interval walk did not end at the identity")
-    return hist
 
 
 # ---------------------------------------------------------------------------
@@ -443,109 +343,116 @@ def eulerian(u) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# Reflection length and the absolute-order interval
+# Cliques: the faces of a flag complex and the antichains of the root poset
 # ---------------------------------------------------------------------------
 
+# candidate edges the census expands at once: bounds its temporaries
+_CENSUS_EDGES = 1 << 16
 
-def integer_rank(rows: list[list[int]]) -> int:
-    """Rank over the rationals, by fraction-free integer elimination."""
-    rows = [list(r) for r in rows]
-    m = len(rows)
-    if m == 0:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, m) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pivot = rows[rank][col]
-        for r in range(rank + 1, m):
-            f = rows[r][col]
-            if f:
-                rows[r] = [a * pivot - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == m:
+
+def _clique_census(compatible: np.ndarray, dims, max_size: int, max_cliques: int = ORACLE_BUDGET):
+    """Count the cliques of a graph by size, with dimension-weighted
+    totals and the number of maximal cliques of each size.  Raises
+    ImpurityError if any clique exceeds max_size, or as soon as a level
+    takes the count past max_cliques (the empty clique and the vertices
+    included), so a graph far denser than expected stops early.
+
+    The census runs level by level.  A clique of size k is a row: its
+    last (largest) vertex, the mask of the vertices adjacent to all of it
+    (bit j % 64 of uint64 word j // 64 for vertex j) and its dimension
+    total.  Its children are the later neighbours of its last vertex
+    whose bit is set in the mask, and it is maximal when the mask is
+    empty.  Faces of size max_size are not expanded: one with a nonempty
+    mask extends to a larger clique, so it raises.  Each level is
+    expanded in chunks of at most ``_CENSUS_EDGES`` candidate edges.
+    Dimension totals are summed in int64, far below 2**63 for both
+    callers: a face of a tau-rigid complex (rank at most 8) totals at
+    most 8 * 29 and a level holds at most 163,856 faces (E8); an antichain
+    of roots has zero dimensions, and the census holds at most
+    max_cliques = Catalan(W) rows, which is within the oracle budget.
+
+    >>> _clique_census(~np.eye(3, dtype=bool), [1, 2, 3], 3)
+    ([1, 3, 3, 1], [0, 6, 12, 6], [0, 0, 0, 1])
+    """
+    n = len(compatible)
+    dims = np.asarray(dims, dtype=np.int64)
+    words = max(1, -(-n // 64))
+    packed = np.zeros((n, 8 * words), dtype=np.uint8)
+    packed[:, : -(-n // 8)] = np.packbits(compatible, axis=1, bitorder="little")
+    bits = packed.view("<u8")
+    # the later neighbours of each vertex, in CSR form
+    later = np.triu(compatible, 1)
+    degree = later.sum(axis=1)
+    start = np.concatenate(([0], np.cumsum(degree)))
+    neighbor = np.nonzero(later)[1]
+    word = neighbor >> 6
+    bit = np.left_shift(np.uint64(1), (neighbor & 63).astype(np.uint64))
+    rows_per_chunk = max(1, _CENSUS_EDGES // max(1, int(degree.max(initial=0))))
+
+    counts = [0] * (max_size + 1)
+    dim_sums = [0] * (max_size + 1)
+    maximal = [0] * (max_size + 1)
+    counts[0], maximal[0] = 1, int(n == 0)
+    last, mask, dim_total, size = np.arange(n), bits, dims, 1
+    made = 1 + n
+    while len(last):
+        if size > max_size:  # only when max_size is 0; larger ones stop at their top level
+            raise ImpurityError("clique larger than the ambient rank")
+        counts[size] = len(last)
+        dim_sums[size] = int(dim_total.sum())
+        maximal[size] = int(np.count_nonzero(~mask.any(axis=1)))
+        if size == max_size:
+            if maximal[size] < len(last):
+                raise ImpurityError("clique larger than the ambient rank")
             break
-    return rank
+        chunks = []
+        for lo in range(0, len(last), rows_per_chunk):
+            rows = np.arange(lo, min(lo + rows_per_chunk, len(last)))
+            fan = degree[last[rows]]
+            parent = np.repeat(rows, fan)
+            pos = np.arange(len(parent)) + np.repeat(start[last[rows]] - np.cumsum(fan) + fan, fan)
+            keep = (mask.reshape(-1)[parent * words + word[pos]] & bit[pos]) != 0
+            parent, child = parent[keep], neighbor[pos[keep]]
+            made += len(child)
+            if made > max_cliques:
+                raise ImpurityError(f"more than {max_cliques:,} cliques")
+            chunks.append((child, mask[parent] & bits[child], dim_total[parent] + dims[child]))
+        del last, mask, dim_total  # free this level before its children are joined
+        last, mask, dim_total = (np.concatenate(level) for level in zip(*chunks))
+        size += 1
+    return counts, dim_sums, maximal
 
 
-def absolute_length(matrix) -> int:
-    """Reflection length of a group element given as an integer matrix.
+def _census_cost(d: DynkinDiagram) -> tuple[str, int]:
+    return f"{d} root-poset antichain census", d.catalan_count()
 
-    Equals the codimension of the fixed space, computed as the exact
-    integer rank of (m - I).
+
+def root_order(roots: np.ndarray) -> np.ndarray:
+    """The root poset on the rows of ``roots``: entry (i, j) is True when
+    beta_i <= beta_j, that is, beta_j - beta_i has no negative coefficient.
+
+    >>> root_order(np.array([[1, 0], [0, 1], [1, 1]])).astype(int).tolist()
+    [[1, 0, 1], [0, 1, 1], [0, 0, 1]]
     """
-    rows = [list(map(int, row)) for row in matrix]
-    n = len(rows)
-    for i in range(n):
-        rows[i][i] -= 1
-    return integer_rank(rows)
+    return (roots[:, None] <= roots[None]).all(axis=2)
 
 
-def default_coxeter_order(d: DynkinDiagram) -> tuple[int, ...]:
-    """Vertices in two-coloring order: an admissible order for the
-    alternating orientation (every vertex a source or a sink)."""
-    colors = {d.vertices[0]: 0}
-    adjacency: dict[int, list[int]] = {v: [] for v in d.vertices}
-    for a, b in d.edges:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    stack = [d.vertices[0]]
-    while stack:
-        v = stack.pop()
-        for w in adjacency[v]:
-            if w not in colors:
-                colors[w] = 1 - colors[v]
-                stack.append(w)
-    evens = sorted(v for v in d.vertices if colors[v] == 0)
-    odds = sorted(v for v in d.vertices if colors[v] == 1)
-    return tuple(evens + odds)
+def narayana_oracle(d: DynkinDiagram) -> Polynomial:
+    """Antichains of the root poset by size: coefficient k is Nar(W, k),
+    the number of k-antichains (Athanasiadis), counted as the k-cliques of
+    the poset's incomparability graph.  The census holds Catalan(W)
+    antichains in all, which is checked against the oracle budget first
+    (A15 and D14 exceed it); an antichain of more than rank roots, or
+    more than Catalan(W) antichains, raises ImpurityError.
 
-
-def coxeter_element_matrix(d: DynkinDiagram, order: tuple[int, ...] | None = None) -> np.ndarray:
-    """Matrix of the product of all simple reflections in the given order.
-
-    The first vertex in ``order`` acts last (word read left to right).
+    >>> narayana_oracle(DynkinDiagram("D", 4)).coeffs
+    (1, 12, 24, 12, 1)
     """
-    if order is None:
-        order = default_coxeter_order(d)
-    if sorted(order) != sorted(d.vertices):
-        raise ValueError(f"order {order} is not a permutation of the vertices of {d}")
-    index = {v: i for i, v in enumerate(d.vertices)}
-    mats = simple_reflection_matrices(cartan_matrix(d))
-    out = np.eye(d.rank, dtype=np.int64)
-    for v in order:
-        out = out @ mats[index[v]]
-    return out
-
-
-def _walk_cost(d: DynkinDiagram) -> tuple[str, int]:
-    return f"{d} interval walk", d.catalan_count() * d.positive_root_count()
-
-
-def narayana_oracle(
-    d: DynkinDiagram,
-    *,
-    coxeter_order: tuple[int, ...] | None = None,
-    progress=None,
-) -> Polynomial:
-    """Reflection-length distribution over the interval below a Coxeter element.
-
-    Walks the absolute-order interval [id, c] down from c, one reflection
-    length at a time, so only its Catalan(W) elements are visited (see
-    ``interval_walk``), each tested against every positive root; that
-    product is checked against the oracle budget, which D10 and A11
-    exceed.  ``progress``, if given, is called after each level with the
-    number of elements visited so far.  The tests check the walk against
-    the whole-group membership rule l(w) + l(w^{-1}c) = rank on small
-    groups.
-    """
-    check_oracle_budget(*_walk_cost(d))
-    cartan = cartan_matrix(d)
-    cox = coxeter_element_matrix(d, coxeter_order)
-    return Polynomial(interval_walk(cartan, cox, progress=progress))
+    check_oracle_budget(*_census_cost(d))
+    roots = np.array(positive_roots(cartan_matrix(d)), dtype=np.int64)
+    le = root_order(roots)
+    counts, _, _ = _clique_census(~(le | le.T), [0] * len(roots), d.rank, d.catalan_count())
+    return Polynomial(counts)
 
 
 def narayana_a(rank: int) -> Polynomial:
@@ -561,7 +468,7 @@ def narayana_a(rank: int) -> Polynomial:
 
 def narayana(u) -> Polynomial:
     """Narayana polynomial of a diagram or union, multiplied out from the
-    interval walks over its components, once every component is within
+    antichain censuses of its components, once every component is within
     the oracle budget.
 
     >>> from taupoly.dynkin import parse_union
@@ -570,50 +477,6 @@ def narayana(u) -> Polynomial:
     """
     union = as_union(u)
     for comp in union:
-        check_oracle_budget(*_walk_cost(comp))
+        check_oracle_budget(*_census_cost(comp))
     return prod((narayana_oracle(comp) for comp in union), start=ONE)
 
-
-# ---------------------------------------------------------------------------
-# Whole-group oracles for reflection length
-# ---------------------------------------------------------------------------
-
-
-def _cayley_bfs(rank: int, generators: list[np.ndarray]) -> dict[bytes, tuple[np.ndarray, int]]:
-    """Every element of the group the generators make, keyed by its
-    matrix bytes, with its distance from the identity in their Cayley
-    graph."""
-    start = np.eye(rank, dtype=np.int64)
-    seen = {start.tobytes(): (start, 0)}
-    frontier = [start]
-    depth = 0
-    while frontier:
-        depth += 1
-        nxt = []
-        for mat in frontier:
-            for gen in generators:
-                img = gen @ mat
-                key = img.tobytes()
-                if key not in seen:
-                    seen[key] = (img, depth)
-                    nxt.append(img)
-        frontier = nxt
-    return seen
-
-
-def reflection_length_table(d: DynkinDiagram) -> dict[bytes, int]:
-    """Map every group element (matrix bytes) to its reflection length.
-
-    Breadth-first search over the Cayley graph generated by *all*
-    reflections; intended as an independent check of the codimension
-    formula on small groups.
-    """
-    cartan = cartan_matrix(d)
-    refls = [reflection_matrix_for_root(r, cartan) for r in positive_roots(cartan)]
-    return {key: depth for key, (_, depth) in _cayley_bfs(d.rank, refls).items()}
-
-
-def all_group_matrices(d: DynkinDiagram) -> list[np.ndarray]:
-    """Every element of a small group, as simple-root-basis matrices."""
-    mats = simple_reflection_matrices(cartan_matrix(d))
-    return [mat for mat, _ in _cayley_bfs(d.rank, mats).values()]

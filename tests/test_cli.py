@@ -152,7 +152,7 @@ def test_parser_errors_exit_2(capsys):
 
 
 def test_oracle_over_budget_exits_2(capsys):
-    # the E8 interval walk is within the budget and matches the engine
+    # the E8 antichain census is within the budget and matches the engine
     code, payload = run_json(capsys, "narayana", "E8", "--oracle")
     assert code == 0
     coeffs = payload["results"]["coefficients_ascending"]
@@ -485,13 +485,13 @@ def test_verify_all_covers_every_operation_group(capsys):
 
 
 def test_internal_consistency_failure_exits_4(capsys, monkeypatch):
-    # a simple reflection as the Coxeter element trips the walk's
-    # reflection-length check at the top level
-    monkeypatch.setattr(
-        oracles,
-        "coxeter_element_matrix",
-        lambda d, order=None: oracles.simple_reflection_matrices(oracles.cartan_matrix(d))[0],
-    )
+    # the simple roots and one vector comparable with none of them make an
+    # antichain of rank + 1 roots, which the census refuses
+    def roots(cartan):
+        simple = [tuple(int(i == j) for j in range(len(cartan))) for i in range(len(cartan))]
+        return simple + [(2, -1, 0, 0)]
+
+    monkeypatch.setattr(oracles, "positive_roots", roots)
     assert cli.main(["narayana", "D4", "--oracle"]) == cli.EXIT_INTERNAL == 4
     assert "internal error" in capsys.readouterr().err
 

@@ -241,7 +241,7 @@ def test_rank_bounds_and_usage():
 
 def test_e8_h_polynomial_is_gated():
     # the engine has no budget; the E8 weight orbit is over the oracle
-    # budget, the E8 interval walk is not (test_weyl compares it)
+    # budget, the E8 antichain census is not (test_weyl compares it)
     assert h_polynomial(spec(PATH, "E", 8))(1) == 25080
     assert h_polynomial(spec(PREPROJECTIVE, "E", 8))(1) == 696729600
     with pytest.raises(RankTooLarge, match="696,729,600"):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from taupoly import formulas, hereditary
+from taupoly import formulas, hereditary, oracles
 from taupoly.dynkin import DynkinDiagram
 from taupoly.errors import (
     ConventionError,
@@ -192,11 +192,22 @@ def test_clique_census_matches_a_set_listing(case):
     for a, b in edges:
         compatible[a, b] = compatible[b, a] = a != b
     want = reference_census(n, edges, dims, max_size)
-    if want is None:
-        with pytest.raises(ImpurityError, match="clique larger than the ambient rank"):
-            hereditary._clique_census(compatible, dims, max_size)
-    else:
-        assert hereditary._clique_census(compatible, dims, max_size) == want
+    # one row per chunk as well: every level then crosses chunk boundaries
+    for edges_per_chunk in (1, oracles._CENSUS_EDGES):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracles, "_CENSUS_EDGES", edges_per_chunk)
+            if want is None:
+                with pytest.raises(ImpurityError, match="clique larger than the ambient rank"):
+                    oracles._clique_census(compatible, dims, max_size)
+            else:
+                assert oracles._clique_census(compatible, dims, max_size) == want
+
+
+def test_antichain_census_is_the_same_in_any_chunk_size(monkeypatch):
+    a10 = DynkinDiagram("A", 10)
+    default = oracles.narayana_oracle(a10)
+    monkeypatch.setattr(oracles, "_CENSUS_EDGES", 1)
+    assert oracles.narayana_oracle(a10) == default
 
 
 def test_interval_modules_are_bricks():

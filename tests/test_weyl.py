@@ -7,13 +7,9 @@ from hypothesis import strategies as st
 
 from taupoly import cli, hereditary, lattice, oracles, weyl
 from taupoly.dynkin import DiagramUnion, DynkinDiagram, parse_union
-from taupoly.errors import ORACLE_BUDGET, ConsistencyError, RankTooLarge
+from taupoly.errors import ORACLE_BUDGET, ConsistencyError, ImpurityError, RankTooLarge
 from taupoly.oracles import (
-    absolute_length,
-    all_group_matrices,
     cartan_matrix,
-    coxeter_element_matrix,
-    default_coxeter_order,
     descent_count_permutation,
     descent_count_signed,
     descent_counts,
@@ -21,12 +17,10 @@ from taupoly.oracles import (
     eulerian_by_orbit,
     eulerian_d_by_enumeration,
     even_signed_blocks,
-    integer_rank,
     narayana_a,
     narayana_oracle,
     permutation_blocks,
     permutation_rows,
-    reflection_length_table,
     signed_descent_counts,
     weight_orbit_total,
 )
@@ -188,11 +182,37 @@ def test_eulerian_engine_matches_triangles():
         assert eulerian_poly(D(rank)) == Polynomial(oracles._eulerian_even_signed(rank))
 
 
-def test_narayana_engine_matches_interval_walk():
-    # E8 (~1 s) is compared through the CLI in test_oracle_over_budget_exits_2
-    diagrams = [A(n) for n in range(1, 10)] + [D(n) for n in range(4, 9)] + [E(6), E(7)]
+def test_narayana_engine_matches_antichain_census():
+    # A11 and D10 are the last ranks whose census takes under ~40 ms
+    diagrams = [A(n) for n in range(1, 12)] + [D(n) for n in range(4, 11)] + [E(6), E(7), E(8)]
     for diagram in diagrams:
         assert narayana_poly(diagram) == narayana_oracle(diagram), diagram
+
+
+def _support_order(roots):
+    support = roots > 0
+    return (support[:, None] <= support[None]).all(axis=2)
+
+
+def test_narayana_census_tells_the_root_order_from_support_inclusion(monkeypatch):
+    # type A roots are intervals, so there the root order is inclusion of
+    # supports; D5 and E6 have roots of one support and other coefficients
+    monkeypatch.setattr(oracles, "root_order", _support_order)
+    for rank in range(1, 8):
+        assert narayana_oracle(A(rank)) == narayana_poly(A(rank))
+    for diagram in (D(5), E(6)):
+        assert narayana_oracle(diagram) != narayana_poly(diagram), diagram
+
+
+def test_narayana_census_refuses_a_strict_root_order(monkeypatch):
+    # with < in place of <= one pair of D4's twelve roots compares, so the
+    # incomparability graph holds more than Catalan(W) cliques; E8's would
+    # hold billions below the rank, so the census stops at the count
+    strict = lambda roots: (roots[:, None] < roots[None]).all(axis=2)
+    monkeypatch.setattr(oracles, "root_order", strict)
+    for diagram in (D(4), E(8)):
+        with pytest.raises(ImpurityError, match=f"more than {diagram.catalan_count():,} cliques"):
+            narayana_oracle(diagram)
 
 
 def test_narayana_engine_matches_closed_form():
@@ -261,112 +281,6 @@ def test_narayana_closed_matches_oracle():
         assert narayana_a(rank) == narayana_oracle(A(rank))
 
 
-def test_narayana_coxeter_order_independence():
-    a3 = A(3)
-    assert narayana_oracle(a3, coxeter_order=(1, 2, 3)) == narayana_oracle(
-        a3, coxeter_order=(2, 1, 3)
-    )
-    d4 = D(4)
-    assert narayana_oracle(d4, coxeter_order=(-1, 1, 3, 2)) == narayana_oracle(
-        d4, coxeter_order=(2, -1, 1, 3)
-    )
-    for d in (D(6), E(6)):
-        default = narayana_oracle(d)
-        assert narayana_oracle(d, coxeter_order=d.vertices) == default
-        assert narayana_oracle(d, coxeter_order=d.vertices[::-1]) == default
-
-
-def _interval_histograms_by_enumeration(d, orders):
-    """Reflection lengths over [1, c], for the Coxeter element c of each
-    order, by the whole-group membership rule l(w) + l(w^{-1} c) = rank;
-    independent of the interval walk.  l(w^{-1} c) is the rank of
-    w^{-1} c - I = w^{-1} (c - w), which is the rank of c - w because w is
-    invertible."""
-    coxes = [coxeter_element_matrix(d, order) for order in orders]
-    hists = [[0] * (d.rank + 1) for _ in orders]
-    for w in all_group_matrices(d):
-        length = absolute_length(w)
-        for hist, cox in zip(hists, coxes):
-            if length + integer_rank((cox - w).tolist()) == d.rank:
-                hist[length] += 1
-    return [Polynomial(hist) for hist in hists]
-
-
-@pytest.mark.parametrize("d", [A(1), A(2), A(3), A(4), D(4), D(5)], ids=str)
-def test_interval_walk_matches_whole_group_enumeration(d):
-    orders = (default_coxeter_order(d), d.vertices, d.vertices[::-1])
-    expected = _interval_histograms_by_enumeration(d, orders)
-    assert [narayana_oracle(d, coxeter_order=order) for order in orders] == expected
-
-
-@pytest.mark.parametrize("d", [A(1), A(2), A(3), A(4), D(4), D(5)], ids=str)
-def test_fixed_space_sums_match_the_rank_rule(d):
-    # S = I + w + ... + w^(m-1) against the fraction-free rank on the
-    # whole group: trace S = m (n - l(w)), and S kills a root exactly when
-    # it lies in Im(w - I), i.e. when [w - I | alpha] has rank l(w)
-    eye = np.eye(d.rank, dtype=np.int64)
-    roots = oracles.positive_roots(cartan_matrix(d))
-    mats = all_group_matrices(d)
-    sums, order = oracles._fixed_space_sums(np.array(mats))
-    for w, s, m in zip(mats, sums, order.tolist()):
-        assert (np.linalg.matrix_power(w, m) == eye).all()
-        length = absolute_length(w)
-        assert np.trace(s) == m * (d.rank - length)
-        shifted = w - eye
-        for alpha in roots:
-            spans = integer_rank(np.column_stack([shifted, alpha]).tolist()) == length
-            assert (not (s @ np.array(alpha)).any()) == spans, (w, alpha)
-
-
-def test_interval_walk_rejects_a_start_below_full_length():
-    cartan = cartan_matrix(D(4))
-    reflection = oracles.simple_reflection_matrices(cartan)[0]
-    with pytest.raises(ConsistencyError, match="another reflection length"):
-        oracles.interval_walk(cartan, reflection)
-
-
-def test_interval_walk_reports_progress_per_level():
-    seen = []
-    hist = narayana_oracle(D(4), progress=seen.append)
-    assert seen == [1, 13, 37, 49, 50]
-    assert hist(1) == seen[-1]
-
-
-def test_absolute_length_basics():
-    n = 4
-    d4 = D(4)
-    eye = np.eye(n, dtype=np.int64)
-    assert absolute_length(eye) == 0
-    for refl in oracles.simple_reflection_matrices(cartan_matrix(d4)):
-        assert absolute_length(refl) == 1
-    assert absolute_length(coxeter_element_matrix(d4)) == 4
-
-
-def test_absolute_length_against_reflection_bfs():
-    for diagram in (A(4), D(4)):
-        lengths = reflection_length_table(diagram)
-        mats = all_group_matrices(diagram)
-        assert len(mats) == diagram.group_order()
-        assert len(lengths) == diagram.group_order()
-        for mat in mats:
-            assert absolute_length(mat) == lengths[mat.tobytes()]
-
-
-def test_coxeter_element_is_admissible_for_bipartition():
-    # the default order is two independent blocks, so it is a topological
-    # order of the alternating orientation (sources first)
-    for d in (A(5), D(5), E(6)):
-        order = default_coxeter_order(d)
-        assert sorted(order) == sorted(d.vertices)
-        position = {v: i for i, v in enumerate(order)}
-        splits = [
-            k
-            for k in range(len(order) + 1)
-            if all((position[a] < k) != (position[b] < k) for a, b in d.edges)
-        ]
-        assert splits, f"no independent two-block split for {d}"
-
-
 def test_positive_roots_closure():
     for diagram, count in ((A(4), 10), (D(4), 12), (E(6), 36)):
         cartan = cartan_matrix(diagram)
@@ -384,8 +298,8 @@ def test_feature_gates():
         (lambda: oracles.eulerian(E(8)), "696,729,600"),
         (lambda: eulerian_a_by_enumeration(10), "A10 descent enumeration visits 39,916,800"),
         (lambda: eulerian_d_by_enumeration(9), "D9 descent enumeration visits 92,897,280"),
-        (lambda: narayana_oracle(D(10)), "D10 interval walk visits 12,252,240"),
-        (lambda: oracles.narayana(A(11)), "A11 interval walk visits 13,728,792"),
+        (lambda: narayana_oracle(D(14)), "D14 root-poset antichain census visits 29,716,000"),
+        (lambda: oracles.narayana(A(15)), "A15 root-poset antichain census visits 35,357,670"),
     ):
         with pytest.raises(RankTooLarge, match=estimate):
             call()
@@ -395,7 +309,7 @@ def test_feature_gates():
 def oracle_calls_over_budget(draw):
     """One call of each oracle on an input over the budget, with its estimate."""
     extra = draw(st.integers(0, 20))
-    a, d, walk_a, walk_d = A(10 + extra), D(9 + extra), A(11 + extra), D(10 + extra)
+    a, d, census_a, census_d = A(10 + extra), D(9 + extra), A(15 + extra), D(14 + extra)
     n = 28 + extra
     near_half = draw(st.integers(n // 2 - 2, n // 2 + 2))
     tail = draw(st.integers(2, n // 2))
@@ -410,11 +324,8 @@ def oracle_calls_over_budget(draw):
         # the small component comes first in the union, so it would be
         # enumerated before the large one were refused
         (lambda: oracles.eulerian(DiagramUnion((small, a))), a.group_order()),
-        (lambda: narayana_oracle(walk_d), walk_d.catalan_count() * walk_d.positive_root_count()),
-        (
-            lambda: oracles.narayana(DiagramUnion((small, walk_a))),
-            walk_a.catalan_count() * walk_a.positive_root_count(),
-        ),
+        (lambda: narayana_oracle(census_d), census_d.catalan_count()),
+        (lambda: oracles.narayana(DiagramUnion((small, census_a))), census_a.catalan_count()),
         (lambda: lattice.orbit_total(A(n), near_half), comb(n + 1, near_half)),
         (lambda: lattice.orbit_total(D(n), 1), 2 ** (n - 1)),
         (lambda: lattice.orbit_total(D(n), tail), 2 ** (n - tail) * comb(n, tail)),
@@ -451,7 +362,8 @@ def test_oracles_refuse_over_budget_before_any_work(calls):
 
     with pytest.MonkeyPatch.context() as patch:
         for module, name in (
-            (oracles, "interval_walk"),
+            (oracles, "_clique_census"),
+            (oracles, "positive_roots"),
             (oracles, "descent_distribution"),
             (oracles, "orbit_levels"),
             (oracles, "permutation_rows"),
