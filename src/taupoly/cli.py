@@ -82,23 +82,34 @@ def _stringify(value):
     return value
 
 
-def _emit(report: Report, fmt: str) -> int:
-    if fmt == "json":
+def _table_csv(results: dict) -> list[list]:
+    rows = results["rows"]
+    width = max(map(len, rows.values()))
+    header = ["n", *(f"j{j}" for j in range(width))]
+    return [header] + [[n, *row] + [""] * (width - len(row)) for n, row in rows.items()]
+
+
+# the commands with a CSV layout: a function of the results giving the rows
+CSV_LAYOUTS = {"poly": lambda results: [results["coefficients_ascending"]], "table": _table_csv}
+
+
+def _emit(report: Report, args) -> int:
+    if args.format == "json":
         print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
+        return report.exit_status
+    if args.format == "csv":
+        for row in CSV_LAYOUTS[args.command](report.results):
+            print(",".join(map(str, row)))
     else:
-        _emit_plain(report)
-    return report.exit_status
-
-
-def _emit_plain(report: Report) -> None:
-    for key, value in report.results.items():
-        print(f"{key}: {_plain(value)}")
+        for key, value in report.results.items():
+            print(f"{key}: {_plain(value)}")
     for check in report.checks:
         status = "PASS" if check["pass"] else "FAIL"
         line = f"[{status}] {check['name']}"
         if not check["pass"]:
             line += f" (expected {check['expected']}, got {check['actual']})"
         print(line)
+    return report.exit_status
 
 
 def _plain(value) -> str:
@@ -130,20 +141,28 @@ def cmd_poly(args) -> Report:
     diagram = parse_diagram(args.diagram)
     spec = AlgebraSpec(family, diagram)
     kind = args.kind
-    if kind == "d":
-        poly = formulas.d_polynomial(spec)
-    elif kind == "h":
-        poly = formulas.h_polynomial(spec)
-    else:  # the parser allows only d, f and h
-        poly = formulas.f_polynomial(spec)
     report = Report(command=f"poly --family {family} --diagram {diagram} --kind {kind}")
+    if args.oracle:
+        # the complex of tau-rigid pairs of the diagram's quiver
+        if family != PATH:
+            raise UsageError(f"poly --oracle has no route for the {family} family")
+        from . import hereditary
+
+        quiver = hereditary.OrientedQuiver.from_diagram(diagram, args.orientation)
+        complex_ = hereditary.tau_rigid_complex(quiver)
+        poly = getattr(complex_, f"{kind}_polynomial")()
+        orientation = "" if args.orientation is None else f" --orientation {args.orientation}"
+        report.command += f" --oracle{orientation}"
+    elif args.orientation is not None:
+        raise UsageError("--orientation picks the quiver of the --oracle route")
+    else:
+        poly = getattr(formulas, f"{kind}_polynomial")(spec)
     report.results["polynomial"] = poly
     report.results["coefficients_ascending"] = poly.to_decimal_strings()
+    if args.oracle:
+        report.results["maximal_faces"] = complex_.maximal_face_count
     if args.verify:
         _verify_single_poly(report, spec, kind, poly)
-    if args.format == "csv":
-        print(",".join(poly.to_decimal_strings()))
-        report.results = {}
     return report
 
 
@@ -175,7 +194,7 @@ def _table_for(spec: AlgebraSpec) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# eulerian / narayana / dim-orbit / oracle
+# eulerian / narayana / dim-orbit
 # ---------------------------------------------------------------------------
 
 
@@ -228,26 +247,16 @@ def cmd_dim_orbit(args) -> Report:
         report.results.update(route(ell))
         return report
     if args.oracle and family == PREPROJECTIVE:
-        estimate = sum(weyl.coset_count(diagram, v) for v in diagram.vertices)
-        check_oracle_budget(f"{diagram} orbit-total oracle over every vertex", estimate)
+        # refused as soon as the running total, a lower bound, passes the budget
+        estimate = 0
+        for v in diagram.vertices:
+            estimate += weyl.coset_count(diagram, v)
+            what = f"{diagram} orbit-total oracle over every vertex"
+            check_oracle_budget(what, estimate, at_least=True)
     # the automorphism of D_n swaps the fork vertices -1 and 1 and fixes
     # every other vertex, so one run serves both
     route = cache(route)
     report.results["totals"] = {v: route(abs(v))["total"] for v in diagram.vertices}
-    return report
-
-
-def cmd_oracle_path(args) -> Report:
-    from . import hereditary
-
-    diagram = DynkinDiagram(args.type.upper(), args.rank)
-    q = hereditary.OrientedQuiver.from_diagram(diagram, args.orientation)
-    complex_ = hereditary.tau_rigid_complex(q)
-    poly = hereditary.poly_from_complex(complex_, args.kind)
-    report = Report(command=f"oracle path {diagram} {args.orientation or ''} {args.kind}")
-    report.results["polynomial"] = poly
-    report.results["coefficients_ascending"] = poly.to_decimal_strings()
-    report.results["maximal_faces"] = complex_.maximal_face_count
     return report
 
 
@@ -261,13 +270,6 @@ def cmd_table(args) -> Report:
     rows = formulas.reproduce_table(k)
     report = Report(command=f"table {k}")
     report.results["rows"] = {n: list(rows[n]) for n in sorted(rows)}
-    if args.format == "csv":
-        width = max(len(r) for r in rows.values())
-        print("n," + ",".join(f"j{j}" for j in range(width)))
-        for n in sorted(rows):
-            cells = [str(v) for v in rows[n]] + [""] * (width - len(rows[n]))
-            print(f"{n}," + ",".join(cells))
-        report.results = {}
     return report
 
 
@@ -494,8 +496,8 @@ def _suite_structural(report: Report, args) -> None:
     for n in range(1, min(args.max_rank, 5) + 1):
         complex_ = hereditary.tau_rigid_complex(hereditary.OrientedQuiver.line(n))
         total = Polynomial()
-        for idx in complex_.module_vertices():
-            total = total + complex_.vertices[idx].dim * complex_.link_f_polynomial(idx)
+        for idx, dim in enumerate(complex_.roots.sum(axis=1).tolist()):
+            total = total + dim * complex_.link_f_polynomial(idx)
         if total != complex_.d_polynomial():
             link_ok = False
     report.add_pass_fail("link-decomposition-identity", link_ok)
@@ -553,6 +555,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--diagram", required=True)
     p.add_argument("--kind", required=True, choices=("d", "f", "h"))
     p.add_argument("--verify", action="store_true")
+    p.add_argument("--oracle", action="store_true")
+    p.add_argument("--orientation")
     p.set_defaults(fn=cmd_poly)
 
     for name, help_ in (
@@ -571,15 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vertex", type=int)
     p.add_argument("--oracle", action="store_true")
     p.set_defaults(fn=cmd_dim_orbit)
-
-    p = sub.add_parser("oracle", help="brute-force oracles")
-    orc = p.add_subparsers(dest="oracle_command", required=True)
-    po = orc.add_parser("path", help="complex enumeration for a Dynkin quiver")
-    po.add_argument("--type", default="A")
-    po.add_argument("--rank", type=int, required=True)
-    po.add_argument("--orientation")
-    po.add_argument("--kind", default="d", choices=("d", "f", "h"))
-    po.set_defaults(fn=cmd_oracle_path)
 
     p = sub.add_parser("table", help="recompute a published table")
     p.add_argument("number", type=int, choices=range(1, 7))
@@ -613,8 +608,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        report = args.fn(args)
-        return _emit(report, args.format)
+        if args.format == "csv" and args.command not in CSV_LAYOUTS:
+            raise UsageError(f"--format csv has no layout for {args.command}")
+        return _emit(args.fn(args), args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

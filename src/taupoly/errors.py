@@ -25,12 +25,20 @@ class RankTooLarge(TaupolyError):
 ORACLE_BUDGET = 10**7
 
 
-def check_oracle_budget(what: str, elements: int) -> None:
-    """Refuse, with the estimate, an oracle over ``ORACLE_BUDGET`` elements."""
-    if elements > ORACLE_BUDGET:
-        raise RankTooLarge(
-            f"{what} visits {elements:,} elements, over the oracle budget of {ORACLE_BUDGET:,}"
-        )
+def check_oracle_budget(what: str, elements: int, at_least: bool = False) -> None:
+    """Refuse, with the estimate, an oracle over ``ORACLE_BUDGET`` elements;
+    ``at_least`` marks the estimate as a lower bound.  An estimate of more
+    than 60 digits is given as the power of ten it exceeds, read off its
+    bit length (log10 2 > 0.3010299), so no huge integer is printed."""
+    if elements <= ORACLE_BUDGET:
+        return
+    if elements < 10**60:
+        count = f"at least {elements:,}" if at_least else f"{elements:,}"
+    else:
+        count = f"more than 10^{(elements.bit_length() - 1) * 3010299 // 10**7}"
+    raise RankTooLarge(
+        f"{what} visits {count} elements, over the oracle budget of {ORACLE_BUDGET:,}"
+    )
 
 
 class MalformedPath(TaupolyError):

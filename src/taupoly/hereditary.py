@@ -31,7 +31,7 @@ orientation of a diagram.  Neither is called by the engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import Iterator
 
@@ -164,43 +164,32 @@ def _check_euler_form(q: OrientedQuiver, roots: np.ndarray) -> None:
 # The compatibility complex
 # ---------------------------------------------------------------------------
 
-MODULE = "module"
-SHIFTED_PROJECTIVE = "shifted-projective"
 
-
-@dataclass(frozen=True)
-class ComplexVertex:
-    kind: str
-    vector: tuple[int, ...]  # dimension vector for modules, (ell,) for shifted projectives
-
-    @property
-    def dim(self) -> int:
-        return sum(self.vector) if self.kind == MODULE else 0
-
-    def __str__(self) -> str:
-        if self.kind == MODULE:
-            return "(" + ",".join(map(str, self.vector)) + ")"
-        return f"P{self.vector[0]}[1]"
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompatibilityComplex:
     """Flag complex of pairwise-compatible rigid objects.
 
+    Vertex i is the module of root ``roots[i]`` for i < len(roots), and
+    the shifted projective at quiver vertex i - len(roots) after that.
     ``compatible[i, j]`` is True when vertices i and j are compatible (a
     read-only boolean matrix with a False diagonal).  Face counts and
-    dimension-weighted face counts are precomputed per size; every
-    maximal face was checked to have exactly ``rank`` vertices during the
-    census.
+    dimension-weighted face counts are precomputed per size.  The build
+    refuses a maximal face of fewer than ``rank`` vertices, so the maximal
+    faces are the faces of ``rank`` vertices.
     """
 
-    quiver: OrientedQuiver
-    rank: int
-    vertices: tuple[ComplexVertex, ...]
-    compatible: np.ndarray = field(compare=False)
+    roots: np.ndarray
+    compatible: np.ndarray
     face_counts: tuple[int, ...]
     face_dim_sums: tuple[int, ...]
-    maximal_face_count: int
+
+    @property
+    def rank(self) -> int:
+        return self.roots.shape[1]
+
+    @property
+    def maximal_face_count(self) -> int:
+        return self.face_counts[self.rank]
 
     def f_polynomial(self) -> Polynomial:
         return Polynomial(reversed(self.face_counts))
@@ -211,13 +200,10 @@ class CompatibilityComplex:
     def d_polynomial(self) -> Polynomial:
         return Polynomial(reversed(self.face_dim_sums))
 
-    def module_vertices(self) -> list[int]:
-        return [i for i, v in enumerate(self.vertices) if v.kind == MODULE]
-
     def link_f_polynomial(self, vertex_index: int) -> Polynomial:
         """Face-count polynomial of the link of a module vertex."""
-        if self.vertices[vertex_index].kind != MODULE:
-            raise NotAModule(f"{self.vertices[vertex_index]} is not a module vertex")
+        if not 0 <= vertex_index < len(self.roots):
+            raise NotAModule(f"vertex {vertex_index} is not a module vertex")
         neighbors = np.flatnonzero(self.compatible[vertex_index])
         sub = self.compatible[np.ix_(neighbors, neighbors)]
         counts, _, _ = _clique_census(sub, [0] * len(neighbors), self.rank)
@@ -250,11 +236,8 @@ def tau_rigid_complex(q: OrientedQuiver) -> CompatibilityComplex:
         raise RankTooLarge(f"complex enumeration capped at rank {_COMPLEX_RANK_CAP}")
     arrows = q.arrow_counts()
     cartan = 2 * np.eye(q.rank, dtype=np.int64) - arrows - arrows.T
-    root_list = _graph_roots(tuple(map(tuple, cartan.tolist())))
-    roots = np.array(root_list, dtype=np.int64)
+    roots = np.array(_graph_roots(tuple(map(tuple, cartan.tolist()))), dtype=np.int64)
     _check_euler_form(q, roots)
-    verts = [ComplexVertex(MODULE, r) for r in root_list]
-    verts += [ComplexVertex(SHIFTED_PROJECTIVE, (ell,)) for ell in q.vertices]
 
     ext = ext_dim(roots, roots, q)
     unsupported = roots == 0  # entry (i, l): root i vanishes at vertex l
@@ -265,31 +248,15 @@ def tau_rigid_complex(q: OrientedQuiver) -> CompatibilityComplex:
         ]
     )
     np.fill_diagonal(compatible, False)
-    compatible.flags.writeable = False
+    roots.flags.writeable = compatible.flags.writeable = False
 
     n = q.rank
-    counts, dim_sums, maximal = _clique_census(compatible, [v.dim for v in verts], n)
+    # a module's dimension is its root's coefficient sum, a shifted projective's 0
+    dims = roots.sum(axis=1).tolist() + [0] * n
+    counts, dim_sums, maximal = _clique_census(compatible, dims, n)
     if any(maximal[k] for k in range(n)):
         raise ImpurityError("complex is not pure: maximal face below full rank")
-    return CompatibilityComplex(
-        quiver=q,
-        rank=n,
-        vertices=tuple(verts),
-        compatible=compatible,
-        face_counts=tuple(counts),
-        face_dim_sums=tuple(dim_sums),
-        maximal_face_count=maximal[n],
-    )
-
-
-def poly_from_complex(c: CompatibilityComplex, kind: str) -> Polynomial:
-    if kind == "f":
-        return c.f_polynomial()
-    if kind == "h":
-        return c.h_polynomial()
-    if kind == "d":
-        return c.d_polynomial()
-    raise UsageError(f"kind must be one of f, h, d; got {kind!r}")
+    return CompatibilityComplex(roots, compatible, tuple(counts), tuple(dim_sums))
 
 
 def disjoint_union_d_check(q1: OrientedQuiver, q2: OrientedQuiver) -> bool:

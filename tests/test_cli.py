@@ -253,14 +253,35 @@ def test_dim_orbit_lists_every_vertex_of_every_type(capsys, oracle):
 
 
 def test_dim_orbit_oracle_over_every_vertex_is_refused_before_any_work(capsys):
-    # 2^1001 - 2 rectangle paths in all, though vertex 1 alone has 1,001
+    # 2^1001 - 2 rectangle paths in all, though vertex 1 alone has 1,001:
+    # the running total passes the budget at vertex 3
     assert cli.main(["dim-orbit", "--type", "A", "--rank", "1000", "--oracle"]) == cli.EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.err == (
-        f"error: A1000 orbit-total oracle over every vertex visits {2**1001 - 2:,} elements,"
+        f"error: A1000 orbit-total oracle over every vertex visits at least"
+        f" {1001 + comb(1001, 2) + comb(1001, 3):,} elements,"
         " over the oracle budget of 10,000,000\n"
     )
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, estimate",
+    [
+        ("eulerian A1700 --oracle", "more than 10^4758"),
+        ("narayana A8000 --oracle", "more than 10^4810"),
+        ("dim-orbit --type A --rank 16000 --vertex 8000 --oracle", "more than 10^4814"),
+        ("dim-orbit --type A --rank 20000 --oracle", f"at least {20001 + comb(20001, 2):,}"),
+        ("dim-orbit --type D --rank 5000 --oracle", "more than 10^1504"),
+    ],
+)
+def test_huge_estimates_are_refused_on_one_short_line(capsys, argv, estimate):
+    # past 60 digits an estimate is the power of ten it exceeds
+    assert cli.main(argv.split()) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err) <= 250 and captured.err.count("\n") == 1
+    assert f" visits {estimate} elements, over the oracle budget" in captured.err
 
 
 def test_dim_orbit_unknown_type_is_a_usage_error(capsys):
@@ -292,18 +313,23 @@ def test_tau_orbit_bad_vertex_names_the_diagram(capsys, diagram, vertex):
 
 
 def test_oracle_path(capsys):
-    code, payload = run_json(
-        capsys, "oracle", "path", "--rank", "3", "--orientation", "++", "--kind", "f"
-    )
+    # the path family's --oracle route of poly is the complex of the quiver
+    argv = ["poly", "--family", "path", "--diagram", "A3", "--kind", "f", "--oracle"]
+    code, payload = run_json(capsys, *argv, "--orientation", "+-")
     assert code == 0
+    assert payload["command"] == "poly --family path --diagram A3 --kind f --oracle --orientation +-"
     assert payload["results"]["coefficients_ascending"] == ["14", "21", "9", "1"]
     assert payload["results"]["maximal_faces"] == "14"
+    code, out = run(capsys, "--format", "csv", *argv, "--verify")
+    assert code == 0
+    assert out == "14,21,9,1\n[PASS] shifted-palindromic\n"
 
 
 def test_oracle_path_type_e_matches_narayana(capsys):
-    code, payload = run_json(capsys, "oracle", "path", "--type", "E", "--rank", "6", "--kind", "h")
+    argv = ["poly", "--family", "path", "--diagram", "E6", "--kind", "h", "--oracle"]
+    code, payload = run_json(capsys, *argv)
     assert code == 0
-    assert payload["command"] == "oracle path E6  h"
+    assert payload["command"] == "poly --family path --diagram E6 --kind h --oracle"
     assert payload["results"]["maximal_faces"] == "833"
     _, narayana = run_json(capsys, "narayana", "E6")
     assert (
@@ -313,10 +339,44 @@ def test_oracle_path_type_e_matches_narayana(capsys):
 
 
 def test_oracle_path_orientation_errors(capsys):
-    assert cli.main(["oracle", "path", "--type", "D", "--rank", "4", "--orientation", "++"]) == 2
-    assert "orientation for D4 needs 3 characters of +-" in capsys.readouterr().err
-    assert cli.main(["oracle", "path", "--rank", "3", "--orientation", "+x"]) == 2
-    assert "orientation for A3 needs 2 characters of +-" in capsys.readouterr().err
+    for argv, message in (
+        ("path D4 --oracle --orientation ++", "orientation for D4 needs 3 characters of +-"),
+        ("path A3 --oracle --orientation +x", "orientation for A3 needs 2 characters of +-"),
+        ("path A3 --orientation ++", "--orientation picks the quiver of the --oracle route"),
+        ("path A9 --oracle", "complex enumeration capped at rank 8"),
+        ("ppa A3 --oracle", "poly --oracle has no route for the preprojective family"),
+    ):
+        family, diagram, *options = argv.split()
+        argv = ["poly", "--family", family, "--diagram", diagram, "--kind", "d", *options]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
+
+@pytest.fixture
+def fresh_complexes():
+    hereditary.tau_rigid_complex.cache_clear()
+    yield
+    hereditary.tau_rigid_complex.cache_clear()
+
+
+def test_poly_oracle_route_runs_the_census(capsys, monkeypatch, fresh_complexes):
+    # a census that overcounts shows in --oracle and nowhere else
+    census = hereditary._clique_census
+
+    def overcounting(*args):
+        counts, dim_sums, maximal = census(*args)
+        return [c + 1 for c in counts], dim_sums, maximal
+
+    monkeypatch.setattr(hereditary, "_clique_census", overcounting)
+    argv = ["poly", "--family", "path", "--diagram", "D4", "--kind", "f"]
+    code, payload = run_json(capsys, *argv, "--oracle")
+    assert code == 0
+    assert payload["results"]["coefficients_ascending"] == ["51", "101", "67", "17", "2"]
+    assert payload["results"]["maximal_faces"] == "51"
+    code, payload = run_json(capsys, *argv)
+    assert payload["results"]["coefficients_ascending"] == ["50", "100", "66", "16", "1"]
 
 
 def test_oracle_tau_orbit(capsys):
@@ -328,11 +388,10 @@ def test_oracle_tau_orbit(capsys):
     assert code == 0
     assert payload["command"] == "dim-orbit --family path --type E --rank 6"
     assert payload["results"] == {"total": "42"}
+    # --oracle is the only route switch: there is no oracle command
     assert cli.main(["oracle", "tau-orbit", "--type", "E6"]) == cli.EXIT_USAGE
     captured = capsys.readouterr()
-    assert captured.err.startswith(
-        "usage error: argument oracle_command: invalid choice: 'tau-orbit'"
-    )
+    assert captured.err.startswith("usage error: argument command: invalid choice: 'oracle'")
     assert captured.out == ""
 
 
@@ -421,6 +480,25 @@ def test_genfun_verify(capsys):
     assert code == 0
     assert all(c["pass"] for c in payload["checks"])
     assert len(payload["checks"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "eulerian A3",
+        "narayana A3 --oracle",
+        "dim-orbit --type A --rank 3",
+        "aggregates --family path --diagram A3",
+        "genfun exp-h-ppa-A",
+        "verify --suite all",
+    ],
+)
+def test_csv_without_a_layout_is_refused(capsys, argv):
+    command = argv.split()[0]
+    assert cli.main(["--format", "csv", *argv.split()]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: --format csv has no layout for {command}\n"
+    assert captured.out == ""
 
 
 def test_table_csv(capsys):

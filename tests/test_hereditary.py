@@ -13,18 +13,15 @@ from taupoly.errors import (
     NotAModule,
     NotAVertex,
     RankTooLarge,
-    UsageError,
 )
 from taupoly.formulas import PATH, AlgebraSpec, golden_table
 from taupoly.hereditary import (
-    MODULE,
     OrientedQuiver,
     disjoint_union_d_check,
     euler_form,
     ext_dim,
     orientations,
     path_cartan,
-    poly_from_complex,
     tau_orbit_dim,
     tau_orbit_total,
     tau_orbit_vectors,
@@ -57,13 +54,28 @@ def hom_dim(m, n, q):
 
 def test_worked_example_rank_three():
     complex_ = tau_rigid_complex(OrientedQuiver.line(3))
-    assert poly_from_complex(complex_, "f") == Polynomial([14, 21, 9, 1])
-    assert poly_from_complex(complex_, "h") == Polynomial([1, 6, 6, 1])
-    assert poly_from_complex(complex_, "d") == Polynomial([46, 46, 10])
+    assert complex_.f_polynomial() == Polynomial([14, 21, 9, 1])
+    assert complex_.h_polynomial() == Polynomial([1, 6, 6, 1])
+    assert complex_.d_polynomial() == Polynomial([46, 46, 10])
     assert complex_.maximal_face_count == 14
-    assert len(complex_.vertices) == 3 * 4 // 2 + 3
-    with pytest.raises(UsageError):
-        poly_from_complex(complex_, "g")
+    assert len(complex_.compatible) == 3 * 4 // 2 + 3
+
+
+def test_complex_is_its_roots_and_compatibility_matrix():
+    q = OrientedQuiver.line(3, "+-")
+    complex_ = tau_rigid_complex(q)
+    assert complex_.rank == 3
+    assert sorted(map(tuple, complex_.roots.tolist())) == sorted(roots_of(q))
+    assert complex_.compatible.shape == (6 + 3, 6 + 3)
+    assert not complex_.roots.flags.writeable and not complex_.compatible.flags.writeable
+    # every maximal face has rank vertices, so they are the faces of that size
+    assert complex_.face_counts == (1, 9, 21, 14)
+    assert complex_.maximal_face_count == complex_.face_counts[3]
+    # the shifted projectives come last, pairwise compatible, each of dimension 0
+    shifted = complex_.compatible[6:, 6:]
+    assert (shifted == ~np.eye(3, dtype=bool)).all()
+    dims = complex_.roots.sum(axis=1).tolist()
+    assert sum(dims) == complex_.face_dim_sums[1] == 10
 
 
 def test_rank_one():
@@ -247,14 +259,14 @@ def test_orientation_independence_matches_closed_forms():
         for orientation in orientations(DynkinDiagram("A", n)):
             complex_ = tau_rigid_complex(OrientedQuiver.line(n, orientation))
             for kind, want in expected.items():
-                assert poly_from_complex(complex_, kind) == want
+                assert getattr(complex_, f"{kind}_polynomial")() == want
 
 
 def test_purity_and_counts():
     for n in range(1, 6):
         complex_ = tau_rigid_complex(OrientedQuiver.line(n))
         assert complex_.maximal_face_count == catalan(n + 1)
-        assert len(complex_.vertices) == n * (n + 1) // 2 + n
+        assert len(complex_.compatible) == n * (n + 1) // 2 + n
         # face polynomial evaluates to the total face count at 1
         assert complex_.f_polynomial()(1) == sum(complex_.face_counts)
 
@@ -267,9 +279,7 @@ def test_h_polynomial_is_narayana():
 
 def test_links():
     complex_ = tau_rigid_complex(OrientedQuiver.line(3))
-    by_vector = {
-        v.vector: i for i, v in enumerate(complex_.vertices) if v.kind == MODULE
-    }
+    by_vector = {tuple(root): i for i, root in enumerate(complex_.roots.tolist())}
     # link of the big projective is the rank-2 complex of the quotient quiver
     link = complex_.link_f_polynomial(by_vector[(1, 1, 1)])
     assert link == tau_rigid_complex(OrientedQuiver.line(2)).f_polynomial()
@@ -278,17 +288,15 @@ def test_links():
     for vector, idx in by_vector.items():
         total = total + sum(vector) * complex_.link_f_polynomial(idx)
     assert total == complex_.d_polynomial()
-    shifted_index = next(
-        i for i, v in enumerate(complex_.vertices) if v.kind != MODULE
-    )
-    with pytest.raises(NotAModule):
-        complex_.link_f_polynomial(shifted_index)
+    # the first shifted projective follows the six modules
+    with pytest.raises(NotAModule, match="vertex 6 is not a module vertex"):
+        complex_.link_f_polynomial(6)
 
 
 def test_link_in_rank_one():
     complex_ = tau_rigid_complex(OrientedQuiver.line(1))
-    (module_index,) = complex_.module_vertices()
-    assert complex_.link_f_polynomial(module_index) == ONE
+    assert complex_.roots.tolist() == [[1]]
+    assert complex_.link_f_polynomial(0) == ONE
 
 
 def test_disjoint_union_product_rule():
@@ -318,7 +326,7 @@ def test_complex_matches_engine_on_d_and_e():
         assert complex_.h_polynomial() == formulas.h_polynomial(spec), (diagram, orientation)
         assert complex_.d_polynomial() == formulas.d_polynomial(spec), (diagram, orientation)
         assert complex_.maximal_face_count == diagram.catalan_count()
-        assert len(complex_.vertices) == diagram.positive_root_count() + diagram.rank
+        assert len(complex_.compatible) == diagram.positive_root_count() + diagram.rank
 
 
 def test_complex_reproduces_tables_5_and_6():

@@ -1,3 +1,4 @@
+from itertools import accumulate
 from math import comb, factorial
 
 import numpy as np
@@ -7,7 +8,13 @@ from hypothesis import strategies as st
 
 from taupoly import cli, hereditary, lattice, oracles, weyl
 from taupoly.dynkin import DiagramUnion, DynkinDiagram, parse_union
-from taupoly.errors import ORACLE_BUDGET, ConsistencyError, ImpurityError, RankTooLarge
+from taupoly.errors import (
+    ORACLE_BUDGET,
+    ConsistencyError,
+    ImpurityError,
+    RankTooLarge,
+    check_oracle_budget,
+)
 from taupoly.oracles import (
     cartan_matrix,
     descent_count_permutation,
@@ -336,17 +343,20 @@ def oracle_calls_over_budget(draw):
         (lambda: weight_orbit_total(A(n), near_half), comb(n + 1, near_half)),
         (lambda: weight_orbit_total(D(n), tail), 2 ** (n - tail) * comb(n, tail)),
         # the first vertices of A_n are within the budget on their own, so
-        # the sum over every vertex must be refused before any of them runs
-        (lambda: _dim_orbit_every_vertex("A", n), 2 ** (n + 1) - 2),
-        (
-            lambda: _dim_orbit_every_vertex("D", n),
-            sum(weyl.coset_count(D(n), v) for v in D(n).vertices),
-        ),
+        # the sum over every vertex must be refused before any of them runs,
+        # as soon as its running total passes the budget
+        (lambda: _dim_orbit_every_vertex("A", n), _running_total_over_budget(A(n))),
+        (lambda: _dim_orbit_every_vertex("D", n), _running_total_over_budget(D(n))),
         (
             lambda: _dim_orbit_every_vertex("A", quiver.rank, "path"),
             quiver.positive_root_count() * quiver.rank,
         ),
     ]
+
+
+def _running_total_over_budget(d):
+    totals = accumulate(weyl.coset_count(d, v) for v in d.vertices)
+    return next(total for total in totals if total > ORACLE_BUDGET)
 
 
 def _dim_orbit_every_vertex(dfam, n, family="ppa"):
@@ -378,8 +388,22 @@ def test_oracles_refuse_over_budget_before_any_work(calls):
             patch.setattr(module, name, work)
         for call, estimate in calls:
             assert estimate > ORACLE_BUDGET
-            with pytest.raises(RankTooLarge, match=f"visits {estimate:,} elements"):
+            with pytest.raises(RankTooLarge, match=f"visits (at least )?{estimate:,} elements"):
                 call()
+
+
+def test_estimates_past_60_digits_name_a_power_of_ten():
+    with pytest.raises(RankTooLarge, match=f"visits {10**60 - 1:,} elements"):
+        check_oracle_budget("a 60-digit oracle", 10**60 - 1)
+    for bits in (200, 201, 1000, 14300, 60000):
+        for elements in ((1 << bits) - 1, 1 << bits):
+            with pytest.raises(RankTooLarge) as refusal:
+                check_oracle_budget("a huge oracle", elements, at_least=True)
+            message = str(refusal.value)
+            k = int(message.split("visits more than 10^")[1].split(" ")[0])
+            # a true bound, and within a factor of 100 of the estimate
+            assert 10**k < elements < 10 ** (k + 2)
+            assert len(message) < 100
 
 
 def test_oracle_flag_routes_every_family():
