@@ -247,11 +247,10 @@ def cmd_dim_orbit(args) -> Report:
         report.results.update(route(ell))
         return report
     if args.oracle and family == PREPROJECTIVE:
-        # refused as soon as the running total, a lower bound, passes the budget
-        estimate = 0
+        # every count is positive, so a running total is a lower bound
+        what, estimate = f"{diagram} orbit-total oracle over every vertex", 0
         for v in diagram.vertices:
             estimate += weyl.coset_count(diagram, v)
-            what = f"{diagram} orbit-total oracle over every vertex"
             check_oracle_budget(what, estimate, at_least=True)
     # the automorphism of D_n swaps the fork vertices -1 and 1 and fixes
     # every other vertex, so one run serves both
@@ -496,7 +495,7 @@ def _suite_structural(report: Report, args) -> None:
     for n in range(1, min(args.max_rank, 5) + 1):
         complex_ = hereditary.tau_rigid_complex(hereditary.OrientedQuiver.line(n))
         total = Polynomial()
-        for idx, dim in enumerate(complex_.roots.sum(axis=1).tolist()):
+        for idx, dim in enumerate(complex_.dims[: len(complex_.roots)]):
             total = total + dim * complex_.link_f_polynomial(idx)
         if total != complex_.d_polynomial():
             link_ok = False

@@ -31,7 +31,7 @@ orientation of a diagram.  Neither is called by the engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from typing import Iterator
 
@@ -173,19 +173,32 @@ class CompatibilityComplex:
     the shifted projective at quiver vertex i - len(roots) after that.
     ``compatible[i, j]`` is True when vertices i and j are compatible (a
     read-only boolean matrix with a False diagonal).  Face counts and
-    dimension-weighted face counts are precomputed per size.  The build
-    refuses a maximal face of fewer than ``rank`` vertices, so the maximal
-    faces are the faces of ``rank`` vertices.
+    dimension-weighted face counts are counted per size on construction,
+    which refuses a maximal face of fewer than ``rank`` vertices, so the
+    maximal faces are the faces of ``rank`` vertices.
     """
 
     roots: np.ndarray
     compatible: np.ndarray
-    face_counts: tuple[int, ...]
-    face_dim_sums: tuple[int, ...]
+    face_counts: tuple[int, ...] = field(init=False)
+    face_dim_sums: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        counts, dim_sums, maximal = _clique_census(self.compatible, self.dims, self.rank)
+        if any(maximal[k] for k in range(self.rank)):
+            raise ImpurityError("complex is not pure: maximal face below full rank")
+        object.__setattr__(self, "face_counts", tuple(counts))
+        object.__setattr__(self, "face_dim_sums", tuple(dim_sums))
 
     @property
     def rank(self) -> int:
         return self.roots.shape[1]
+
+    @property
+    def dims(self) -> list[int]:
+        """Vertex dimensions: a module's is its root's coefficient sum, a
+        shifted projective's 0."""
+        return self.roots.sum(axis=1).tolist() + [0] * self.rank
 
     @property
     def maximal_face_count(self) -> int:
@@ -249,14 +262,7 @@ def tau_rigid_complex(q: OrientedQuiver) -> CompatibilityComplex:
     )
     np.fill_diagonal(compatible, False)
     roots.flags.writeable = compatible.flags.writeable = False
-
-    n = q.rank
-    # a module's dimension is its root's coefficient sum, a shifted projective's 0
-    dims = roots.sum(axis=1).tolist() + [0] * n
-    counts, dim_sums, maximal = _clique_census(compatible, dims, n)
-    if any(maximal[k] for k in range(n)):
-        raise ImpurityError("complex is not pure: maximal face below full rank")
-    return CompatibilityComplex(roots, compatible, tuple(counts), tuple(dim_sums))
+    return CompatibilityComplex(roots, compatible)
 
 
 def disjoint_union_d_check(q1: OrientedQuiver, q2: OrientedQuiver) -> bool:

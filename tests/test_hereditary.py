@@ -74,8 +74,8 @@ def test_complex_is_its_roots_and_compatibility_matrix():
     # the shifted projectives come last, pairwise compatible, each of dimension 0
     shifted = complex_.compatible[6:, 6:]
     assert (shifted == ~np.eye(3, dtype=bool)).all()
-    dims = complex_.roots.sum(axis=1).tolist()
-    assert sum(dims) == complex_.face_dim_sums[1] == 10
+    assert complex_.dims == [sum(root) for root in complex_.roots.tolist()] + [0] * 3
+    assert sum(complex_.dims) == complex_.face_dim_sums[1] == 10
 
 
 def test_rank_one():
