@@ -8,9 +8,10 @@ results plus a list of named checks with expected/actual values.  All
 integers are serialized as decimal strings so nothing is ever squeezed
 through a floating-point JSON number.
 
-Exit codes: 0 all checks passed, 1 some check failed, 2 usage error (or
-an --oracle input over the oracle budget, refused before enumerating),
-4 internal consistency failure (a bug, never bad input).
+Exit codes: 0 all checks passed, 1 some check failed, 2 usage error
+(any bad input, an --oracle input over the oracle budget included, on
+stderr after ``usage error:``), 4 internal consistency failure (a bug,
+never bad input, after ``internal error:``).
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ import json
 import sys
 from dataclasses import dataclass, field
 from functools import cache
-from math import comb
 
-from . import formulas, series, tables, weyl
+from . import formulas, series, weyl
 from .dynkin import DynkinDiagram, parse_diagram, parse_union
 from .errors import ConsistencyError, TaupolyError, UsageError, check_oracle_budget
 from .formulas import PATH, PREPROJECTIVE, AlgebraSpec
@@ -172,25 +172,17 @@ def _verify_single_poly(report: Report, spec: AlgebraSpec, kind: str, poly: Poly
         shifted = poly.shifted(-1)
         report.add_pass_fail("shifted-palindromic", shifted.is_palindromic(n - 1))
         report.add_pass_fail("shifted-unimodal", shifted.is_unimodal())
-        table_num = _table_for(spec)
-        if table_num is not None and n in tables.TABLES[table_num][2]:
-            row = tuple(poly.coefficient(n - 1 - j) for j in range(n))
-            report.add_check(f"table-{table_num}-row-{n}", tables.TABLES[table_num][2][n], row)
+        published = formulas.published_row(spec)
+        if published is not None:
+            k, row = published
+            report.add_check(f"table-{k}-row-{n}", row, formulas.table_row(poly, n))
         expected = formulas.expected_aggregates(spec)
         if expected is not None:
-            got = (poly.coefficient(n - 1), poly.coefficient(0))
-            report.add_check("aggregates", expected, got)
+            report.add_check("aggregates", expected, formulas.aggregate_coefficients(poly, n))
     elif kind == "f":
         report.add_pass_fail("shifted-palindromic", poly.shifted(-1).is_palindromic(n))
     else:
         report.add_pass_fail("palindromic", poly.is_palindromic(n))
-
-
-def _table_for(spec: AlgebraSpec) -> int | None:
-    for k, (family, dfam, _) in tables.TABLES.items():
-        if family == spec.family and dfam == spec.diagram.family:
-            return k
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -234,14 +226,12 @@ def _orbit_route(family: str, d: DynkinDiagram, oracle: bool):
 
 def cmd_dim_orbit(args) -> Report:
     family = _family_arg(args.family)
-    diagram = DynkinDiagram(args.type.upper(), args.rank)
+    diagram = parse_diagram(args.diagram)
     ell = args.vertex
     if ell is not None:
         # before a route is picked, so every route names the diagram
         diagram.check_vertex(ell)
-    report = Report(
-        command=f"dim-orbit --family {family} --type {diagram.family} --rank {diagram.rank}"
-    )
+    report = Report(command=f"dim-orbit --family {family} --diagram {diagram}")
     route = _orbit_route(family, diagram, args.oracle)
     if ell is not None:
         report.results.update(route(ell))
@@ -260,7 +250,7 @@ def cmd_dim_orbit(args) -> Report:
 
 
 # ---------------------------------------------------------------------------
-# table / aggregates / genfun
+# table / genfun
 # ---------------------------------------------------------------------------
 
 
@@ -269,18 +259,6 @@ def cmd_table(args) -> Report:
     rows = formulas.reproduce_table(k)
     report = Report(command=f"table {k}")
     report.results["rows"] = {n: list(rows[n]) for n in sorted(rows)}
-    return report
-
-
-def cmd_aggregates(args) -> Report:
-    spec = AlgebraSpec(_family_arg(args.family), parse_diagram(args.diagram))
-    got = formulas.aggregate_dims(spec)
-    report = Report(command=f"aggregates {spec}")
-    report.results["indecomposable_total"] = got[0]
-    report.results["maximal_total"] = got[1]
-    expected = formulas.expected_aggregates(spec)
-    if expected is not None:
-        report.add_check("closed-form-aggregates", expected, got)
     return report
 
 
@@ -377,28 +355,26 @@ def _suite_oracles(report: Report, args) -> None:
                 and complex_.f_polynomial() == f
             )
             report.add_pass_fail(f"complex-vs-formula-A{n}-{orientation or 'o'}", ok)
-    # lattice enumerations against the engine's orbit totals
-    def ppa_dim(dfam: str, n: int, ell: int) -> int:
-        return formulas.orbit_dim_total(PREPROJECTIVE, DynkinDiagram(dfam, n), ell)
+    # lattice enumerations against the engine's orbit totals and the
+    # coset counts, one path or sequence per coset
+    def engine(dfam: str, n: int, ell: int) -> tuple[int, int]:
+        d = DynkinDiagram(dfam, n)
+        return formulas.orbit_dim_total(PREPROJECTIVE, d, ell), weyl.coset_count(d, ell)
 
     rect_ok = all(
-        lattice.orbit_total(DynkinDiagram("A", n), ell)
-        == (ppa_dim("A", n, ell), comb(n + 1, ell))
+        lattice.orbit_total(DynkinDiagram("A", n), ell) == engine("A", n, ell)
         for n in range(1, 13)
         for ell in range(1, n + 1)
     )
     report.add_pass_fail("rectangle-paths-vs-formula-n<=12", rect_ok)
     # one corner enumeration per n serves both fork vertices
     corner_ok = all(
-        lattice.orbit_total(DynkinDiagram("D", n), 1)
-        == (ppa_dim("D", n, 1), 2 ** (n - 1))
-        == (ppa_dim("D", n, -1), 2 ** (n - 1))
+        lattice.orbit_total(DynkinDiagram("D", n), 1) == engine("D", n, 1) == engine("D", n, -1)
         for n in range(4, 13)
     )
     report.add_pass_fail("corner-paths-vs-formula-n<=12", corner_ok)
     sign_ok = all(
-        lattice.orbit_total(DynkinDiagram("D", n), ell)
-        == (ppa_dim("D", n, ell), 2 ** (n - ell) * comb(n, ell))
+        lattice.orbit_total(DynkinDiagram("D", n), ell) == engine("D", n, ell)
         for n in range(4, 13)
         for ell in range(2, n)
     )
@@ -475,11 +451,12 @@ def _suite_structural(report: Report, args) -> None:
     # purity and maximal-face counts of the complexes
     purity_ok = True
     for n in range(1, args.max_rank + 1):
+        catalan = DynkinDiagram("A", n).catalan_count()
         for orientation in hereditary.orientations(DynkinDiagram("A", n)):
             complex_ = hereditary.tau_rigid_complex(
                 hereditary.OrientedQuiver.line(n, orientation)
             )
-            if complex_.maximal_face_count != comb(2 * (n + 1), n + 1) // (n + 2):
+            if complex_.maximal_face_count != catalan:
                 purity_ok = False
     report.add_pass_fail("complex-purity-and-maximal-face-counts", purity_ok)
     # product rule and link decomposition on oracle instances
@@ -569,8 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dim-orbit", help="per-vertex orbit dimension totals")
     p.add_argument("--family", default="ppa")
-    p.add_argument("--type", required=True)
-    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--diagram", required=True)
     p.add_argument("--vertex", type=int)
     p.add_argument("--oracle", action="store_true")
     p.set_defaults(fn=cmd_dim_orbit)
@@ -578,11 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="recompute a published table")
     p.add_argument("number", type=int, choices=range(1, 7))
     p.set_defaults(fn=cmd_table)
-
-    p = sub.add_parser("aggregates", help="leading and constant dimension totals")
-    p.add_argument("--family", required=True)
-    p.add_argument("--diagram", required=True)
-    p.set_defaults(fn=cmd_aggregates)
 
     p = sub.add_parser("genfun", help="generating-function coefficient families")
     p.add_argument("name")
@@ -610,14 +581,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.format == "csv" and args.command not in CSV_LAYOUTS:
             raise UsageError(f"--format csv has no layout for {args.command}")
         return _emit(args.fn(args), args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except TaupolyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -98,16 +98,19 @@ def h_polynomial(spec: AlgebraSpec) -> Polynomial:
     return f_polynomial(spec).shifted(-1)
 
 
-def aggregate_dims(spec: AlgebraSpec) -> tuple[int, int]:
-    """(leading, constant) coefficients of the dimension polynomial.
+def aggregate_coefficients(poly: Polynomial, n: int) -> tuple[int, int]:
+    """(leading, constant) coefficients of a rank-n dimension polynomial.
 
     The leading coefficient sums the dimensions of all indecomposable
     rigid objects; the constant term sums the dimensions of the maximal
     ones.
     """
-    poly = d_polynomial(spec)
-    n = spec.diagram.rank
     return poly.coefficient(n - 1), poly.coefficient(0)
+
+
+def aggregate_dims(spec: AlgebraSpec) -> tuple[int, int]:
+    """The aggregates of the engine's dimension polynomial."""
+    return aggregate_coefficients(d_polynomial(spec), spec.diagram.rank)
 
 
 def _union_maximal_count(spec: AlgebraSpec, union: DiagramUnion) -> int:
@@ -186,24 +189,32 @@ def _d_catalan_count(ell: int) -> int:
     return (3 * ell - 2) * comb(2 * ell - 1, ell - 1) // (2 * ell - 1)
 
 
-def reproduce_table(k: int) -> dict[int, tuple[int, ...]]:
-    """Recompute a published grid from the formula engine, at the ranks
-    the published grid lists.
+def table_row(poly: Polynomial, n: int) -> tuple[int, ...]:
+    """A rank-n dimension polynomial in the layout of the published grids:
+    d_0..d_(n-1) with d_j the coefficient of t^(n-1-j)."""
+    return tuple(poly.coefficient(n - 1 - j) for j in range(n))
 
-    Row n lists d_0..d_(n-1) with d_j the coefficient of t^(n-1-j).
-    """
-    if k not in tables.TABLES:
-        raise UsageError(f"table number must be 1..6, got {k}")
-    family, diagram_family, published = tables.TABLES[k]
-    rows = {}
-    for n in sorted(published):
-        spec = AlgebraSpec(family, DynkinDiagram(diagram_family, n))
-        poly = d_polynomial(spec)
-        rows[n] = tuple(poly.coefficient(n - 1 - j) for j in range(n))
-    return rows
+
+def published_row(spec: AlgebraSpec) -> tuple[int, tuple[int, ...]] | None:
+    """The number of the published table of the spec's family and type,
+    with its row at the spec's rank; None if no table lists that rank."""
+    for k, (family, diagram_family, published) in tables.TABLES.items():
+        if (family, diagram_family) == (spec.family, spec.diagram.family):
+            row = published.get(spec.diagram.rank)
+            return None if row is None else (k, row)
+    return None
 
 
 def golden_table(k: int) -> dict[int, tuple[int, ...]]:
     if k not in tables.TABLES:
         raise UsageError(f"table number must be 1..6, got {k}")
     return dict(tables.TABLES[k][2])
+
+
+def reproduce_table(k: int) -> dict[int, tuple[int, ...]]:
+    """Recompute a published grid from the formula engine, at the ranks
+    the published grid lists."""
+    ranks = sorted(golden_table(k))
+    family, diagram_family, _ = tables.TABLES[k]
+    specs = {n: AlgebraSpec(family, DynkinDiagram(diagram_family, n)) for n in ranks}
+    return {n: table_row(d_polynomial(spec), n) for n, spec in specs.items()}

@@ -46,11 +46,10 @@ from .polynomials import Polynomial
 
 def orientations(d: DynkinDiagram) -> Iterator[str]:
     """Every orientation string of a diagram's edges, for
-    ``OrientedQuiver.from_diagram``: character i is '+' when bit i of the
-    counter is set."""
+    ``OrientedQuiver.from_diagram``: character i is bit i of the counter."""
     edges = len(d.edges)
     for bits in range(1 << edges):
-        yield "".join("+" if (bits >> i) & 1 else "-" for i in range(edges))
+        yield "".join(str((bits >> i) & 1) for i in range(edges))
 
 
 @dataclass(frozen=True)
@@ -65,21 +64,24 @@ class OrientedQuiver:
 
     @classmethod
     def line(cls, n: int, orientation: str | None = None) -> "OrientedQuiver":
-        """Type A quiver on 1..n; orientation character i is '+' for the
-        arrow i -> i+1 and '-' for i <- i+1.  Default: all '+'."""
+        """Type A quiver on 1..n; orientation character i is '1' for the
+        arrow i -> i+1 and '0' for i <- i+1.  Default: all '1'."""
         return cls.from_diagram(DynkinDiagram("A", n), orientation)
 
     @classmethod
     def from_diagram(cls, d: DynkinDiagram, orientation: str | None = None) -> "OrientedQuiver":
-        """Orient a Dynkin diagram edge by edge; '+' keeps the stored
-        (a, b) direction of each edge, '-' flips it."""
+        """Orient a Dynkin diagram edge by edge; '1' keeps the stored
+        (a, b) direction of each edge, '0' flips it."""
         edges = d.edges
         if orientation is None:
-            orientation = "+" * len(edges)
-        if len(orientation) != len(edges) or any(c not in "+-" for c in orientation):
-            raise UsageError(f"orientation for {d} needs {len(edges)} characters of +-")
+            orientation = "1" * len(edges)
+        if len(orientation) != len(edges) or any(c not in "01" for c in orientation):
+            raise UsageError(
+                f"orientation for {d} needs {len(edges)} characters,"
+                " each 1 (keep the edge's direction) or 0 (flip it)"
+            )
         arrows = tuple(
-            (a, b) if c == "+" else (b, a) for (a, b), c in zip(edges, orientation)
+            (a, b) if c == "1" else (b, a) for (a, b), c in zip(edges, orientation)
         )
         return cls(d.vertices, arrows)
 

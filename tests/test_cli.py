@@ -1,5 +1,7 @@
 import json
+import shlex
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -101,45 +103,53 @@ def test_poly_h_verify_checks_the_palindrome(capsys):
 
 
 def test_aggregates_command(capsys):
-    code, payload = run_json(capsys, "aggregates", "--family", "ppa", "--diagram", "D5")
+    # the aggregates are the end coefficients of the d-polynomial, checked
+    # against their closed form by poly --kind d --verify
+    argv = ["poly", "--family", "ppa", "--diagram", "D5", "--kind", "d", "--verify"]
+    code, payload = run_json(capsys, *argv)
     assert code == 0
-    assert payload["command"] == "aggregates preprojective D5"
     expected = formulas.expected_aggregates(
         formulas.AlgebraSpec(formulas.PREPROJECTIVE, DynkinDiagram("D", 5))
     )
-    assert payload["results"] == {
-        "indecomposable_total": str(expected[0]),
-        "maximal_total": str(expected[1]),
+    coefficients = payload["results"]["coefficients_ascending"]
+    assert (coefficients[-1], coefficients[0]) == tuple(map(str, expected))
+    assert payload["checks"][-1] == {
+        "name": "aggregates",
+        "expected": list(map(str, expected)),
+        "actual": list(map(str, expected)),
+        "pass": True,
     }
-    assert [c["name"] for c in payload["checks"]] == ["closed-form-aggregates"]
-    assert payload["checks"][0]["pass"]
-    # type E has no closed form, so no check
-    code, payload = run_json(capsys, "aggregates", "--family", "path", "--diagram", "E6")
+    # type E has no closed form, so no aggregates check
+    argv = ["poly", "--family", "path", "--diagram", "E6", "--kind", "d", "--verify"]
+    code, payload = run_json(capsys, *argv)
     assert code == 0
-    assert payload["checks"] == []
+    assert "aggregates" not in [c["name"] for c in payload["checks"]]
 
 
 def test_plain_format_renders_results_and_checks(capsys):
     code, out = run(capsys, "poly", "--family", "path", "--diagram", "A3", "--kind", "d")
     assert code == 0
     assert out == "polynomial: 10t^2 + 46t + 46\ncoefficients_ascending: [46, 46, 10]\n"
-    code, out = run(capsys, "dim-orbit", "--type", "A", "--rank", "3")
+    code, out = run(capsys, "dim-orbit", "--diagram", "A3")
     assert code == 0
     assert out == "totals: {1: 6, 2: 12, 3: 6}\n"
-    code, out = run(capsys, "aggregates", "--family", "path", "--diagram", "A3")
+    argv = ["poly", "--family", "path", "--diagram", "A3", "--kind", "d", "--verify"]
+    code, out = run(capsys, *argv)
     assert code == 0
-    assert out == (
-        "indecomposable_total: 10\nmaximal_total: 46\n[PASS] closed-form-aggregates\n"
-    )
+    assert out.splitlines()[2:] == [
+        "[PASS] shifted-palindromic",
+        "[PASS] shifted-unimodal",
+        "[PASS] table-4-row-3",
+        "[PASS] aggregates",
+    ]
 
 
 def test_plain_format_renders_a_failing_check(capsys, monkeypatch):
     monkeypatch.setattr(formulas, "expected_aggregates", lambda spec: (10, 45))
-    code, out = run(capsys, "aggregates", "--family", "path", "--diagram", "A3")
+    argv = ["poly", "--family", "path", "--diagram", "A3", "--kind", "d", "--verify"]
+    code, out = run(capsys, *argv)
     assert code == cli.EXIT_CHECK_FAILED == 1
-    assert out.splitlines()[-1] == (
-        "[FAIL] closed-form-aggregates (expected ['10', '45'], got ['10', '46'])"
-    )
+    assert out.splitlines()[-1] == "[FAIL] aggregates (expected ['10', '45'], got ['10', '46'])"
 
 
 def test_parser_errors_exit_2(capsys):
@@ -195,32 +205,31 @@ def test_narayana_with_oracle(capsys):
 
 def test_dim_orbit(capsys):
     code, payload = run_json(
-        capsys, "dim-orbit", "--family", "ppa", "--type", "A", "--rank", "4"
+        capsys, "dim-orbit", "--family", "ppa", "--diagram", "A4"
     )
     assert code == 0
-    assert payload["command"] == "dim-orbit --family preprojective --type A --rank 4"
+    assert payload["command"] == "dim-orbit --family preprojective --diagram A4"
     assert payload["results"]["totals"] == {"1": "10", "2": "30", "3": "30", "4": "10"}
     # past the enumeration caps: n(n+1)/2 * binom(n-1, n-l) at vertex l of A_n
-    code, payload = run_json(capsys, "dim-orbit", "--type", "A", "--rank", "20")
+    code, payload = run_json(capsys, "dim-orbit", "--diagram", "A20")
     assert code == 0
     assert payload["results"]["totals"] == {
         str(ell): str(210 * comb(19, 20 - ell)) for ell in range(1, 21)
     }
     # the engine at one vertex
-    code, payload = run_json(capsys, "dim-orbit", "--type", "D", "--rank", "5", "--vertex", "2")
+    code, payload = run_json(capsys, "dim-orbit", "--diagram", "D5", "--vertex", "2")
     assert code == 0
     assert payload["results"] == {"total": "720"}
     code, payload = run_json(
         capsys,
-        "dim-orbit", "--family", "ppa", "--type", "D", "--rank", "4",
-        "--vertex", "-1", "--oracle",
+        "dim-orbit", "--family", "ppa", "--diagram", "D4", "--vertex", "-1", "--oracle",
     )
     assert code == 0
     assert payload["results"]["total"] == "24"
     assert payload["results"]["count"] == "8"
     # type E has a brute-force route too: the orbit of w_3 in E6
     code, payload = run_json(
-        capsys, "dim-orbit", "--type", "E", "--rank", "6", "--vertex", "3", "--oracle"
+        capsys, "dim-orbit", "--diagram", "E6", "--vertex", "3", "--oracle"
     )
     assert code == 0
     assert payload["results"] == {"total": "15120", "count": "720"}
@@ -239,7 +248,7 @@ def test_dim_orbit_lists_every_vertex_of_every_type(capsys, oracle):
         ("path", "D", 4, {"-1": "6", "1": "6", "2": "10", "3": "6"}),
         ("path", "E", 6, {"1": "16", "2": "30", "3": "42", "4": "22", "5": "30", "6": "16"}),
     ):
-        argv = ["dim-orbit", "--family", family, "--type", dfam, "--rank", str(n), *oracle]
+        argv = ["dim-orbit", "--family", family, "--diagram", f"{dfam}{n}", *oracle]
         code, payload = run_json(capsys, *argv)
         assert code == 0
         assert payload["results"] == {"totals": totals}
@@ -255,10 +264,10 @@ def test_dim_orbit_lists_every_vertex_of_every_type(capsys, oracle):
 def test_dim_orbit_oracle_over_every_vertex_is_refused_before_any_work(capsys):
     # 2^1001 - 2 rectangle paths in all, though vertex 1 alone has 1,001:
     # the running total passes the budget at vertex 3
-    assert cli.main(["dim-orbit", "--type", "A", "--rank", "1000", "--oracle"]) == cli.EXIT_USAGE
+    assert cli.main(["dim-orbit", "--diagram", "A1000", "--oracle"]) == cli.EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.err == (
-        f"error: A1000 orbit-total oracle over every vertex visits at least"
+        f"usage error: A1000 orbit-total oracle over every vertex visits at least"
         f" {1001 + comb(1001, 2) + comb(1001, 3):,} elements,"
         " over the oracle budget of 10,000,000\n"
     )
@@ -270,9 +279,9 @@ def test_dim_orbit_oracle_over_every_vertex_is_refused_before_any_work(capsys):
     [
         ("eulerian A1700 --oracle", "more than 10^4758"),
         ("narayana A8000 --oracle", "more than 10^4810"),
-        ("dim-orbit --type A --rank 16000 --vertex 8000 --oracle", "more than 10^4814"),
-        ("dim-orbit --type A --rank 20000 --oracle", f"at least {20001 + comb(20001, 2):,}"),
-        ("dim-orbit --type D --rank 5000 --oracle", "more than 10^1504"),
+        ("dim-orbit --diagram A16000 --vertex 8000 --oracle", "more than 10^4814"),
+        ("dim-orbit --diagram A20000 --oracle", f"at least {20001 + comb(20001, 2):,}"),
+        ("dim-orbit --diagram D5000 --oracle", "more than 10^1504"),
     ],
 )
 def test_huge_estimates_are_refused_on_one_short_line(capsys, argv, estimate):
@@ -285,9 +294,28 @@ def test_huge_estimates_are_refused_on_one_short_line(capsys, argv, estimate):
 
 
 def test_dim_orbit_unknown_type_is_a_usage_error(capsys):
-    assert cli.main(["dim-orbit", "--type", "B", "--rank", "3"]) == cli.EXIT_USAGE
+    assert cli.main(["dim-orbit", "--diagram", "B3"]) == cli.EXIT_USAGE
     captured = capsys.readouterr()
-    assert captured.err == "usage error: unknown family 'B'\n"
+    assert captured.err == "usage error: cannot parse diagram 'B3'; expected like A5, D6, E7\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # the aggregates are a check of poly --kind d --verify
+        (
+            "aggregates --family path --diagram A3",
+            "argument command: invalid choice: 'aggregates'",
+        ),
+        # dim-orbit names its diagram as poly does
+        ("dim-orbit --type A --rank 3", "the following arguments are required: --diagram"),
+    ],
+)
+def test_one_way_to_say_each_thing(capsys, argv, message):
+    assert cli.main(argv.split()) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"usage error: {message}")
     assert captured.out == ""
 
 
@@ -295,29 +323,28 @@ def test_dim_orbit_unknown_type_is_a_usage_error(capsys):
 @pytest.mark.parametrize("dfam, n, vertex", [("D", 4, 0), ("D", 4, 4), ("D", 6, -2), ("A", 4, 5)])
 def test_dim_orbit_bad_vertex_names_the_diagram(capsys, dfam, n, vertex, oracle):
     # the oracle route checks the vertex before it picks a lattice model
-    argv = ["dim-orbit", "--type", dfam, "--rank", str(n), "--vertex", str(vertex), *oracle]
+    argv = ["dim-orbit", "--diagram", f"{dfam}{n}", "--vertex", str(vertex), *oracle]
     assert cli.main(argv) == cli.EXIT_USAGE
     captured = capsys.readouterr()
-    assert captured.err == f"error: {dfam}{n} has no vertex {vertex}\n"
+    assert captured.err == f"usage error: {dfam}{n} has no vertex {vertex}\n"
     assert captured.out == ""
 
 
 @pytest.mark.parametrize("diagram, vertex", [("A3", 9), ("D4", 0), ("D4", 4)])
 def test_tau_orbit_bad_vertex_names_the_diagram(capsys, diagram, vertex):
-    argv = ["dim-orbit", "--family", "path", "--type", diagram[0], "--rank", diagram[1:]]
-    argv += ["--vertex", str(vertex), "--oracle"]
-    assert cli.main(argv) == cli.EXIT_USAGE
+    argv = ["dim-orbit", "--family", "path", "--diagram", diagram, "--vertex", str(vertex)]
+    assert cli.main([*argv, "--oracle"]) == cli.EXIT_USAGE
     captured = capsys.readouterr()
-    assert captured.err == f"error: {diagram} has no vertex {vertex}\n"
+    assert captured.err == f"usage error: {diagram} has no vertex {vertex}\n"
     assert captured.out == ""
 
 
 def test_oracle_path(capsys):
     # the path family's --oracle route of poly is the complex of the quiver
     argv = ["poly", "--family", "path", "--diagram", "A3", "--kind", "f", "--oracle"]
-    code, payload = run_json(capsys, *argv, "--orientation", "+-")
+    code, payload = run_json(capsys, *argv, "--orientation", "10")
     assert code == 0
-    assert payload["command"] == "poly --family path --diagram A3 --kind f --oracle --orientation +-"
+    assert payload["command"] == "poly --family path --diagram A3 --kind f --oracle --orientation 10"
     assert payload["results"]["coefficients_ascending"] == ["14", "21", "9", "1"]
     assert payload["results"]["maximal_faces"] == "14"
     code, out = run(capsys, "--format", "csv", *argv, "--verify")
@@ -340,9 +367,15 @@ def test_oracle_path_type_e_matches_narayana(capsys):
 
 def test_oracle_path_orientation_errors(capsys):
     for argv, message in (
-        ("path D4 --oracle --orientation ++", "orientation for D4 needs 3 characters of +-"),
-        ("path A3 --oracle --orientation +x", "orientation for A3 needs 2 characters of +-"),
-        ("path A3 --orientation ++", "--orientation picks the quiver of the --oracle route"),
+        ("path D4 --oracle --orientation 11", "orientation for D4 needs 3 characters, each 1"),
+        ("path A3 --oracle --orientation 1x", "orientation for A3 needs 2 characters, each 1"),
+        # the old alphabet is refused with the new one named
+        (
+            "path A3 --oracle --orientation=+-",
+            "orientation for A3 needs 2 characters,"
+            " each 1 (keep the edge's direction) or 0 (flip it)",
+        ),
+        ("path A3 --orientation 11", "--orientation picks the quiver of the --oracle route"),
         ("path A9 --oracle", "complex enumeration capped at rank 8"),
         ("ppa A3 --oracle", "poly --oracle has no route for the preprojective family"),
     ):
@@ -352,6 +385,19 @@ def test_oracle_path_orientation_errors(capsys):
         captured = capsys.readouterr()
         assert message in captured.err
         assert captured.out == ""
+
+
+@pytest.mark.parametrize("diagram", ["A1", "A2", "A3", "A4", "A5", "D4", "D5"])
+def test_every_orientation_reaches_the_oracle(capsys, diagram):
+    d = DynkinDiagram(diagram[0], int(diagram[1:]))
+    argv = ["poly", "--family", "path", "--diagram", diagram, "--kind", "f", "--oracle"]
+    for orientation in hereditary.orientations(d):
+        quiver = hereditary.OrientedQuiver.from_diagram(d, orientation)
+        expected = hereditary.tau_rigid_complex(quiver).f_polynomial().to_decimal_strings()
+        for option in (["--orientation", orientation], [f"--orientation={orientation}"]):
+            code, payload = run_json(capsys, *argv, *option)
+            assert code == 0, option
+            assert payload["results"]["coefficients_ascending"] == expected, option
 
 
 @pytest.fixture
@@ -382,11 +428,10 @@ def test_poly_oracle_route_runs_the_census(capsys, monkeypatch, fresh_complexes)
 def test_oracle_tau_orbit(capsys):
     # the translate orbit is the path family's --oracle route of dim-orbit
     code, payload = run_json(
-        capsys, "dim-orbit", "--family", "path", "--type", "E", "--rank", "6", "--vertex", "3",
-        "--oracle",
+        capsys, "dim-orbit", "--family", "path", "--diagram", "E6", "--vertex", "3", "--oracle"
     )
     assert code == 0
-    assert payload["command"] == "dim-orbit --family path --type E --rank 6"
+    assert payload["command"] == "dim-orbit --family path --diagram E6"
     assert payload["results"] == {"total": "42"}
     # --oracle is the only route switch: there is no oracle command
     assert cli.main(["oracle", "tau-orbit", "--type", "E6"]) == cli.EXIT_USAGE
@@ -399,12 +444,12 @@ def test_oracle_tau_orbit(capsys):
 def test_dim_orbit_path_oracle_over_budget_exits_2(capsys, vertex, monkeypatch):
     # 500,500 positive roots of 1,000 entries, refused before any orbit is built
     monkeypatch.setattr(hereditary, "tau_orbit_dim", None)
-    argv = ["dim-orbit", "--family", "path", "--type", "A", "--rank", "1000", *vertex, "--oracle"]
+    argv = ["dim-orbit", "--family", "path", "--diagram", "A1000", *vertex, "--oracle"]
     assert cli.main(argv) == cli.EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.err == (
-        "error: A1000 translate orbits (500,500 modules of 1000 entries) visits 500,500,000"
-        " elements, over the oracle budget of 10,000,000\n"
+        "usage error: A1000 translate orbits (500,500 modules of 1000 entries)"
+        " visits 500,500,000 elements, over the oracle budget of 10,000,000\n"
     )
     assert captured.out == ""
 
@@ -438,7 +483,7 @@ def test_dim_orbit_oracle_route_runs_its_oracle(
     # a wrong oracle shows in the output: --oracle never hands back the engine's number
     engine = formulas.orbit_dim_total(family, DynkinDiagram(dfam, n), vertex)
     monkeypatch.setattr(module, name, _plus_one(module, name))
-    argv = ["dim-orbit", "--family", family, "--type", dfam, "--rank", str(n)]
+    argv = ["dim-orbit", "--family", family, "--diagram", f"{dfam}{n}"]
     code, payload = run_json(capsys, *argv, "--vertex", str(vertex), "--oracle")
     assert code == 0
     assert payload["results"]["total"] == str(engine + 1)
@@ -454,7 +499,7 @@ def test_dim_orbit_oracle_runs_the_corner_model_once(capsys, monkeypatch):
     lengths = []
     blocks = lattice.corner_path_blocks
     monkeypatch.setattr(lattice, "corner_path_blocks", lambda m: lengths.append(m) or blocks(m))
-    code, payload = run_json(capsys, "dim-orbit", "--type", "D", "--rank", "6", "--oracle")
+    code, payload = run_json(capsys, "dim-orbit", "--diagram", "D6", "--oracle")
     assert code == 0
     assert lengths == [5]
     assert payload["results"]["totals"]["-1"] == payload["results"]["totals"]["1"] == "240"
@@ -487,8 +532,7 @@ def test_genfun_verify(capsys):
     [
         "eulerian A3",
         "narayana A3 --oracle",
-        "dim-orbit --type A --rank 3",
-        "aggregates --family path --diagram A3",
+        "dim-orbit --diagram A3",
         "genfun exp-h-ppa-A",
         "verify --suite all",
     ],
@@ -499,6 +543,17 @@ def test_csv_without_a_layout_is_refused(capsys, argv):
     captured = capsys.readouterr()
     assert captured.err == f"usage error: --format csv has no layout for {command}\n"
     assert captured.out == ""
+
+
+def test_readme_cli_block_runs(capsys):
+    # a renamed option or command must not leave the README stale
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n", 1)[1].split("```\n")[1]
+    lines = [line for line in block.splitlines() if line.startswith("taupoly ")]
+    assert len(lines) >= 10
+    for line in lines:
+        assert cli.main(shlex.split(line, comments=True)[1:]) == cli.EXIT_OK, line
+    capsys.readouterr()
 
 
 def test_table_csv(capsys):

@@ -172,11 +172,11 @@ _ENGINE_ONLY = textwrap.dedent(
         "poly --family path --diagram D6 --kind f",
         "eulerian A2xE6",
         "narayana D7",
-        "aggregates --family path --diagram D5",
+        "poly --family path --diagram D5 --kind d --verify",
         "genfun ord-h-path-A --order 6 --verify",
-        "dim-orbit --family ppa --type E --rank 8",
-        "dim-orbit --family path --type D --rank 6 --vertex -1",
-        "dim-orbit --family path --type A --rank 9",
+        "dim-orbit --family ppa --diagram E8",
+        "dim-orbit --family path --diagram D6 --vertex -1",
+        "dim-orbit --family path --diagram A9",
         "verify --suite tables",
     ]
     for command in commands:

@@ -39,7 +39,7 @@ def catalan(m):
 def two_orientations(d):
     """The stored orientation and the alternating one."""
     edges = len(d.edges)
-    return ("+" * edges, ("-+" * edges)[:edges])
+    return ("1" * edges, ("01" * edges)[:edges])
 
 
 def roots_of(q):
@@ -62,7 +62,7 @@ def test_worked_example_rank_three():
 
 
 def test_complex_is_its_roots_and_compatibility_matrix():
-    q = OrientedQuiver.line(3, "+-")
+    q = OrientedQuiver.line(3, "10")
     complex_ = tau_rigid_complex(q)
     assert complex_.rank == 3
     assert sorted(map(tuple, complex_.roots.tolist())) == sorted(roots_of(q))
@@ -87,7 +87,7 @@ def test_rank_one():
 
 
 def test_rank_two_both_orientations():
-    for orientation in ("+", "-"):
+    for orientation in ("1", "0"):
         complex_ = tau_rigid_complex(OrientedQuiver.line(2, orientation))
         assert complex_.d_polynomial() == Polynomial([8, 4])
 
@@ -123,7 +123,7 @@ def test_projectives_read_off_one_coordinate():
 
 
 def test_flipped_euler_form_raises(monkeypatch):
-    q = OrientedQuiver.from_diagram(DynkinDiagram("D", 4), "+-+")
+    q = OrientedQuiver.from_diagram(DynkinDiagram("D", 4), "101")
     build = tau_rigid_complex.__wrapped__  # bypass the memo
     assert build(q).maximal_face_count == 50
     original = hereditary.euler_form
@@ -237,10 +237,10 @@ def test_interval_modules_are_bricks():
 
 
 def test_ext_on_the_two_vertex_quiver():
-    q = OrientedQuiver.line(2, "+")  # 1 -> 2
+    q = OrientedQuiver.line(2, "1")  # 1 -> 2
     assert ext_dim((1, 0), (0, 1), q) == 1  # the nonsplit extension is (1,1)
     assert ext_dim((0, 1), (1, 0), q) == 0
-    far = OrientedQuiver.line(4, "+++")
+    far = OrientedQuiver.line(4, "111")
     assert ext_dim((1, 0, 0, 0), (0, 0, 1, 1), far) == 0
     assert ext_dim((0, 0, 1, 1), (1, 0, 0, 0), far) == 0
     # stacks of vectors give the matrix of all pairs
@@ -344,13 +344,13 @@ def test_complex_rank_cap():
 
 
 def test_path_cartan_counts_paths():
-    q = OrientedQuiver.line(3, "+-")  # 1 -> 2 <- 3
+    q = OrientedQuiver.line(3, "10")  # 1 -> 2 <- 3
     C = path_cartan(q)
     assert C == [[1, 1, 0], [0, 1, 0], [0, 1, 1]]
 
 
 def test_tau_orbit_type_a():
-    for orientation in ("+++", "-+-", "--+"):
+    for orientation in ("111", "010", "001"):
         q = OrientedQuiver.line(4, orientation)
         assert [tau_orbit_dim(q, ell) for ell in (1, 2, 3, 4)] == [4, 6, 6, 4]
 
@@ -426,7 +426,7 @@ def oriented_diagrams(draw):
     rank = draw(st.integers({"A": 1, "D": 4, "E": 6}[family], 7))
     diagram = DynkinDiagram(family, rank)
     edges = len(diagram.edges)
-    return diagram, draw(st.text("+-", min_size=edges, max_size=edges))
+    return diagram, draw(st.text("01", min_size=edges, max_size=edges))
 
 
 @settings(max_examples=50, deadline=None)
@@ -447,7 +447,7 @@ def test_random_orientations_match_the_engine(case):
 def test_tau_orbit_orientation_independent_totals():
     diagram = DynkinDiagram("D", 5)
     totals = []
-    for orientation in ("++++", "-+-+", "+--+"):
+    for orientation in ("1111", "0101", "1001"):
         q = OrientedQuiver.from_diagram(diagram, orientation)
         totals.append(sorted(tau_orbit_dim(q, v) for v in diagram.vertices))
     assert totals[0] == totals[1] == totals[2]

@@ -366,7 +366,7 @@ def _running_total_over_budget(d):
 
 
 def _dim_orbit_every_vertex(dfam, n, family="ppa"):
-    argv = ["dim-orbit", "--family", family, "--type", dfam, "--rank", str(n), "--oracle"]
+    argv = ["dim-orbit", "--family", family, "--diagram", f"{dfam}{n}", "--oracle"]
     return cli.cmd_dim_orbit(cli.build_parser().parse_args(argv))
 
 
