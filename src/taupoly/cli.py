@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from functools import cache
@@ -93,10 +94,10 @@ def _table_csv(results: dict) -> list[list]:
 CSV_LAYOUTS = {"poly": lambda results: [results["coefficients_ascending"]], "table": _table_csv}
 
 
-def _emit(report: Report, args) -> int:
+def _emit(report: Report, args) -> None:
     if args.format == "json":
         print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
-        return report.exit_status
+        return
     if args.format == "csv":
         for row in CSV_LAYOUTS[args.command](report.results):
             print(",".join(map(str, row)))
@@ -109,7 +110,6 @@ def _emit(report: Report, args) -> int:
         if not check["pass"]:
             line += f" (expected {check['expected']}, got {check['actual']})"
         print(line)
-    return report.exit_status
 
 
 def _plain(value) -> str:
@@ -151,7 +151,7 @@ def cmd_poly(args) -> Report:
         quiver = hereditary.OrientedQuiver.from_diagram(diagram, args.orientation)
         complex_ = hereditary.tau_rigid_complex(quiver)
         poly = getattr(complex_, f"{kind}_polynomial")()
-        orientation = "" if args.orientation is None else f" --orientation {args.orientation}"
+        orientation = f" --orientation {args.orientation}" if args.orientation else ""
         report.command += f" --oracle{orientation}"
     elif args.orientation is not None:
         raise UsageError("--orientation picks the quiver of the --oracle route")
@@ -209,14 +209,15 @@ def cmd_h_polynomial(args) -> Report:
 def _orbit_route(family: str, d: DynkinDiagram, oracle: bool):
     """The route of ``dim-orbit``: a function of a vertex of ``d`` giving
     the results to report.  Each preprojective oracle also counts the
-    orbit of w_ell; a translate orbit's length depends on the
-    orientation, so the path family reports its total alone."""
+    orbit of w_ell; the path oracle sweeps all the translate orbits at
+    once and reports totals alone, since lengths depend on orientation."""
     if not oracle:
         return lambda ell: {"total": formulas.orbit_dim_total(family, d, ell)}
     if family == PATH:
-        from .hereditary import tau_orbit_total
+        from .hereditary import tau_orbit_totals
 
-        return lambda ell: {"total": tau_orbit_total(d, ell)}
+        totals = tau_orbit_totals(d)
+        return lambda ell: {"total": totals[ell]}
     if d.family == "E":
         from .oracles import weight_orbit_total as total_and_count
     else:
@@ -383,7 +384,7 @@ def _suite_oracles(report: Report, args) -> None:
     for rank in (6, 7, 8):
         diagram = DynkinDiagram("E", rank)
         engine = tuple(formulas.orbit_dim_total(PATH, diagram, ell) for ell in diagram.vertices)
-        orbit = tuple(hereditary.tau_orbit_total(diagram, ell) for ell in diagram.vertices)
+        orbit = tuple(hereditary.tau_orbit_totals(diagram).values())
         report.add_check(f"tau-orbit-E{rank}", engine, orbit)
     # Narayana closed formula vs oracle on small ranks
     for rank in range(1, min(args.max_rank, 5) + 1):
@@ -580,13 +581,20 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.format == "csv" and args.command not in CSV_LAYOUTS:
             raise UsageError(f"--format csv has no layout for {args.command}")
-        return _emit(args.fn(args), args)
+        report = args.fn(args)
     except ConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except TaupolyError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    try:
+        _emit(report, args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: what is left, and the flush at exit, go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return report.exit_status
 
 
 if __name__ == "__main__":

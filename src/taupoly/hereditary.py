@@ -21,23 +21,21 @@ orientation of a diagram.  Neither is called by the engine.
   in numpy, a face being its last vertex and the bitmask of the vertices
   compatible with all of it.
 
-* The translate-orbit dimension sum, computed by iterating the inverse
-  Coxeter transformation on the dimension vector of a projective until
-  it leaves the positive orthant.  On an acyclic quiver the matrix C of
-  projectives is (I - A)^-1, so the inverse transformation on row vectors
-  is -(I - A^T) C, with no matrix inversion.  Its sign and transpose
-  conventions are pinned by a startup self-check on a rank 3 example.
+* The translate-orbit dimension sums: the dimension vectors of all the
+  projectives move through their orbits at once by simple reflections,
+  each changing one coordinate, so a sweep costs the N * n entries of the
+  N positive roots, the count the oracle budget charges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
 
-from .dynkin import DynkinDiagram
+from .dynkin import DynkinDiagram, _star
 from .errors import ConventionError, ImpurityError, NotAModule, RankTooLarge, UsageError
 from .errors import check_oracle_budget
 from .oracles import _clique_census, positive_roots
@@ -279,68 +277,62 @@ def disjoint_union_d_check(q1: OrientedQuiver, q2: OrientedQuiver) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Translate-orbit dimension sums via the Coxeter transformation
+# Translate orbits by simple reflections
 # ---------------------------------------------------------------------------
 
 
-@cache
-def _check_convention() -> None:
-    """Run once per process; a failure raises and is not cached, so a
-    later call checks again."""
-    probe = OrientedQuiver.line(3)
-    for ell in (1, 2, 3):
-        expected = ell * (3 - ell + 1)
-        if sum(map(sum, tau_orbit_vectors(probe, ell))) != expected:
-            raise ConventionError(
-                "Coxeter transform convention failed the rank 3 self-check"
-            )
+def _reflection_rounds(q: OrientedQuiver, C: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The reflections of one inverse translate in rounds: vertex indices
+    and their neighbours' indices, padded with n.  A tail is reached by
+    fewer vertices than its head (column sums of C), so the vertices
+    reached by equally many share no arrow: a round, in rising count."""
+    links = q.arrow_counts() + q.arrow_counts().T
+    neighbours = np.full((q.rank, links.sum(axis=1).max()), q.rank)
+    for row, link in zip(neighbours, links):
+        row[: link.sum()] = np.repeat(np.arange(q.rank), link)
+    reached_by = C.sum(axis=0)
+    groups = (np.flatnonzero(reached_by == count) for count in sorted(set(reached_by.tolist())))
+    return [(group, neighbours[group]) for group in groups]
 
 
-# an all-vertex run asks for one quiver's matrices at every vertex in turn
-@lru_cache(maxsize=1)
-def _translate_matrices(q: OrientedQuiver) -> tuple[np.ndarray, np.ndarray]:
-    """The projectives C (row i at vertex i) and the inverse translate on
-    row vectors, read-only: dim tau M = dim M . Phi with Phi = -C^-1 C^T,
-    and C = (I - A)^-1 turns the inverse -(C^T)^-1 C into -(I - A^T) C."""
+def translate_orbits(q: OrientedQuiver) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Move every projective, read off path reachability, through its
+    translate orbit; each step yields each live row's projective index
+    and the rows, in quiver vertex order, never changed later.  tau^-1
+    applies the simple reflections, every arrow's tail before its head
+    (Bernstein-Gelfand-Ponomarev): s_i sets entry i to its neighbours'
+    sum minus itself.  A row leaving the orthant still positive raises."""
     C = np.array(path_cartan(q), dtype=np.int64)
-    phi_inv = (q.arrow_counts().T - np.eye(q.rank, dtype=np.int64)) @ C
-    C.flags.writeable = phi_inv.flags.writeable = False
-    return C, phi_inv
+    rounds = _reflection_rounds(q, C)
+    owner, rows = np.arange(q.rank), np.pad(C, ((0, 0), (0, 1)))  # the last column stays 0
+    while len(owner):
+        yield owner, rows[:, :-1]
+        rows = rows.copy()
+        for group, pad in rounds:
+            rows[:, group] = rows[:, pad].sum(axis=2) - rows[:, group]
+        live = (rows >= 0).all(axis=1) & rows.any(axis=1)
+        if (rows[~live] > 0).any():
+            raise ConventionError("orbit left the positive orthant without turning negative")
+        owner, rows = owner[live], rows[live]
 
 
-def tau_orbit_vectors(q: OrientedQuiver, ell: int) -> list[tuple[int, ...]]:
-    """Dimension vectors of the translate orbit of the projective at ell,
-    in quiver vertex order, until the orbit leaves the positive orthant."""
-    if ell not in q.vertices:
-        raise UsageError(f"vertex {ell} not in quiver")
-    C, phi_inv = _translate_matrices(q)
-    v = C[q.vertices.index(ell)]
-    out = []
-    while (v >= 0).all() and (v > 0).any():
-        out.append(tuple(v.tolist()))
-        v = v @ phi_inv
-    if (v > 0).any():
-        raise ConventionError("orbit left the positive orthant without turning negative")
-    return out
-
-
-def tau_orbit_dim(q: OrientedQuiver, ell: int) -> int:
-    """Total dimension of the translate orbit of the projective at a vertex.
-
-    Equals the dimension of the corresponding projective over the
-    doubled-quiver algebra, independently of the orientation.
-    """
-    _check_convention()
-    return sum(map(sum, tau_orbit_vectors(q, ell)))
-
-
-def tau_orbit_total(d: DynkinDiagram, ell: int) -> int:
-    """tau_orbit_dim at ell of the default orientation of a diagram.  The
-    orbits of all the projectives hold the N positive roots once each, as
-    vectors of n entries, so N * n is checked against the budget first."""
-    d.check_vertex(ell)
-    check_oracle_budget(
-        f"{d} translate orbits ({d.positive_root_count():,} modules of {d.rank} entries)",
-        d.positive_root_count() * d.rank,
-    )
-    return tau_orbit_dim(OrientedQuiver.from_diagram(d), ell)
+def tau_orbit_totals(d: DynkinDiagram) -> dict[int, int]:
+    """The translate-orbit total of the projective at every vertex of a
+    diagram, its sources the vertices an even distance from the centre
+    (totals do not depend on the orientation).  The orbits hold the N
+    positive roots once each, vectors of n entries: N * n is checked
+    against the budget first, and a sweep of other than N rows raises."""
+    roots = d.positive_root_count()
+    what = f"{d} translate orbits ({roots:,} modules of {d.rank} entries)"
+    check_oracle_budget(what, roots * d.rank)
+    odd = {v for v in d.vertices if (_star(d, v)[1] or (0, 0))[1] % 2}
+    q = OrientedQuiver.from_diagram(d, "".join("0" if a in odd else "1" for a, _ in d.edges))
+    totals, count = np.zeros(d.rank, dtype=np.int64), 0
+    for owner, rows in translate_orbits(q):
+        count += len(rows)
+        if count > roots:
+            raise ConventionError(f"{d} translate orbits passed its {roots:,} positive roots")
+        totals[owner] += rows.sum(axis=1)
+    if count < roots:
+        raise ConventionError(f"{d} translate orbits held {count:,} of {roots:,} positive roots")
+    return dict(zip(q.vertices, totals.tolist()))

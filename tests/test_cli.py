@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from math import comb
 from pathlib import Path
 
@@ -387,6 +390,25 @@ def test_oracle_path_orientation_errors(capsys):
         assert captured.out == ""
 
 
+def test_empty_orientation_is_named_nowhere(capsys):
+    # A1 has no edges, so its one orientation is the empty default
+    argv = ["poly", "--family", "path", "--diagram", "A1", "--kind", "f", "--oracle"]
+    assert run_json(capsys, *argv, "--orientation=") == run_json(capsys, *argv)
+
+
+def test_closed_stdout_ends_quietly():
+    src = Path(cli.__file__).resolve().parents[1]
+    child = subprocess.Popen(
+        [sys.executable, "-m", "taupoly", "--format", "json", "table", "1"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    child.stdout.close()  # the reader goes away before the report is written
+    _, err = child.communicate(timeout=120)
+    assert (child.returncode, err) == (0, b"")
+
+
 @pytest.mark.parametrize("diagram", ["A1", "A2", "A3", "A4", "A5", "D4", "D5"])
 def test_every_orientation_reaches_the_oracle(capsys, diagram):
     d = DynkinDiagram(diagram[0], int(diagram[1:]))
@@ -443,7 +465,7 @@ def test_oracle_tau_orbit(capsys):
 @pytest.mark.parametrize("vertex", [[], ["--vertex", "500"]])
 def test_dim_orbit_path_oracle_over_budget_exits_2(capsys, vertex, monkeypatch):
     # 500,500 positive roots of 1,000 entries, refused before any orbit is built
-    monkeypatch.setattr(hereditary, "tau_orbit_dim", None)
+    monkeypatch.setattr(hereditary, "translate_orbits", None)
     argv = ["dim-orbit", "--family", "path", "--diagram", "A1000", *vertex, "--oracle"]
     assert cli.main(argv) == cli.EXIT_USAGE
     captured = capsys.readouterr()
@@ -455,11 +477,14 @@ def test_dim_orbit_path_oracle_over_budget_exits_2(capsys, vertex, monkeypatch):
 
 
 def _plus_one(module, name):
-    """``module.name`` with 1 added to its result, or to its first entry."""
+    """``module.name`` with 1 added to its result, to its first entry, or
+    to each of its values."""
     original = getattr(module, name)
 
     def patched(*args):
         result = original(*args)
+        if isinstance(result, dict):
+            return {key: value + 1 for key, value in result.items()}
         return result + 1 if isinstance(result, int) else (result[0] + 1, *result[1:])
 
     return patched
@@ -468,9 +493,9 @@ def _plus_one(module, name):
 @pytest.mark.parametrize(
     "family, dfam, n, vertex, module, name",
     [
-        ("path", "A", 5, 2, hereditary, "tau_orbit_dim"),
-        ("path", "D", 5, -1, hereditary, "tau_orbit_dim"),
-        ("path", "E", 7, 4, hereditary, "tau_orbit_dim"),
+        ("path", "A", 5, 2, hereditary, "tau_orbit_totals"),
+        ("path", "D", 5, -1, hereditary, "tau_orbit_totals"),
+        ("path", "E", 7, 4, hereditary, "tau_orbit_totals"),
         ("preprojective", "A", 5, 2, lattice, "block_area_rect"),
         ("preprojective", "D", 5, -1, lattice, "block_area_corner"),
         ("preprojective", "D", 5, 3, lattice, "block_sequence_weight"),

@@ -11,7 +11,6 @@ from taupoly.errors import (
     ConventionError,
     ImpurityError,
     NotAModule,
-    NotAVertex,
     RankTooLarge,
 )
 from taupoly.formulas import PATH, AlgebraSpec, golden_table
@@ -22,10 +21,9 @@ from taupoly.hereditary import (
     ext_dim,
     orientations,
     path_cartan,
-    tau_orbit_dim,
-    tau_orbit_total,
-    tau_orbit_vectors,
+    tau_orbit_totals,
     tau_rigid_complex,
+    translate_orbits,
 )
 from taupoly.oracles import positive_roots
 from taupoly.polynomials import ONE, Polynomial
@@ -40,6 +38,36 @@ def two_orientations(d):
     """The stored orientation and the alternating one."""
     edges = len(d.edges)
     return ("1" * edges, ("01" * edges)[:edges])
+
+
+def sweep(q):
+    """The steps of ``translate_orbits(q)``, cut off once they pass the
+    positive roots, so a broken step fails instead of running forever."""
+    steps, count, roots = [], 0, len(roots_of(q))
+    for owner, rows in translate_orbits(q):
+        steps.append((owner, rows))
+        count += len(rows)
+        assert count <= roots, q
+    return steps
+
+
+def sweep_totals(q):
+    """The translate-orbit total at each quiver vertex, summed from one sweep."""
+    totals = dict.fromkeys(q.vertices, 0)
+    for owner, rows in sweep(q):
+        for k, total in zip(owner.tolist(), rows.sum(axis=1).tolist()):
+            totals[q.vertices[k]] += total
+    return totals
+
+
+def every_orientation():
+    """Every quiver on A1-A5, D4 and D5."""
+    for diagram in [DynkinDiagram("A", n) for n in range(1, 6)] + [
+        DynkinDiagram("D", 4),
+        DynkinDiagram("D", 5),
+    ]:
+        for orientation in orientations(diagram):
+            yield diagram, OrientedQuiver.from_diagram(diagram, orientation)
 
 
 def roots_of(q):
@@ -352,29 +380,26 @@ def test_path_cartan_counts_paths():
 def test_tau_orbit_type_a():
     for orientation in ("111", "010", "001"):
         q = OrientedQuiver.line(4, orientation)
-        assert [tau_orbit_dim(q, ell) for ell in (1, 2, 3, 4)] == [4, 6, 6, 4]
+        assert list(sweep_totals(q).values()) == [4, 6, 6, 4]
 
 
 def test_tau_orbit_type_d_and_e():
     d4 = DynkinDiagram("D", 4)
-    assert {ell: tau_orbit_total(d4, ell) for ell in d4.vertices} == {-1: 6, 1: 6, 2: 10, 3: 6}
+    assert tau_orbit_totals(d4) == {-1: 6, 1: 6, 2: 10, 3: 6}
     e6 = DynkinDiagram("E", 6)
-    assert [tau_orbit_total(e6, ell) for ell in e6.vertices] == [16, 30, 42, 22, 30, 16]
+    assert list(tau_orbit_totals(e6).values()) == [16, 30, 42, 22, 30, 16]
 
 
 def test_tau_orbit_total_is_checked_against_the_budget_first(monkeypatch):
     # N positive roots of n entries each: A200 has 20,100 * 200, A300 45,150 * 300
     a200, a300 = DynkinDiagram("A", 200), DynkinDiagram("A", 300)
-    assert tau_orbit_total(a200, 100) == formulas.orbit_dim_total(PATH, a200, 100)
-    monkeypatch.setattr(hereditary, "tau_orbit_dim", None)  # no work may start
-    for ell in (1, 150, 300):
-        with pytest.raises(RankTooLarge, match="45,150 modules of 300 entries.* 13,545,000 "):
-            tau_orbit_total(a300, ell)
-    with pytest.raises(NotAVertex, match="A300 has no vertex 301"):
-        tau_orbit_total(a300, 301)
+    assert tau_orbit_totals(a200)[100] == formulas.orbit_dim_total(PATH, a200, 100)
+    monkeypatch.setattr(hereditary, "translate_orbits", None)  # no work may start
+    with pytest.raises(RankTooLarge, match="45,150 modules of 300 entries.* 13,545,000 "):
+        tau_orbit_totals(a300)
 
 
-def test_translate_matrices_are_built_once_per_quiver(monkeypatch):
+def test_path_cartan_runs_once_per_sweep(monkeypatch):
     calls = []
 
     def counting_path_cartan(q):
@@ -382,15 +407,61 @@ def test_translate_matrices_are_built_once_per_quiver(monkeypatch):
         return path_cartan(q)
 
     monkeypatch.setattr(hereditary, "path_cartan", counting_path_cartan)
-    hereditary._translate_matrices.cache_clear()
-    hereditary._check_convention()
     for d in (DynkinDiagram("A", 12), DynkinDiagram("E", 8)):
         calls.clear()
-        totals = [tau_orbit_total(d, ell) for ell in d.vertices]
-        assert totals == [formulas.orbit_dim_total(PATH, d, ell) for ell in d.vertices]
-        assert calls == [OrientedQuiver.from_diagram(d)]
-    C, phi_inv = hereditary._translate_matrices(OrientedQuiver.from_diagram(d))
-    assert not C.flags.writeable and not phi_inv.flags.writeable
+        totals = tau_orbit_totals(d)
+        assert totals == {ell: formulas.orbit_dim_total(PATH, d, ell) for ell in d.vertices}
+        assert len(calls) == 1 and calls[0].vertices == d.vertices
+        # the alternating orientation: no vertex is both a tail and a head
+        tails, heads = zip(*calls[0].arrows)
+        assert not set(tails) & set(heads)
+
+
+def test_translate_orbits_step_by_the_inverse_coxeter_matrix():
+    for diagram, q in every_orientation():
+        C = np.array(path_cartan(q), dtype=np.int64)
+        phi_inv = -(np.eye(q.rank, dtype=np.int64) - q.arrow_counts().T) @ C
+        steps = sweep(q)
+        for (owner, rows), (next_owner, next_rows) in zip(steps, steps[1:]):
+            image = rows @ phi_inv
+            live = (image >= 0).all(axis=1) & (image > 0).any(axis=1)
+            assert (owner[live] == next_owner).all(), q
+            assert (image[live] == next_rows).all(), q
+        last = steps[-1][1] @ phi_inv
+        assert ((last <= 0).all(axis=1) & (last < 0).any(axis=1)).all(), q
+        # the preprojectives are all the indecomposables, each once
+        seen = [tuple(row) for _, rows in steps for row in rows.tolist()]
+        assert len(seen) == len(set(seen)) == diagram.positive_root_count(), q
+        assert set(seen) == set(map(tuple, roots_of(q))), q
+
+
+def test_tau_orbit_totals_refuse_reversed_rounds(monkeypatch):
+    # reversed rounds make the translate, not its inverse: a projective
+    # turns negative at once and the sweep falls short of N rows
+    rounds = hereditary._reflection_rounds
+    monkeypatch.setattr(hereditary, "_reflection_rounds", lambda q, C: rounds(q, C)[::-1])
+    for family, rank in (("A", 2), ("A", 5), ("D", 5), ("E", 6)):
+        with pytest.raises(ConventionError, match=f"{family}{rank} translate orbits held"):
+            tau_orbit_totals(DynkinDiagram(family, rank))
+    monkeypatch.undo()
+    assert tau_orbit_totals(DynkinDiagram("A", 5)) == {1: 5, 2: 8, 3: 9, 4: 8, 5: 5}
+
+
+def test_tau_orbit_totals_stop_an_endless_sweep(monkeypatch):
+    def endless(q):
+        while True:
+            yield np.arange(1), np.ones((1, q.rank), dtype=np.int64)
+
+    monkeypatch.setattr(hereditary, "translate_orbits", endless)
+    with pytest.raises(ConventionError, match="E6 translate orbits passed its 36 positive roots"):
+        tau_orbit_totals(DynkinDiagram("E", 6))
+
+
+def test_a_row_leaving_with_a_positive_entry_raises(monkeypatch):
+    # (1, 2) is no root of A2: one inverse translate takes it to (1, -1)
+    monkeypatch.setattr(hereditary, "path_cartan", lambda q: [[1, 1], [1, 2]])
+    with pytest.raises(ConventionError, match="without turning negative"):
+        sweep(OrientedQuiver.line(2))
 
 
 def test_tau_orbit_enumerates_each_root_once():
@@ -402,9 +473,7 @@ def test_tau_orbit_enumerates_each_root_once():
     ):
         for orientation in two_orientations(diagram):
             q = OrientedQuiver.from_diagram(diagram, orientation)
-            seen = []
-            for ell in diagram.vertices:
-                seen.extend(tau_orbit_vectors(q, ell))
+            seen = [tuple(row) for _, rows in sweep(q) for row in rows.tolist()]
             assert len(seen) == len(set(seen)) == diagram.positive_root_count()
             # the preprojectives are all the indecomposables: the
             # complex's module vertices
@@ -439,15 +508,12 @@ def test_random_orientations_match_the_engine(case):
     assert complex_.f_polynomial() == formulas.f_polynomial(spec)
     assert complex_.h_polynomial() == formulas.h_polynomial(spec)
     assert complex_.d_polynomial() == formulas.d_polynomial(spec)
-    for ell in diagram.vertices:
-        total = sum(sum(vector) for vector in tau_orbit_vectors(q, ell))
-        assert total == formulas.orbit_dim_total(PATH, diagram, ell), ell
+    assert sweep_totals(q) == {
+        ell: formulas.orbit_dim_total(PATH, diagram, ell) for ell in diagram.vertices
+    }
 
 
 def test_tau_orbit_orientation_independent_totals():
-    diagram = DynkinDiagram("D", 5)
-    totals = []
-    for orientation in ("1111", "0101", "1001"):
-        q = OrientedQuiver.from_diagram(diagram, orientation)
-        totals.append(sorted(tau_orbit_dim(q, v) for v in diagram.vertices))
-    assert totals[0] == totals[1] == totals[2]
+    for diagram, q in every_orientation():
+        engine = {ell: formulas.orbit_dim_total(PATH, diagram, ell) for ell in diagram.vertices}
+        assert sweep_totals(q) == tau_orbit_totals(diagram) == engine, q

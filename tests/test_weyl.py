@@ -323,7 +323,6 @@ def oracle_calls_over_budget(draw):
     tail = draw(st.integers(2, n // 2))
     small = A(1)
     quiver = A(300 + extra)  # N * n = 45,150 * 300 at the least
-    vertex = draw(st.integers(1, quiver.rank))
     exact = [
         (lambda: eulerian_a_by_enumeration(a.rank), a.group_order()),
         (lambda: eulerian_d_by_enumeration(d.rank), d.group_order()),
@@ -338,7 +337,7 @@ def oracle_calls_over_budget(draw):
         (lambda: lattice.orbit_total(D(n), 1), 2 ** (n - 1)),
         (lambda: lattice.orbit_total(D(n), tail), 2 ** (n - tail) * comb(n, tail)),
         (
-            lambda: hereditary.tau_orbit_total(quiver, vertex),
+            lambda: hereditary.tau_orbit_totals(quiver),
             quiver.positive_root_count() * quiver.rank,
         ),
         (lambda: weight_orbit_total(A(n), near_half), comb(n + 1, near_half)),
@@ -389,7 +388,7 @@ def test_oracles_refuse_over_budget_before_any_work(calls):
             (lattice, "corner_path_blocks"),
             (lattice, "sign_sequence_blocks"),
             (hereditary, "path_cartan"),
-            (hereditary, "tau_orbit_vectors"),
+            (hereditary, "translate_orbits"),
         ):
             patch.setattr(module, name, work)
         for call, estimate, text in calls:
