@@ -1,4 +1,5 @@
-"""Simply-laced Dynkin diagrams, vertex deletion, and weight heights.
+"""Simply-laced Dynkin diagrams, vertex deletion, and weight heights in
+integers.
 
 Vertex labels follow fixed conventions so that per-vertex formulas can
 address vertices unambiguously:
@@ -11,8 +12,10 @@ address vertices unambiguously:
 
 Every one of them is a star: a centre (vertex 1 of A_n, 2 of D_n, 3 of
 E_n) with three arms, of lengths (0, 0, n-1), (1, 1, n-3) and (2, 1, n-4).
-Deletion and weight heights are worked out in O(1) from the arm lengths
-and where the vertex sits.  A star with arms a <= b <= c is A_(b+c+1)
+Deletion, det C of the Cartan matrix C and the weight heights are worked
+out in O(1) from the arm lengths and where the vertex sits.  A height
+ht(w_l) is a row sum of C^-1, so it is kept as the integer det(C) ht(w_l),
+the row sum of the adjugate of C.  A star with arms a <= b <= c is A_(b+c+1)
 when a = 0, D_(c+3) when a = b = 1 and E_(c+4) when (a, b) = (1, 2), so
 the rank-2 and rank-3 "D" shapes come back as ``A1 x A1`` and ``A3``;
 any other shape is an internal error.
@@ -22,11 +25,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from math import prod
 
-from .errors import ConsistencyError, NotAVertex, UsageError
+from .errors import ConsistencyError, NotAVertex, UsageError, exact_quotient
 
 _E_DEGREES = {
     6: (2, 5, 6, 8, 9, 12),
@@ -154,15 +156,18 @@ _STARS = {
 }
 
 
+def _arms(d: DynkinDiagram) -> tuple[int, int, int]:
+    """The three arm lengths of ``d`` about its centre."""
+    short = _STARS[d.family][0]
+    return (*short, d.rank - 1 - sum(short))
+
+
 def _star(d: DynkinDiagram, ell: int) -> tuple[tuple[int, int, int], tuple[int, int] | None]:
     """The three arm lengths of ``d`` about its centre, and where ``ell``
     sits: ``(arm, distance from the centre)``, or None for the centre."""
     d.check_vertex(ell)
-    short, centre, placed, offset = _STARS[d.family]
-    arms = (*short, d.rank - 1 - sum(short))
-    if ell == centre:
-        return arms, None
-    return arms, placed.get(ell, (2, ell - offset))
+    _, centre, placed, offset = _STARS[d.family]
+    return _arms(d), None if ell == centre else placed.get(ell, (2, ell - offset))
 
 
 def _star_diagram(arms: tuple[int, ...]) -> DynkinDiagram:
@@ -198,23 +203,41 @@ def delete_vertex(d: DynkinDiagram, ell: int) -> DiagramUnion:
     return DiagramUnion(tuple(pieces))
 
 
-def weight_height(d: DynkinDiagram, ell: int) -> Fraction:
-    """ht(w_ell), the row-ell sum of the inverse Cartan matrix C^-1.
+def cartan_determinant(d: DynkinDiagram) -> int:
+    """det C of the Cartan matrix, from the arm lengths: with P the
+    product of (m + 1) over the arms, det C = 2 P - sum m P / (m + 1),
+    which is n + 1 for A_n, 4 for D_n and 3, 2, 1 for E6, E7, E8.
+
+    >>> [cartan_determinant(DynkinDiagram("E", n)) for n in (6, 7, 8)]
+    [3, 2, 1]
+    """
+    arms = _arms(d)
+    whole = prod(m + 1 for m in arms)
+    return 2 * whole - sum(m * (whole // (m + 1)) for m in arms)
+
+
+def weight_height(d: DynkinDiagram, ell: int) -> int:
+    """det(C) ht(w_ell): the row-ell sum of the adjugate of the Cartan
+    matrix C, ht(w_ell) being the row-ell sum of C^-1.
 
     C x = (1, ..., 1) solved arm by arm: on an arm of length m, with
     p = m + 1 - i, the vertex at distance i has x = p i / 2 + p x_c / (m + 1),
-    and the centre's row gives x_c = (1 + sum m / 2) / (2 - sum m / (m + 1)).
+    and the centre's row gives x_c = P (n + 1) / (2 det C), with P as in
+    ``cartan_determinant`` and n the rank.  Scaled by det C, the centre
+    gives P (n + 1) / 2 and the vertex p (i det C + (n + 1) P / (m + 1)) / 2.
 
     >>> weight_height(DynkinDiagram("D", 4), 2)
-    Fraction(5, 1)
+    20
     """
     arms, where = _star(d, ell)
-    centre = (1 + Fraction(sum(arms), 2)) / (2 - sum(Fraction(m, m + 1) for m in arms))
+    whole = prod(m + 1 for m in arms)
     if where is None:
-        return centre
-    arm, i = where
-    p = arms[arm] + 1 - i
-    return Fraction(p * i, 2) + p * centre / (arms[arm] + 1)
+        twice = whole * (d.rank + 1)
+    else:
+        arm, i = where
+        m = arms[arm]
+        twice = (m + 1 - i) * (i * cartan_determinant(d) + (d.rank + 1) * (whole // (m + 1)))
+    return exact_quotient(twice, 2, lambda: f"twice det(C) ht(w_{ell}) of {d}")
 
 
 def as_union(d) -> DiagramUnion:

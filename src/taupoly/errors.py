@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from typing import Callable
+
 
 class TaupolyError(Exception):
     """Base class for all package-specific errors."""
@@ -41,6 +43,13 @@ def check_oracle_budget(what: str, elements: int, at_least: bool = False) -> Non
     )
 
 
+# The engine refuses, before any work, a diagram of rank n with n^4 over
+# this.  n^4 bounds its coefficient products (about n^4 / 24 for A_n and
+# n^4 / 12 for D_n, of integers up to ~n log2 n bits).  Every rank up to
+# 200 is admitted; the preprojective D200 d-polynomial takes about a minute.
+ENGINE_BUDGET = 200**4
+
+
 class MalformedPath(TaupolyError):
     """A lattice path whose step counts do not fit the requested rectangle."""
 
@@ -55,6 +64,16 @@ class ConsistencyError(TaupolyError):
     Never caused by user input; the run aborts instead of reporting a
     number built on it.
     """
+
+
+def exact_quotient(numerator: int, denominator: int, what: Callable[[], str]) -> int:
+    """numerator / denominator; ``ConsistencyError`` unless the division
+    is exact, naming the quotient by ``what()``, which is called only
+    then (the engine divides on every vertex)."""
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise ConsistencyError(f"{what()}: {numerator} is not divisible by {denominator}")
+    return quotient
 
 
 class ConventionError(ConsistencyError):

@@ -10,11 +10,13 @@ that vertex deleted, and sum over vertices,
 where P is the descent polynomial for the preprojective family and the
 Narayana polynomial for the path family; P(.; t+1) is the face-count
 polynomial that ``weyl.face_polynomial`` computes by the link recursion.
-The orbit total is one height formula for every type: with ht(w_l) the
-height of the fundamental weight at l (the row-l sum of the inverse
-Cartan matrix, which ``dynkin.weight_height`` solves arm by arm),
-Dim_l = [W : W(diagram minus l)] * ht(w_l) for the preprojective family
-and 2 * ht(w_l) for the path family.
+``d_polynomial`` reads the link counts from ``weyl.links`` and sums them
+into one list of integers.  The orbit total is one height formula for
+every type: with ht(w_l) the height of the fundamental weight at l (the
+row-l sum of the inverse Cartan matrix C^-1), Dim_l = [W : W(diagram
+minus l)] * ht(w_l) for the preprojective family and 2 * ht(w_l) for the
+path family.  ``dynkin.weight_height`` gives det(C) ht(w_l), the row-l
+sum of the adjugate of C, so Dim_l is one exact division by det C.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from dataclasses import dataclass
 from math import comb, factorial
 
 from . import tables, weyl
-from .dynkin import DiagramUnion, DynkinDiagram, delete_vertex, weight_height
-from .errors import ConsistencyError, UsageError
-from .polynomials import ZERO, Polynomial
+from .dynkin import DiagramUnion, DynkinDiagram, cartan_determinant, delete_vertex, weight_height
+from .errors import UsageError, exact_quotient
+from .polynomials import Polynomial
 from .weyl import PATH, PREPROJECTIVE
 
 
@@ -64,10 +66,14 @@ def orbit_dim_total(family: str, d: DynkinDiagram, ell: int) -> int:
         factor = 2
     else:
         raise UsageError(f"family must be {PREPROJECTIVE!r} or {PATH!r}")
+    return _times_height(factor, d, ell, cartan_determinant(d))
+
+
+def _times_height(factor: int, d: DynkinDiagram, ell: int, det: int) -> int:
+    """factor * ht(w_ell), given det = det C: one checked division of
+    factor * weight_height(d, ell), which is factor * det(C) ht(w_ell)."""
     total = factor * weight_height(d, ell)
-    if total.denominator != 1:
-        raise ConsistencyError(f"{family} orbit total of {d} at {ell} is {total}, not an integer")
-    return int(total)
+    return exact_quotient(total, det, lambda: f"{factor} ht(w_{ell}) of {d}")
 
 
 def d_polynomial(spec: AlgebraSpec) -> Polynomial:
@@ -80,11 +86,16 @@ def d_polynomial(spec: AlgebraSpec) -> Polynomial:
     '10t^2 + 46t + 46'
     """
     d = spec.diagram
-    out = ZERO
-    for ell in d.vertices:
-        link = weyl.face_polynomial(spec.family, delete_vertex(d, ell))
-        out = out + orbit_dim_total(spec.family, d, ell) * link
-    return out
+    det = cartan_determinant(d)
+    # Phi_k of a link is the coefficient of t^(n - 1 - k) in its face polynomial
+    top = d.rank - 1
+    out = [0] * d.rank
+    for ell, cosets, phi in weyl.links(spec.family, d):
+        # Dim_ell, with the factor orbit_dim_total takes
+        total = _times_height(cosets if spec.family == PREPROJECTIVE else 2, d, ell, det)
+        for k, count in enumerate(phi):
+            out[top - k] += total * count
+    return Polynomial(out)
 
 
 def f_polynomial(spec: AlgebraSpec) -> Polynomial:

@@ -7,7 +7,8 @@ generating functions, which store n! * [z^n] when exponential.  The
 largest table entries are around ``2.1e12`` and intermediate products in
 the oracles go well past 64 bits, so Python integers are mandatory, not a
 convenience.  Values are immutable and hashable; all operations return
-fresh values.
+fresh values.  ``convolve`` is the one multiplication of coefficient
+sequences: ``Polynomial`` uses it, and so does the engine on plain lists.
 """
 
 from __future__ import annotations
@@ -96,14 +97,7 @@ class Polynomial:
             return Polynomial(tuple(c * other for c in self.coeffs))
         if not isinstance(other, Polynomial):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Polynomial()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return Polynomial(out)
+        return Polynomial(convolve(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -178,6 +172,20 @@ class Polynomial:
 
     def __str__(self) -> str:
         return _render(self.coeffs)
+
+
+def convolve(a, b) -> list[int]:
+    """The ascending coefficients of the product of two polynomials given
+    by their ascending coefficients; empty if either is.
+
+    >>> convolve((1, 1), (1, 2, 1))
+    [1, 3, 3, 1]
+    """
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b, i):
+            out[j] += ca * cb
+    return out
 
 
 ZERO = Polynomial()

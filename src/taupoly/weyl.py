@@ -23,7 +23,11 @@ by -1 is the h-polynomial: the descent polynomial of the Weyl group
 checked to be exact, and a failure raises ``ConsistencyError``.  The
 connected diagrams below a diagram are filled in by rank, smallest
 first, so the recursion is a loop and no rank overflows the Python
-stack.
+stack.  Phi is kept as a tuple of Python integers, multiplied by
+``polynomials.convolve``, and becomes a ``Polynomial`` only when it
+leaves the engine.  For a diagram of rank n the recursion makes fewer
+than n^4 coefficient products; n^4 is checked against
+``errors.ENGINE_BUDGET`` before any work.
 
 The brute-force routes the tests compare these with are in ``oracles``;
 nothing here calls them.
@@ -31,21 +35,21 @@ nothing here calls them.
 
 from __future__ import annotations
 
+from functools import reduce
 from math import prod
+from typing import Iterator, Sequence
 
-from .dynkin import DynkinDiagram, as_union, delete_vertex
-from .errors import ConsistencyError, UsageError
-from .polynomials import ONE, Polynomial
+from .dynkin import DiagramUnion, DynkinDiagram, as_union, delete_vertex
+from .errors import ENGINE_BUDGET, RankTooLarge, UsageError, exact_quotient
+from .polynomials import Polynomial, convolve
 
 PREPROJECTIVE = "preprojective"
 PATH = "path"
 
 
-def _exact_quotient(numerator: int, denominator: int, what: str) -> int:
-    quotient, remainder = divmod(numerator, denominator)
-    if remainder:
-        raise ConsistencyError(f"{what}: {numerator} is not divisible by {denominator}")
-    return quotient
+def _coset_index(d: DynkinDiagram, ell: int, minor: DiagramUnion) -> int:
+    parabolic = prod(comp.group_order() for comp in minor)
+    return exact_quotient(d.group_order(), parabolic, lambda: f"[W({d}) : W({d} minus {ell})]")
 
 
 def coset_count(d: DynkinDiagram, ell: int) -> int:
@@ -54,52 +58,85 @@ def coset_count(d: DynkinDiagram, ell: int) -> int:
     >>> coset_count(DynkinDiagram("A", 3), 2)
     6
     """
-    parabolic = prod(comp.group_order() for comp in delete_vertex(d, ell))
-    return _exact_quotient(d.group_order(), parabolic, f"[W({d}) : W({d} minus {ell})]")
+    return _coset_index(d, ell, delete_vertex(d, ell))
 
 
-# (family, connected A/D/E diagram) -> Phi, for every diagram up to the
-# largest rank asked for, so at most six keys per rank
-_FACE_COUNTS: dict[tuple[str, DynkinDiagram], Polynomial] = {}
+# (family, connected A/D/E diagram) -> Phi as ascending counts, for every
+# diagram up to the largest rank asked for, so at most six keys per rank
+_FACE_COUNTS: dict[tuple[str, DynkinDiagram], tuple[int, ...]] = {}
 
 
-def _link_recursion(family: str, d: DynkinDiagram) -> Polynomial:
+def _union_counts(family: str, u: DiagramUnion) -> Sequence[int]:
+    """Phi of a union whose components are memoised: their product."""
+    counts = [_FACE_COUNTS[family, comp] for comp in u]
+    return reduce(convolve, counts) if counts else (1,)
+
+
+def _links(family: str, d: DynkinDiagram) -> Iterator[tuple[int, int, Sequence[int]]]:
+    """``(ell, [W(d) : W(d minus ell)], Phi of d minus ell)`` for each
+    vertex ``ell`` of ``d``, reading the Phi of its components from the
+    memo; one deletion serves both."""
+    for ell in d.vertices:
+        minor = delete_vertex(d, ell)
+        yield ell, _coset_index(d, ell, minor), _union_counts(family, minor)
+
+
+def _link_recursion(family: str, d: DynkinDiagram) -> tuple[int, ...]:
     """Phi of ``d``, reading the Phi of each link from the memo."""
     if family == PREPROJECTIVE:
-        weights, scale = [coset_count(d, ell) for ell in d.vertices], 1
+        scale = 1
     elif family == PATH:
-        weights, scale = [d.coxeter_number() + 2] * d.rank, 2
+        scale, path_weight = 2, d.coxeter_number() + 2
     else:
         raise UsageError(f"family must be {PREPROJECTIVE!r} or {PATH!r}")
-    links = [_face_counts(family, delete_vertex(d, ell)) for ell in d.vertices]
-    phi = [1]
+    phi = [1] + [0] * d.rank
+    for _, cosets, link in _links(family, d):
+        weight = cosets if family == PREPROJECTIVE else path_weight
+        for k, count in enumerate(link, 1):
+            phi[k] += weight * count
+    faces = f"faces of the {family} complex of {d}"
     for k in range(1, d.rank + 1):
-        total = sum(w * link.coefficient(k - 1) for w, link in zip(weights, links))
-        phi.append(_exact_quotient(total, scale * k, f"{k}-faces of the {family} complex of {d}"))
-    return Polynomial(phi)
+        phi[k] = exact_quotient(phi[k], scale * k, lambda: f"{k}-{faces}")
+    return tuple(phi)
 
 
-def _face_counts_connected(family: str, d: DynkinDiagram) -> Polynomial:
-    if (family, d) not in _FACE_COUNTS:
-        # the minors of a memoised diagram are memoised, so collect the
-        # rest and fill them in by rank: each link is there when read
-        todo, stack = {d}, [d]
-        while stack:
-            top = stack.pop()
-            below = {m for ell in top.vertices for m in delete_vertex(top, ell)}
-            below = {m for m in below - todo if (family, m) not in _FACE_COUNTS}
-            stack += below
-            todo |= below
-        for minor in sorted(todo, key=lambda c: c.rank):
-            _FACE_COUNTS[family, minor] = _link_recursion(family, minor)
-    return _FACE_COUNTS[family, d]
+def _fill(family: str, d: DynkinDiagram) -> None:
+    """Memoise the Phi of ``d`` and of every connected diagram below it.
+    The work, estimated from the rank, is checked against the engine
+    budget before any is done."""
+    if (family, d) in _FACE_COUNTS:
+        return
+    if d.rank**4 > ENGINE_BUDGET:
+        raise RankTooLarge(
+            f"the {family} link recursion of {d} makes up to {d.rank**4:,}"
+            f" coefficient products, over the engine budget of {ENGINE_BUDGET:,}"
+        )
+    # the minors of a memoised diagram are memoised, so collect the rest
+    # and fill them in by rank: each link is there when read
+    todo, stack = {d}, [d]
+    while stack:
+        top = stack.pop()
+        below = {m for ell in top.vertices for m in delete_vertex(top, ell)}
+        below = {m for m in below - todo if (family, m) not in _FACE_COUNTS}
+        stack += below
+        todo |= below
+    for minor in sorted(todo, key=lambda c: c.rank):
+        _FACE_COUNTS[family, minor] = _link_recursion(family, minor)
 
 
-def _face_counts(family: str, u) -> Polynomial:
-    result = ONE
-    for comp in as_union(u):
-        result = result * _face_counts_connected(family, comp)
-    return result
+def _face_counts(family: str, u) -> Sequence[int]:
+    u = as_union(u)
+    # the largest first, so that a refusal comes before any work
+    for comp in sorted(u, key=lambda c: -c.rank):
+        _fill(family, comp)
+    return _union_counts(family, u)
+
+
+def links(family: str, d: DynkinDiagram) -> list[tuple[int, int, Sequence[int]]]:
+    """``(ell, [W(d) : W(d minus ell)], Phi of d minus ell)`` for each
+    vertex ``ell`` of ``d``, Phi as ascending counts."""
+    _fill(family, d)
+    return list(_links(family, d))
 
 
 def face_polynomial(family: str, u) -> Polynomial:
@@ -109,7 +146,7 @@ def face_polynomial(family: str, u) -> Polynomial:
     >>> str(face_polynomial(PATH, DynkinDiagram("A", 3)))
     't^3 + 9t^2 + 21t + 14'
     """
-    return Polynomial(reversed(_face_counts(family, u).coeffs))
+    return Polynomial(_face_counts(family, u)[::-1])
 
 
 def eulerian_poly(u) -> Polynomial:

@@ -670,6 +670,26 @@ def test_engine_divisibility_failure_exits_4(capsys, monkeypatch, fresh_engine_c
     assert "internal error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, what, rank",
+    [
+        ("poly --family path --diagram A1000 --kind f", "path link recursion of A1000", 1000),
+        ("poly --family ppa --diagram D201 --kind d", "preprojective link recursion of D201", 201),
+        ("narayana A2xA1000", "path link recursion of A1000", 1000),
+    ],
+)
+def test_engine_over_budget_is_refused_before_any_work(capsys, fresh_engine_cache, argv, what, rank):
+    # the budget admits every rank up to 200
+    assert cli.main(argv.split()) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"usage error: the {what} makes up to {rank**4:,} coefficient products,"
+        " over the engine budget of 1,600,000,000\n"
+    )
+    assert captured.out == ""
+    assert not weyl._FACE_COUNTS
+
+
 @pytest.mark.parametrize("max_rank", ["0", "-3", "9"])
 def test_verify_max_rank_out_of_range_fails_fast(capsys, max_rank):
     assert cli.main(["verify", "--suite", "oracles", "--max-rank", max_rank]) == 2

@@ -9,6 +9,7 @@ from taupoly.dynkin import (
     DiagramUnion,
     DynkinDiagram,
     _star_diagram,
+    cartan_determinant,
     delete_vertex,
     parse_diagram,
     parse_union,
@@ -198,14 +199,35 @@ def test_deletion_matches_a_component_search():
 
 
 def test_weight_heights_solve_every_cartan_row():
-    # sum_j C[i][j] ht(w_j) = 2 ht(w_i) - (the neighbours' heights) = 1
+    # the heights scaled by det C: sum_j C[i][j] H_j = 2 H_i - (the
+    # neighbours' H) = det C
     for diagram in _diagrams(range(1, 61), range(4, 61)):
         height = {v: weight_height(diagram, v) for v in diagram.vertices}
         residual = {v: 2 * height[v] for v in diagram.vertices}
         for a, b in diagram.edges:
             residual[a] -= height[b]
             residual[b] -= height[a]
-        assert set(residual.values()) == {1}, diagram
+        assert set(residual.values()) == {cartan_determinant(diagram)}, diagram
+
+
+def _bareiss_determinant(matrix):
+    """Fraction-free Gaussian elimination, every division exact.  The
+    pivots are leading principal minors, all positive for a Cartan
+    matrix, so no row is swapped."""
+    m = [list(row) for row in matrix]
+    previous = 1
+    for k in range(len(m) - 1):
+        for i in range(k + 1, len(m)):
+            for j in range(k + 1, len(m)):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // previous
+        previous = m[k][k]
+    return m[-1][-1]
+
+
+def test_cartan_determinant_from_the_arms_is_the_determinant():
+    for diagram in _diagrams(range(1, 21), range(4, 21)):
+        cartan = oracles.cartan_matrix(diagram).tolist()
+        assert cartan_determinant(diagram) == _bareiss_determinant(cartan), diagram
 
 
 @pytest.mark.parametrize("arms", [(2, 2, 2), (1, 3, 3), (1, 2, 5)])

@@ -149,7 +149,7 @@ def test_path_orbit_totals_match_translate_orbits():
 
 # Run in a fresh interpreter: the engine reproduces every table and h(1),
 # and every engine-only command runs, without ever importing an oracle
-# module or numpy.
+# module, numpy or fractions.
 _ENGINE_ONLY = textwrap.dedent(
     """
     import contextlib, io, sys
@@ -182,7 +182,8 @@ _ENGINE_ONLY = textwrap.dedent(
     for command in commands:
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(command.split()) == 0, command
-    loaded = {"taupoly.oracles", "taupoly.lattice", "taupoly.hereditary", "numpy"} & set(sys.modules)
+    loaded = {"taupoly.oracles", "taupoly.lattice", "taupoly.hereditary", "numpy", "fractions"}
+    loaded &= set(sys.modules)
     assert not loaded, sorted(loaded)
     """
 )
@@ -229,7 +230,7 @@ def test_catalan_count():
 
 
 def test_rank_bounds_and_usage():
-    # no rank cap: the engine runs past the ranks of the published tables
+    # the engine runs past the ranks of the published tables
     assert h_polynomial(spec(PATH, "A", 12)) == oracles.narayana_a(12)
     d12 = DynkinDiagram("D", 12)
     assert h_polynomial(spec(PREPROJECTIVE, "D", 12))(1) == d12.group_order()
@@ -240,8 +241,9 @@ def test_rank_bounds_and_usage():
 
 
 def test_e8_h_polynomial_is_gated():
-    # the engine has no budget; the E8 weight orbit is over the oracle
-    # budget, the E8 antichain census is not (test_weyl compares it)
+    # E8 is far within the engine's budget; the E8 weight orbit is over
+    # the oracle budget, the E8 antichain census is not (test_weyl
+    # compares it)
     assert h_polynomial(spec(PATH, "E", 8))(1) == 25080
     assert h_polynomial(spec(PREPROJECTIVE, "E", 8))(1) == 696729600
     with pytest.raises(RankTooLarge, match="696,729,600"):

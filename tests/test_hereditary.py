@@ -35,9 +35,22 @@ def catalan(m):
 
 
 def two_orientations(d):
-    """The stored orientation and the alternating one."""
-    edges = len(d.edges)
-    return ("1" * edges, ("01" * edges)[:edges])
+    """The stored orientation and a bipartite one, found by colouring the
+    diagram from its edges: the sources are the vertices an even distance
+    from the branch vertex, or from the first vertex of A_n.  That is the
+    orientation ``tau_orbit_totals`` sweeps."""
+    neighbours = {v: [] for v in d.vertices}
+    for a, b in d.edges:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    root = next((v for v in d.vertices if len(neighbours[v]) == 3), d.vertices[0])
+    colour, queue = {root: 0}, [root]
+    for v in queue:
+        for w in neighbours[v]:
+            if w not in colour:
+                colour[w] = 1 - colour[v]
+                queue.append(w)
+    return ("1" * len(d.edges), "".join("10"[colour[a]] for a, _ in d.edges))
 
 
 def sweep(q):
