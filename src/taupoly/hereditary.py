@@ -19,7 +19,10 @@ orientation of a diagram.  Neither is called by the engine.
   counted by ``oracles._clique_census``, the census that also counts the
   antichains of the root poset for the Narayana oracle: level by level
   in numpy, a face being its last vertex and the bitmask of the vertices
-  compatible with all of it.
+  compatible with all of it.  Over KQ^op, Ext^1(M, N) is Ext^1(N, M) over
+  KQ, so Q and Q^op have one compatibility graph and share one complex:
+  the faces are counted once per distinct graph (the 127 orientations of
+  A1-A7 are 64 graphs), while every quiver's Euler form is still checked.
 
 * The translate-orbit dimension sums: the dimension vectors of all the
   projectives move through their orbits at once by simple reflections,
@@ -234,8 +237,11 @@ def _graph_roots(cartan: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], 
     return tuple(positive_roots(np.array(cartan, dtype=np.int64)))
 
 
-# keys are quivers of rank at most _COMPLEX_RANK_CAP = 8, a finite set
-@lru_cache(maxsize=None)
+# keys are the graphs of the quivers tau_rigid_complex admits, rank at
+# most _COMPLEX_RANK_CAP = 8, so the set is finite
+_COMPLEXES: dict[tuple, CompatibilityComplex] = {}
+
+
 def tau_rigid_complex(q: OrientedQuiver) -> CompatibilityComplex:
     """Build the full compatibility complex of a Dynkin quiver (or union).
 
@@ -243,7 +249,9 @@ def tau_rigid_complex(q: OrientedQuiver) -> CompatibilityComplex:
     underlying graph, plus one shifted projective per quiver vertex.  Two
     modules are compatible when both extension spaces vanish; a shifted
     projective is compatible with a module not supported at its vertex,
-    and with every other shifted projective.
+    and with every other shifted projective.  Every call checks the
+    quiver's own Euler form and builds its graph; the faces are counted
+    once per graph, so Q and Q^op share one complex.
     """
     if q.rank > _COMPLEX_RANK_CAP:
         raise RankTooLarge(f"complex enumeration capped at rank {_COMPLEX_RANK_CAP}")
@@ -261,8 +269,11 @@ def tau_rigid_complex(q: OrientedQuiver) -> CompatibilityComplex:
         ]
     )
     np.fill_diagonal(compatible, False)
-    roots.flags.writeable = compatible.flags.writeable = False
-    return CompatibilityComplex(roots, compatible)
+    key = (roots.shape, roots.tobytes(), compatible.tobytes())
+    if key not in _COMPLEXES:
+        roots.flags.writeable = compatible.flags.writeable = False
+        _COMPLEXES[key] = CompatibilityComplex(roots, compatible)
+    return _COMPLEXES[key]
 
 
 def disjoint_union_d_check(q1: OrientedQuiver, q2: OrientedQuiver) -> bool:

@@ -186,7 +186,7 @@ def test_poly_e8_h_needs_no_gate(capsys):
         assert sum(map(int, payload["results"]["coefficients_ascending"])) == total
 
 
-def test_poly_has_no_rank_cap(capsys):
+def test_poly_path_a12_h_is_narayana(capsys):
     code, payload = run_json(capsys, "poly", "--family", "path", "--diagram", "A12", "--kind", "h")
     assert code == 0
     assert payload["results"]["coefficients_ascending"] == [
@@ -424,9 +424,9 @@ def test_every_orientation_reaches_the_oracle(capsys, diagram):
 
 @pytest.fixture
 def fresh_complexes():
-    hereditary.tau_rigid_complex.cache_clear()
+    hereditary._COMPLEXES.clear()
     yield
-    hereditary.tau_rigid_complex.cache_clear()
+    hereditary._COMPLEXES.clear()
 
 
 def test_poly_oracle_route_runs_the_census(capsys, monkeypatch, fresh_complexes):

@@ -164,31 +164,30 @@ def test_projectives_read_off_one_coordinate():
 
 
 def test_flipped_euler_form_raises(monkeypatch):
+    # the form is checked on every call, a memoised complex or not
     q = OrientedQuiver.from_diagram(DynkinDiagram("D", 4), "101")
-    build = tau_rigid_complex.__wrapped__  # bypass the memo
-    assert build(q).maximal_face_count == 50
+    assert tau_rigid_complex(q).maximal_face_count == 50
     original = hereditary.euler_form
     # x (I - A^T) y^T, the form of the opposite quiver
     monkeypatch.setattr(hereditary, "euler_form", lambda x, y, q: original(y, x, q).T)
     with pytest.raises(ConventionError):
-        build(q)
+        tau_rigid_complex(q)
     # a negated form fails on <alpha, alpha> = 1 even without arrows
     monkeypatch.setattr(hereditary, "euler_form", lambda x, y, q: -original(x, y, q))
     with pytest.raises(ConventionError):
-        build(OrientedQuiver.line(1))
+        tau_rigid_complex(OrientedQuiver.line(1))
 
 
 def test_both_impurity_branches_raise(monkeypatch):
-    build = tau_rigid_complex.__wrapped__  # bypass the memo
     q = OrientedQuiver.line(3)
     # every module compatible with every other: a 6-clique in a rank-3 complex
     monkeypatch.setattr(hereditary, "ext_dim", lambda x, y, q: np.zeros((len(x), len(y)), int))
     with pytest.raises(ImpurityError, match="clique larger than the ambient rank"):
-        build(q)
+        tau_rigid_complex(q)
     # no two modules compatible: the root (1,1,0) with P3[1] is a maximal edge
     monkeypatch.setattr(hereditary, "ext_dim", lambda x, y, q: np.ones((len(x), len(y)), int))
     with pytest.raises(ImpurityError, match="maximal face below full rank"):
-        build(q)
+        tau_rigid_complex(q)
 
 
 def reference_census(n, edges, dims, max_size):
@@ -382,6 +381,55 @@ def test_complex_reproduces_tables_5_and_6():
 def test_complex_rank_cap():
     with pytest.raises(RankTooLarge):
         tau_rigid_complex(OrientedQuiver.line(9))
+
+
+def test_a_quiver_and_its_opposite_share_one_complex():
+    # Ext^1 over KQ^op is Ext^1 over KQ transposed: the same roots and graph
+    for diagram in [DynkinDiagram("A", n) for n in range(1, 7)] + [
+        DynkinDiagram("D", 4),
+        DynkinDiagram("D", 5),
+        DynkinDiagram("E", 6),
+    ]:
+        for orientation in orientations(diagram):
+            flipped = orientation.translate(str.maketrans("01", "10"))
+            q = OrientedQuiver.from_diagram(diagram, orientation)
+            op = OrientedQuiver.from_diagram(diagram, flipped)
+            assert sorted(op.arrows) == sorted((b, a) for a, b in q.arrows)
+            hereditary._COMPLEXES.clear()
+            c_op = tau_rigid_complex(op)
+            hereditary._COMPLEXES.clear()
+            c = tau_rigid_complex(q)
+            assert c.roots.shape == c_op.roots.shape, (diagram, orientation)
+            assert c.roots.tobytes() == c_op.roots.tobytes(), (diagram, orientation)
+            assert c.compatible.tobytes() == c_op.compatible.tobytes(), (diagram, orientation)
+            assert tau_rigid_complex(op) is c, (diagram, orientation)
+
+
+def test_each_graph_is_counted_once(monkeypatch):
+    # the 2^(n-1) orientations of A_n are max(1, 2^(n-2)) graphs
+    census, calls = hereditary._clique_census, []
+
+    def counted(*args):
+        calls.append(args)
+        return census(*args)
+
+    monkeypatch.setattr(hereditary, "_clique_census", counted)
+    hereditary._COMPLEXES.clear()
+    for n in range(1, 7):
+        before = len(hereditary._COMPLEXES)
+        for orientation in orientations(DynkinDiagram("A", n)):
+            tau_rigid_complex(OrientedQuiver.line(n, orientation))
+        assert len(hereditary._COMPLEXES) - before == max(1, 2 ** (n - 2)), n
+    assert len(calls) == len(hereditary._COMPLEXES)
+
+
+def test_a_shared_complex_counts_its_own_graph():
+    for diagram in (DynkinDiagram("A", 5), DynkinDiagram("D", 5)):
+        for orientation in orientations(diagram):
+            c = tau_rigid_complex(OrientedQuiver.from_diagram(diagram, orientation))
+            counts, dim_sums, _ = oracles._clique_census(c.compatible, c.dims, c.rank)
+            assert tuple(counts) == c.face_counts, (diagram, orientation)
+            assert tuple(dim_sums) == c.face_dim_sums, (diagram, orientation)
 
 
 def test_path_cartan_counts_paths():
