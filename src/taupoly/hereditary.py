@@ -20,9 +20,12 @@ orientation of a diagram.  Neither is called by the engine.
   antichains of the root poset for the Narayana oracle: level by level
   in numpy, a face being its last vertex and the bitmask of the vertices
   compatible with all of it.  Over KQ^op, Ext^1(M, N) is Ext^1(N, M) over
-  KQ, so Q and Q^op have one compatibility graph and share one complex:
-  the faces are counted once per distinct graph (the 127 orientations of
-  A1-A7 are 64 graphs), while every quiver's Euler form is still checked.
+  KQ, so Q and Q^op have one compatibility graph and share one complex.
+  An automorphism of a connected underlying graph, moving the arrows of
+  Q, relabels the roots and the shifted projectives of its graph, so the
+  faces are counted once per graph up to a relabelling: the 127
+  orientations of A1-A7 are 64 graphs and 43 censuses.  Every quiver
+  still checks its own Euler form and gets a complex in its own order.
 
 * The translate-orbit dimension sums: the dimension vectors of all the
   projectives move through their orbits at once by simple reflections,
@@ -32,7 +35,7 @@ orientation of a diagram.  Neither is called by the engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
@@ -175,23 +178,17 @@ class CompatibilityComplex:
     Vertex i is the module of root ``roots[i]`` for i < len(roots), and
     the shifted projective at quiver vertex i - len(roots) after that.
     ``compatible[i, j]`` is True when vertices i and j are compatible (a
-    read-only boolean matrix with a False diagonal).  Face counts and
-    dimension-weighted face counts are counted per size on construction,
-    which refuses a maximal face of fewer than ``rank`` vertices, so the
-    maximal faces are the faces of ``rank`` vertices.
+    read-only boolean matrix with a False diagonal).  ``face_counts`` and
+    ``face_dim_sums`` are the face counts and dimension-weighted face
+    counts per size, from a census that refuses a maximal face of fewer
+    than ``rank`` vertices, so the maximal faces are the faces of
+    ``rank`` vertices.
     """
 
     roots: np.ndarray
     compatible: np.ndarray
-    face_counts: tuple[int, ...] = field(init=False)
-    face_dim_sums: tuple[int, ...] = field(init=False)
-
-    def __post_init__(self) -> None:
-        counts, dim_sums, maximal = _clique_census(self.compatible, self.dims, self.rank)
-        if any(maximal[k] for k in range(self.rank)):
-            raise ImpurityError("complex is not pure: maximal face below full rank")
-        object.__setattr__(self, "face_counts", tuple(counts))
-        object.__setattr__(self, "face_dim_sums", tuple(dim_sums))
+    face_counts: tuple[int, ...]
+    face_dim_sums: tuple[int, ...]
 
     @property
     def rank(self) -> int:
@@ -237,9 +234,49 @@ def _graph_roots(cartan: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], 
     return tuple(positive_roots(np.array(cartan, dtype=np.int64)))
 
 
+# keys are Cartan matrices of rank at most _COMPLEX_RANK_CAP, as tau_rigid_complex's are
+@lru_cache(maxsize=None)
+def _relabellings(cartan: tuple[tuple[int, ...], ...]) -> dict[tuple[int, ...], np.ndarray]:
+    """The automorphisms s of a connected graph (only the identity of a
+    disconnected one), each with its relabelling p of the complex's
+    vertices: if Q has the graph ``compatible``, the quiver with each
+    arrow a -> b moved to s(a) -> s(b) has the graph ``compatible[p][:, p]``,
+    as its module of root beta is Q's of root beta∘s and its P_l[1] is
+    Q's P_{s^-1(l)}[1].  The vertices are mapped in breadth-first order,
+    each onto one that keeps its adjacency to every vertex mapped before."""
+    roots, n = _graph_roots(cartan), len(cartan)
+    adjacent = [[entry < 0 for entry in row] for row in cartan]
+    maps = [dict(enumerate(range(n)))]
+    if sum(map(sum, adjacent)) == 2 * (n - 1):  # a forest with n - 1 edges is connected
+        order, maps = [0], [{}]
+        for v in order:  # the list grows while it is read
+            order += [u for u in range(n) if adjacent[v][u] and u not in order]
+        for v in order:
+            maps = [
+                {**m, v: w}
+                for m in maps
+                for w in range(n)
+                if w not in m.values() and all(adjacent[v][u] == adjacent[w][m[u]] for u in m)
+            ]
+    index = {root: i for i, root in enumerate(roots)}
+    relabellings = {}
+    for m in maps:
+        s = [m[v] for v in range(n)]
+        moved = [index[tuple(root[v] for v in s)] for root in roots]
+        p = relabellings[tuple(s)] = np.array(moved + [len(roots) + s.index(v) for v in range(n)])
+        p.flags.writeable = False  # the cache hands the same array to every caller
+    return relabellings
+
+
 # keys are the graphs of the quivers tau_rigid_complex admits, rank at
-# most _COMPLEX_RANK_CAP = 8, so the set is finite
+# most _COMPLEX_RANK_CAP = 8, so the set is finite; each maps to the
+# complex that holds exactly those roots and that compatibility matrix
 _COMPLEXES: dict[tuple, CompatibilityComplex] = {}
+
+# face counts and dimension-weighted face counts, shared by the graphs
+# that a diagram automorphism relabels into each other: keyed by the roots
+# and the least compatible[p][:, p] bytes over the relabellings p
+_FACE_COUNTS: dict[tuple, tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
 
 def tau_rigid_complex(q: OrientedQuiver) -> CompatibilityComplex:
@@ -250,14 +287,17 @@ def tau_rigid_complex(q: OrientedQuiver) -> CompatibilityComplex:
     modules are compatible when both extension spaces vanish; a shifted
     projective is compatible with a module not supported at its vertex,
     and with every other shifted projective.  Every call checks the
-    quiver's own Euler form and builds its graph; the faces are counted
-    once per graph, so Q and Q^op share one complex.
+    quiver's own Euler form and builds its graph, and every graph gets a
+    complex in its own vertex order.  The faces are counted once per
+    graph up to an automorphism of a connected underlying graph: Q and
+    Q^op share one complex, and a diagram symmetry relabels the graph.
     """
     if q.rank > _COMPLEX_RANK_CAP:
         raise RankTooLarge(f"complex enumeration capped at rank {_COMPLEX_RANK_CAP}")
     arrows = q.arrow_counts()
     cartan = 2 * np.eye(q.rank, dtype=np.int64) - arrows - arrows.T
-    roots = np.array(_graph_roots(tuple(map(tuple, cartan.tolist()))), dtype=np.int64)
+    cartan_key = tuple(map(tuple, cartan.tolist()))
+    roots = np.array(_graph_roots(cartan_key), dtype=np.int64)
     _check_euler_form(q, roots)
 
     ext = ext_dim(roots, roots, q)
@@ -271,8 +311,16 @@ def tau_rigid_complex(q: OrientedQuiver) -> CompatibilityComplex:
     np.fill_diagonal(compatible, False)
     key = (roots.shape, roots.tobytes(), compatible.tobytes())
     if key not in _COMPLEXES:
+        least = min(compatible[p][:, p].tobytes() for p in _relabellings(cartan_key).values())
+        symmetric = key[:2] + (least,)
+        if symmetric not in _FACE_COUNTS:
+            dims = roots.sum(axis=1).tolist() + [0] * q.rank
+            counts, dim_sums, maximal = _clique_census(compatible, dims, q.rank)
+            if any(maximal[: q.rank]):
+                raise ImpurityError("complex is not pure: maximal face below full rank")
+            _FACE_COUNTS[symmetric] = tuple(counts), tuple(dim_sums)
         roots.flags.writeable = compatible.flags.writeable = False
-        _COMPLEXES[key] = CompatibilityComplex(roots, compatible)
+        _COMPLEXES[key] = CompatibilityComplex(roots, compatible, *_FACE_COUNTS[symmetric])
     return _COMPLEXES[key]
 
 

@@ -4,8 +4,8 @@ Nothing here is called by the engine (``weyl``, ``formulas``); the tests
 and the ``--oracle`` routes compare the engine with these:
 
 * descent counts by enumerating permutations (type A) and even-signed
-  permutations (type D), by the classical triangle recurrences, and by
-  breadth-first traversal of the regular-weight orbit (every type);
+  permutations (type D), and by breadth-first traversal of the
+  regular-weight orbit (every type);
 * preprojective orbit totals by traversing a fundamental-weight orbit;
 * Narayana polynomials by the closed binomial formula (type A) and by
   counting the antichains of the root poset by size: Nar(W, k) is the
@@ -21,9 +21,11 @@ blocks rather than one tuple at a time: type A in the m(m-1) blocks of
 ``permutation_blocks`` (letters m-1 and m inserted at each pair of
 positions into the (m-2)! shorter permutations), type D in the
 2^(rank-1) blocks of ``even_signed_blocks`` (the rank! permutations
-times one even sign vector).  The tuple functions
-``descent_count_permutation`` and ``descent_count_signed`` are the
-one-element definitions the tests compare the row-wise counts with.
+times one even sign vector).  A block is letter-major, as the orbit
+levels below are: an int8 (letters, words) array with one word per
+column, so a descent count compares consecutive letter rows.  The
+tests hold these counts to the one-word definitions and the descent
+polynomials to the classical triangle recurrences.
 
 One kernel, ``orbit_levels``, traverses the orbit of a dominant weight,
 making each point once, from its canonical parent, in fundamental-weight
@@ -164,59 +166,6 @@ def weight_orbit_total(d: DynkinDiagram, ell: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def descent_count_permutation(w: tuple[int, ...]) -> int:
-    """Number of positions i with w(i) > w(i+1)."""
-    return sum(1 for i in range(len(w) - 1) if w[i] > w[i + 1])
-
-
-def descent_count_signed(w: tuple[int, ...]) -> int:
-    """Type D descent count: positional descents plus one if w(1)+w(2) < 0."""
-    des = sum(1 for i in range(len(w) - 1) if w[i] > w[i + 1])
-    if len(w) >= 2 and w[0] + w[1] < 0:
-        des += 1
-    return des
-
-
-def _eulerian_sym(m: int) -> tuple[int, ...]:
-    """Descent distribution over the symmetric group on m letters."""
-    row = (1,)
-    for size in range(2, m + 1):
-        prev = (0, *row, 0)  # prev[k + 1] is the count with k descents
-        row = tuple((k + 1) * prev[k + 1] + (size - k) * prev[k] for k in range(size))
-    return row
-
-
-def _eulerian_hyperoctahedral(m: int) -> tuple[int, ...]:
-    """Descent distribution over all signed permutations of m letters."""
-    row = (1,)
-    for size in range(1, m + 1):
-        prev = (0, *row, 0)  # prev[k + 1] is the count with k descents
-        row = tuple(
-            (2 * k + 1) * prev[k + 1] + (2 * (size - k) + 1) * prev[k] for k in range(size + 1)
-        )
-    return row
-
-
-def _eulerian_even_signed(m: int) -> tuple[int, ...]:
-    """Descent distribution over even-signed permutations of m letters.
-
-    Subtracting m*2^(m-1)*t times the symmetric-group distribution from the
-    full signed distribution is the classical identity relating the two;
-    it is validated against direct enumeration in the test suite.
-    """
-    full = _eulerian_hyperoctahedral(m)
-    sym = _eulerian_sym(m - 1) if m >= 1 else (1,)
-    corr = m * 2 ** (m - 1)
-
-    def at(k: int) -> int:
-        return sym[k] if 0 <= k < len(sym) else 0
-
-    out = [full[k] - corr * at(k - 1) for k in range(m + 1)]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
 def _descent_oracle_cost(d: DynkinDiagram) -> tuple[str, int]:
     """The descent oracle ``eulerian`` runs on ``d``, and the number of
     group elements it visits."""
@@ -224,54 +173,56 @@ def _descent_oracle_cost(d: DynkinDiagram) -> tuple[str, int]:
     return f"{d} {route}", d.group_order()
 
 
-def permutation_rows(k: int) -> np.ndarray:
-    """All k! permutations of 1..k as the rows of a (k!, k) array, built
-    by inserting each letter, smallest first, into every position of the
-    permutations of the smaller ones.  The dtype is the narrowest signed
-    type that holds -k..k.
+def permutation_columns(k: int) -> np.ndarray:
+    """All k! permutations of 1..k as the columns of an int8 (k, k!)
+    array, built by inserting each letter, smallest first, into every
+    position of the permutations of the smaller ones.
 
-    >>> permutation_rows(3).tolist()
+    >>> permutation_columns(3).T.tolist()
     [[3, 2, 1], [3, 1, 2], [2, 3, 1], [1, 3, 2], [2, 1, 3], [1, 2, 3]]
     """
-    rows = np.zeros((1, 0), dtype=np.min_scalar_type(-k))
+    # the budget admits k! words only for k far below int8's 127
+    words = np.zeros((0, 1), dtype=np.int8)
     for letter in range(1, k + 1):
-        rows = np.concatenate([np.insert(rows, pos, letter, axis=1) for pos in range(letter)])
-    return rows
+        inserted = [np.insert(words, pos, letter, axis=0) for pos in range(letter)]
+        words = np.concatenate(inserted, axis=1)
+    return words
 
 
 def permutation_blocks(m: int) -> Iterator[np.ndarray]:
     """The m! permutations of 1..m (m >= 2) in m(m-1) blocks of (m-2)!
-    rows: block (p, q) is every permutation of 1..m-2 with the letter m-1
-    inserted at position p and then m at position q.  Two letters rather
-    than one keep A8's blocks at 5,040 rows (45 KB)."""
-    base = permutation_rows(m - 2).astype(np.min_scalar_type(-m))
+    columns: block (p, q) is every permutation of 1..m-2 with the letter
+    m-1 inserted at position p and then m at position q.  Two letters
+    rather than one keep A8's blocks at 5,040 words (45 KB)."""
+    base = permutation_columns(m - 2)
     for p in range(m - 1):
-        shorter = np.insert(base, p, m - 1, axis=1)
+        shorter = np.insert(base, p, m - 1, axis=0)
         for q in range(m):
-            yield np.insert(shorter, q, m, axis=1)
+            yield np.insert(shorter, q, m, axis=0)
 
 
 def even_signed_blocks(rank: int) -> Iterator[np.ndarray]:
     """The even-signed permutations of 1..rank in 2^(rank-1) blocks of
-    rank! rows: block s is every permutation times the s-th sign vector
-    with an even number of minus signs."""
-    base = permutation_rows(rank)
+    rank! columns: block s is every permutation times the s-th sign
+    vector with an even number of minus signs."""
+    base = permutation_columns(rank)
     bits = np.arange(rank)
     for mask in range(1 << rank):
         if mask.bit_count() % 2 == 0:
-            yield base * (1 - 2 * ((mask >> bits) & 1)).astype(base.dtype)
+            yield base * (1 - 2 * ((mask >> bits) & 1)).astype(np.int8)[:, None]
 
 
-def descent_counts(rows: np.ndarray) -> np.ndarray:
-    """Row-wise ``descent_count_permutation``, in the narrowest unsigned
-    type that holds the row length."""
-    return (rows[:, :-1] > rows[:, 1:]).sum(axis=1, dtype=np.min_scalar_type(rows.shape[1]))
+def descent_counts(words: np.ndarray) -> np.ndarray:
+    """The descents of each column w, the positions i with w(i) > w(i+1):
+    each letter row is compared with the next, and the comparisons are
+    summed down the columns into uint8."""
+    return (words[:-1] > words[1:]).sum(axis=0, dtype=np.uint8)
 
 
-def signed_descent_counts(rows: np.ndarray) -> np.ndarray:
-    """Row-wise ``descent_count_signed``; the sum w(1) + w(2) is taken in
-    int64 so no width of ``rows`` can overflow it."""
-    return descent_counts(rows) + (np.add(rows[:, 0], rows[:, 1], dtype=np.int64) < 0)
+def signed_descent_counts(words: np.ndarray) -> np.ndarray:
+    """The type D descents of each column w: ``descent_counts`` plus one
+    when w(1) + w(2) < 0, tested as w(1) < -w(2) so int8 cannot overflow."""
+    return descent_counts(words) + (words[0] < -words[1])
 
 
 def _descent_histogram(blocks: Iterator[np.ndarray], counts, rank: int) -> Polynomial:

@@ -425,8 +425,10 @@ def test_every_orientation_reaches_the_oracle(capsys, diagram):
 @pytest.fixture
 def fresh_complexes():
     hereditary._COMPLEXES.clear()
+    hereditary._FACE_COUNTS.clear()
     yield
     hereditary._COMPLEXES.clear()
+    hereditary._FACE_COUNTS.clear()
 
 
 def test_poly_oracle_route_runs_the_census(capsys, monkeypatch, fresh_complexes):

@@ -1,3 +1,4 @@
+from itertools import permutations
 from math import comb
 
 import numpy as np
@@ -405,8 +406,14 @@ def test_a_quiver_and_its_opposite_share_one_complex():
             assert tau_rigid_complex(op) is c, (diagram, orientation)
 
 
+def _clear_memos():
+    hereditary._COMPLEXES.clear()
+    hereditary._FACE_COUNTS.clear()
+
+
 def test_each_graph_is_counted_once(monkeypatch):
-    # the 2^(n-1) orientations of A_n are max(1, 2^(n-2)) graphs
+    # the 2^(n-1) orientations of A_n are max(1, 2^(n-2)) graphs, and the
+    # flip of A_n leaves 1, 1, 2, 3, 6, 10 classes of them to count
     census, calls = hereditary._clique_census, []
 
     def counted(*args):
@@ -414,13 +421,65 @@ def test_each_graph_is_counted_once(monkeypatch):
         return census(*args)
 
     monkeypatch.setattr(hereditary, "_clique_census", counted)
-    hereditary._COMPLEXES.clear()
-    for n in range(1, 7):
-        before = len(hereditary._COMPLEXES)
+    _clear_memos()
+    for n, classes in zip(range(1, 7), (1, 1, 2, 3, 6, 10)):
+        before, counted_before = len(hereditary._COMPLEXES), len(calls)
         for orientation in orientations(DynkinDiagram("A", n)):
             tau_rigid_complex(OrientedQuiver.line(n, orientation))
         assert len(hereditary._COMPLEXES) - before == max(1, 2 ** (n - 2)), n
-    assert len(calls) == len(hereditary._COMPLEXES)
+        assert len(calls) - counted_before == classes, n
+    assert len(calls) == len(hereditary._FACE_COUNTS)
+
+
+SYMMETRIC_DIAGRAMS = [DynkinDiagram(*fn) for fn in (("A", 5), ("D", 4), ("D", 5), ("E", 6))]
+
+
+def _symmetries(diagram):
+    """Every automorphism of the diagram, by brute force, as the list of
+    the images of the vertex indices."""
+    adjacent = oracles.cartan_matrix(diagram) < 0
+    every = permutations(range(diagram.rank))
+    return [list(s) for s in every if (adjacent[np.ix_(s, s)] == adjacent).all()]
+
+
+def _moved(q, s):
+    """The quiver with each arrow a -> b moved to s(a) -> s(b)."""
+    image = {v: q.vertices[s[i]] for i, v in enumerate(q.vertices)}
+    return OrientedQuiver(q.vertices, tuple((image[a], image[b]) for a, b in q.arrows))
+
+
+@pytest.mark.parametrize("diagram", SYMMETRIC_DIAGRAMS, ids=str)
+def test_a_diagram_symmetry_relabels_the_graph(diagram):
+    # D4's symmetries include 3-cycles, which tell s from its inverse
+    symmetries = _symmetries(diagram)
+    assert len(symmetries) == (6 if diagram == DynkinDiagram("D", 4) else 2)
+    cartan = tuple(map(tuple, oracles.cartan_matrix(diagram).tolist()))
+    relabellings = hereditary._relabellings(cartan)
+    assert sorted(map(list, relabellings)) == symmetries
+    for orientation in orientations(diagram):
+        q = OrientedQuiver.from_diagram(diagram, orientation)
+        c = tau_rigid_complex(q)
+        for s in symmetries:
+            moved = tau_rigid_complex(_moved(q, s))
+            p = relabellings[tuple(s)]
+            assert moved.roots.tobytes() == c.roots.tobytes(), (orientation, s)
+            assert moved.compatible.tobytes() == c.compatible[p][:, p].tobytes(), (orientation, s)
+
+
+def test_a_symmetric_quiver_gets_its_own_complex():
+    # after Q, sQ shares Q's face counts but holds its own roots and graph
+    for diagram in SYMMETRIC_DIAGRAMS:
+        for orientation in orientations(diagram):
+            q = OrientedQuiver.from_diagram(diagram, orientation)
+            for s in _symmetries(diagram)[1:]:  # the identity comes first
+                _clear_memos()
+                fresh = tau_rigid_complex(_moved(q, s))
+                _clear_memos()
+                tau_rigid_complex(q)
+                c = tau_rigid_complex(_moved(q, s))
+                assert c.roots.tobytes() == fresh.roots.tobytes(), (diagram, orientation, s)
+                assert c.compatible.tobytes() == fresh.compatible.tobytes(), (diagram, orientation, s)
+                assert (c.face_counts, c.face_dim_sums) == (fresh.face_counts, fresh.face_dim_sums)
 
 
 def test_a_shared_complex_counts_its_own_graph():

@@ -17,8 +17,6 @@ from taupoly.errors import (
 )
 from taupoly.oracles import (
     cartan_matrix,
-    descent_count_permutation,
-    descent_count_signed,
     descent_counts,
     eulerian_a_by_enumeration,
     eulerian_by_orbit,
@@ -27,13 +25,20 @@ from taupoly.oracles import (
     narayana_a,
     narayana_oracle,
     permutation_blocks,
-    permutation_rows,
+    permutation_columns,
     signed_descent_counts,
     weight_orbit_total,
 )
 from taupoly.formulas import PATH, orbit_dim_total
 from taupoly.polynomials import ONE, Polynomial
 from taupoly.weyl import eulerian_poly, narayana_poly
+
+from reference import (
+    _eulerian_even_signed,
+    _eulerian_sym,
+    descent_count_permutation,
+    descent_count_signed,
+)
 
 A = lambda n: DynkinDiagram("A", n)
 D = lambda n: DynkinDiagram("D", n)
@@ -68,38 +73,39 @@ def test_eulerian_closed_matches_enumeration_type_d():
         assert eulerian_poly(D(rank)) == eulerian_d_by_enumeration(rank)
 
 
-def _rows(blocks):
-    return [tuple(row) for block in blocks for row in block.tolist()]
+def _words(blocks):
+    # a block holds one word per column
+    return [tuple(word) for block in blocks for word in block.T.tolist()]
 
 
 @pytest.mark.parametrize("m", range(1, 8))
 def test_permutation_arrays_hold_each_permutation_once(m):
     letters = list(range(1, m + 1))
-    arrays = [_rows([permutation_rows(m)])]
+    arrays = [_words([permutation_columns(m)])]
     if m >= 2:  # permutation_blocks inserts two letters
-        arrays.append(_rows(permutation_blocks(m)))
-    for rows in arrays:
-        assert len(rows) == len(set(rows)) == factorial(m)
-        assert all(sorted(row) == letters for row in rows)
+        arrays.append(_words(permutation_blocks(m)))
+    for words in arrays:
+        assert len(words) == len(set(words)) == factorial(m)
+        assert all(sorted(word) == letters for word in words)
 
 
 @pytest.mark.parametrize("rank", range(4, 7))
 def test_even_signed_blocks_hold_each_word_once(rank):
-    rows = _rows(even_signed_blocks(rank))
-    assert len(rows) == len(set(rows)) == D(rank).group_order()
-    for row in rows:
-        assert sorted(map(abs, row)) == list(range(1, rank + 1))
-        assert sum(v < 0 for v in row) % 2 == 0
+    words = _words(even_signed_blocks(rank))
+    assert len(words) == len(set(words)) == D(rank).group_order()
+    for word in words:
+        assert sorted(map(abs, word)) == list(range(1, rank + 1))
+        assert sum(v < 0 for v in word) % 2 == 0
 
 
 def test_row_descent_counts_match_the_tuple_definitions():
     for rank in range(1, 7):
         for block in permutation_blocks(rank + 1):
-            expected = [descent_count_permutation(row) for row in block.tolist()]
+            expected = [descent_count_permutation(word) for word in block.T.tolist()]
             assert descent_counts(block).tolist() == expected
     for rank in range(4, 7):
         for block in even_signed_blocks(rank):
-            expected = [descent_count_signed(row) for row in block.tolist()]
+            expected = [descent_count_signed(word) for word in block.T.tolist()]
             assert signed_descent_counts(block).tolist() == expected
 
 
@@ -184,9 +190,9 @@ def test_weight_orbit_largest_height_is_the_path_total():
 
 def test_eulerian_engine_matches_triangles():
     for rank in range(1, 12):
-        assert eulerian_poly(A(rank)) == Polynomial(oracles._eulerian_sym(rank + 1))
+        assert eulerian_poly(A(rank)) == Polynomial(_eulerian_sym(rank + 1))
     for rank in range(4, 12):
-        assert eulerian_poly(D(rank)) == Polynomial(oracles._eulerian_even_signed(rank))
+        assert eulerian_poly(D(rank)) == Polynomial(_eulerian_even_signed(rank))
 
 
 def test_narayana_engine_matches_antichain_census():
@@ -381,7 +387,7 @@ def test_oracles_refuse_over_budget_before_any_work(calls):
             (oracles, "positive_roots"),
             (oracles, "descent_distribution"),
             (oracles, "orbit_levels"),
-            (oracles, "permutation_rows"),
+            (oracles, "permutation_columns"),
             (oracles, "permutation_blocks"),
             (oracles, "even_signed_blocks"),
             (lattice, "rect_path_blocks"),
