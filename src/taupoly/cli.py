@@ -36,7 +36,7 @@ EXIT_INTERNAL = 4
 
 # Bounds the cost of the generating-function identity checks, which grows
 # fast with the order (all seven at order 24 take ~0.4 s on one Xeon core,
-# order 12 ~0.05 s); the engine itself has no rank limit.
+# order 12 ~0.05 s); the engine refuses every rank over 200 (errors.ENGINE_BUDGET).
 MAX_GENFUN_ORDER = 12
 
 

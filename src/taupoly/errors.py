@@ -50,10 +50,6 @@ def check_oracle_budget(what: str, elements: int, at_least: bool = False) -> Non
 ENGINE_BUDGET = 200**4
 
 
-class MalformedPath(TaupolyError):
-    """A lattice path whose step counts do not fit the requested rectangle."""
-
-
 class InsufficientTerms(TaupolyError):
     """Not enough coefficient polynomials supplied for the requested order."""
 

@@ -12,7 +12,7 @@ orientation of a diagram.  Neither is called by the engine.
   <x, y> = x (I - A) y^T, A counting arrows.  A shifted projective
   P_l[1] is compatible with M exactly when M_l = 0 (Adachi-Iyama-Reiten).
   Every build pins the Euler form against the projectives read off path
-  reachability: <alpha, alpha> = 1 for every root and <P_l, alpha> =
+  counts: <alpha, alpha> = 1 for every root and <P_l, alpha> =
   alpha_l for every vertex l.  Face counts of the complex give the
   face-count polynomial, dimension-weighted face counts give the
   dimension polynomial, with no closed formula anywhere.  The faces are
@@ -20,12 +20,13 @@ orientation of a diagram.  Neither is called by the engine.
   antichains of the root poset for the Narayana oracle: level by level
   in numpy, a face being its last vertex and the bitmask of the vertices
   compatible with all of it.  Over KQ^op, Ext^1(M, N) is Ext^1(N, M) over
-  KQ, so Q and Q^op have one compatibility graph and share one complex.
-  An automorphism of a connected underlying graph, moving the arrows of
-  Q, relabels the roots and the shifted projectives of its graph, so the
-  faces are counted once per graph up to a relabelling: the 127
-  orientations of A1-A7 are 64 graphs and 43 censuses.  Every quiver
-  still checks its own Euler form and gets a complex in its own order.
+  KQ, so Q and Q^op have one compatibility graph.  An automorphism of a
+  connected underlying graph, moving the arrows of Q, relabels the roots
+  and the shifted projectives of its graph, so one memo keyed by the
+  graph up to a relabelling holds the face counts of both: the 127
+  orientations of A1-A7 are 64 graphs and 43 censuses.  Every call still
+  checks its quiver's Euler form and gets a fresh complex in its own
+  order.
 
 * The translate-orbit dimension sums: the dimension vectors of all the
   projectives move through their orbits at once by simple reflections,
@@ -115,24 +116,16 @@ class OrientedQuiver:
 # ---------------------------------------------------------------------------
 
 
-def path_cartan(q: OrientedQuiver) -> list[list[int]]:
-    """Row i is the dimension vector of the projective at vertex i
-    (entry j = number of paths i to j; 0 or 1 on a tree)."""
-    index = {v: k for k, v in enumerate(q.vertices)}
-    n = q.rank
-    C = [[0] * n for _ in range(n)]
-    for v in q.vertices:
-        reach = {v}
-        changed = True
-        while changed:
-            changed = False
-            for a, b in q.arrows:
-                if a in reach and b not in reach:
-                    reach.add(b)
-                    changed = True
-        for w in reach:
-            C[index[v]][index[w]] = 1
-    return C
+def path_cartan(q: OrientedQuiver) -> np.ndarray:
+    """Row i is the dimension vector of the projective at vertex i: entry
+    j is the number of paths from i to j (0 or 1 on a tree): I + A + A^2
+    + ... for the arrow matrix A, nilpotent on an acyclic quiver, summed by
+    squaring A until it vanishes, one step per doubling of the longest path."""
+    paths, power = np.eye(q.rank, dtype=np.int64), q.arrow_counts()
+    while power.any():
+        paths = paths + power @ paths
+        power = power @ power
+    return paths
 
 
 def euler_form(x, y, q: OrientedQuiver) -> np.ndarray:
@@ -159,10 +152,9 @@ def ext_dim(m, n, q: OrientedQuiver):
 def _check_euler_form(q: OrientedQuiver, roots: np.ndarray) -> None:
     """Raise ConventionError unless <alpha, alpha> = 1 for every root and
     <P_l, alpha> = alpha_l for every vertex l, with the projectives P_l
-    taken from path reachability."""
+    taken from ``path_cartan``."""
     self_forms = np.diagonal(euler_form(roots, roots, q))
-    projectives = np.array(path_cartan(q), dtype=np.int64)
-    if (self_forms != 1).any() or (euler_form(projectives, roots, q) != roots.T).any():
+    if (self_forms != 1).any() or (euler_form(path_cartan(q), roots, q) != roots.T).any():
         raise ConventionError("Euler form failed the root and projective self-check")
 
 
@@ -227,24 +219,20 @@ class CompatibilityComplex:
 _COMPLEX_RANK_CAP = 8
 
 
-# keys are Cartan matrices of rank at most _COMPLEX_RANK_CAP, as tau_rigid_complex's are
+# keys are the Cartan matrices of the graphs tau_rigid_complex admits, rank
+# at most _COMPLEX_RANK_CAP = 8, so the set is finite
 @lru_cache(maxsize=None)
-def _graph_roots(cartan: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """The positive roots of a graph, shared by all its orientations."""
-    return tuple(positive_roots(np.array(cartan, dtype=np.int64)))
-
-
-# keys are Cartan matrices of rank at most _COMPLEX_RANK_CAP, as tau_rigid_complex's are
-@lru_cache(maxsize=None)
-def _relabellings(cartan: tuple[tuple[int, ...], ...]) -> dict[tuple[int, ...], np.ndarray]:
-    """The automorphisms s of a connected graph (only the identity of a
-    disconnected one), each with its relabelling p of the complex's
-    vertices: if Q has the graph ``compatible``, the quiver with each
-    arrow a -> b moved to s(a) -> s(b) has the graph ``compatible[p][:, p]``,
-    as its module of root beta is Q's of root beta∘s and its P_l[1] is
-    Q's P_{s^-1(l)}[1].  The vertices are mapped in breadth-first order,
-    each onto one that keeps its adjacency to every vertex mapped before."""
-    roots, n = _graph_roots(cartan), len(cartan)
+def _roots_and_relabellings(cartan: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, dict]:
+    """The positive roots of a graph, shared by all its orientations, as
+    a read-only int64 array, and the automorphisms s of a connected graph
+    (only the identity of a disconnected one), each with its read-only
+    relabelling p of the complex's vertices: if Q has the graph
+    ``compatible``, the quiver with each arrow a -> b moved to s(a) -> s(b)
+    has the graph ``compatible[p][:, p]``, as its module of root beta is
+    Q's of root beta∘s and its P_l[1] is Q's P_{s^-1(l)}[1].  The vertices
+    are mapped in breadth-first order, each onto one that keeps its
+    adjacency to every vertex mapped before."""
+    roots, n = np.array(positive_roots(np.array(cartan)), dtype=np.int64), len(cartan)
     adjacent = [[entry < 0 for entry in row] for row in cartan]
     maps = [dict(enumerate(range(n)))]
     if sum(map(sum, adjacent)) == 2 * (n - 1):  # a forest with n - 1 edges is connected
@@ -258,25 +246,22 @@ def _relabellings(cartan: tuple[tuple[int, ...], ...]) -> dict[tuple[int, ...], 
                 for w in range(n)
                 if w not in m.values() and all(adjacent[v][u] == adjacent[w][m[u]] for u in m)
             ]
-    index = {root: i for i, root in enumerate(roots)}
+    index = {root: i for i, root in enumerate(map(tuple, roots.tolist()))}
     relabellings = {}
     for m in maps:
         s = [m[v] for v in range(n)]
-        moved = [index[tuple(root[v] for v in s)] for root in roots]
-        p = relabellings[tuple(s)] = np.array(moved + [len(roots) + s.index(v) for v in range(n)])
-        p.flags.writeable = False  # the cache hands the same array to every caller
-    return relabellings
+        moved = [index[root] for root in map(tuple, roots[:, s].tolist())]
+        relabellings[tuple(s)] = np.array(moved + [len(roots) + s.index(v) for v in range(n)])
+    for array in (roots, *relabellings.values()):
+        array.flags.writeable = False  # the cache hands the same arrays to every caller
+    return roots, relabellings
 
 
-# keys are the graphs of the quivers tau_rigid_complex admits, rank at
-# most _COMPLEX_RANK_CAP = 8, so the set is finite; each maps to the
-# complex that holds exactly those roots and that compatibility matrix
-_COMPLEXES: dict[tuple, CompatibilityComplex] = {}
-
-# face counts and dimension-weighted face counts, shared by the graphs
-# that a diagram automorphism relabels into each other: keyed by the roots
-# and the least compatible[p][:, p] bytes over the relabellings p
-_FACE_COUNTS: dict[tuple, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+# face counts and dimension-weighted face counts, shared by the graphs of
+# Q and Q^op (byte-identical) and by those a diagram automorphism relabels
+# into each other: keyed by the roots and the least compatible[p][:, p]
+# bytes over the relabellings p (the two byte lengths fix the shapes)
+_FACE_COUNTS: dict[tuple[bytes, bytes], tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
 
 def tau_rigid_complex(q: OrientedQuiver) -> CompatibilityComplex:
@@ -287,17 +272,17 @@ def tau_rigid_complex(q: OrientedQuiver) -> CompatibilityComplex:
     modules are compatible when both extension spaces vanish; a shifted
     projective is compatible with a module not supported at its vertex,
     and with every other shifted projective.  Every call checks the
-    quiver's own Euler form and builds its graph, and every graph gets a
-    complex in its own vertex order.  The faces are counted once per
-    graph up to an automorphism of a connected underlying graph: Q and
-    Q^op share one complex, and a diagram symmetry relabels the graph.
+    quiver's own Euler form, builds its graph and returns a fresh complex
+    in its own vertex order, over the graph's shared read-only roots.
+    The faces are counted once per graph up to an automorphism of a
+    connected underlying graph: Q and Q^op have one graph, and a diagram
+    symmetry relabels it.
     """
     if q.rank > _COMPLEX_RANK_CAP:
         raise RankTooLarge(f"complex enumeration capped at rank {_COMPLEX_RANK_CAP}")
     arrows = q.arrow_counts()
     cartan = 2 * np.eye(q.rank, dtype=np.int64) - arrows - arrows.T
-    cartan_key = tuple(map(tuple, cartan.tolist()))
-    roots = np.array(_graph_roots(cartan_key), dtype=np.int64)
+    roots, relabellings = _roots_and_relabellings(tuple(map(tuple, cartan.tolist())))
     _check_euler_form(q, roots)
 
     ext = ext_dim(roots, roots, q)
@@ -309,25 +294,19 @@ def tau_rigid_complex(q: OrientedQuiver) -> CompatibilityComplex:
         ]
     )
     np.fill_diagonal(compatible, False)
-    key = (roots.shape, roots.tobytes(), compatible.tobytes())
-    if key not in _COMPLEXES:
-        least = min(compatible[p][:, p].tobytes() for p in _relabellings(cartan_key).values())
-        symmetric = key[:2] + (least,)
-        if symmetric not in _FACE_COUNTS:
-            dims = roots.sum(axis=1).tolist() + [0] * q.rank
-            counts, dim_sums, maximal = _clique_census(compatible, dims, q.rank)
-            if any(maximal[: q.rank]):
-                raise ImpurityError("complex is not pure: maximal face below full rank")
-            _FACE_COUNTS[symmetric] = tuple(counts), tuple(dim_sums)
-        roots.flags.writeable = compatible.flags.writeable = False
-        _COMPLEXES[key] = CompatibilityComplex(roots, compatible, *_FACE_COUNTS[symmetric])
-    return _COMPLEXES[key]
+    compatible.flags.writeable = False
+    key = roots.tobytes(), min(compatible[p][:, p].tobytes() for p in relabellings.values())
+    if key not in _FACE_COUNTS:
+        dims = roots.sum(axis=1).tolist() + [0] * q.rank
+        counts, dim_sums, maximal = _clique_census(compatible, dims, q.rank)
+        if any(maximal[: q.rank]):
+            raise ImpurityError("complex is not pure: maximal face below full rank")
+        _FACE_COUNTS[key] = tuple(counts), tuple(dim_sums)
+    return CompatibilityComplex(roots, compatible, *_FACE_COUNTS[key])
 
 
 def disjoint_union_d_check(q1: OrientedQuiver, q2: OrientedQuiver) -> bool:
     """Product rule check: d of a disjoint union against the two factors."""
-    if q1.rank + q2.rank > _COMPLEX_RANK_CAP:
-        raise RankTooLarge("combined rank too large for the union check")
     union = q1.disjoint_with(q2)
     cu, c1, c2 = tau_rigid_complex(union), tau_rigid_complex(q1), tau_rigid_complex(q2)
     lhs = cu.d_polynomial()
@@ -345,7 +324,8 @@ def _reflection_rounds(q: OrientedQuiver, C: np.ndarray) -> list[tuple[np.ndarra
     and their neighbours' indices, padded with n.  A tail is reached by
     fewer vertices than its head (column sums of C), so the vertices
     reached by equally many share no arrow: a round, in rising count."""
-    links = q.arrow_counts() + q.arrow_counts().T
+    arrows = q.arrow_counts()
+    links = arrows + arrows.T
     neighbours = np.full((q.rank, links.sum(axis=1).max()), q.rank)
     for row, link in zip(neighbours, links):
         row[: link.sum()] = np.repeat(np.arange(q.rank), link)
@@ -355,13 +335,13 @@ def _reflection_rounds(q: OrientedQuiver, C: np.ndarray) -> list[tuple[np.ndarra
 
 
 def translate_orbits(q: OrientedQuiver) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Move every projective, read off path reachability, through its
+    """Move every projective, read off path counts, through its
     translate orbit; each step yields each live row's projective index
     and the rows, in quiver vertex order, never changed later.  tau^-1
     applies the simple reflections, every arrow's tail before its head
     (Bernstein-Gelfand-Ponomarev): s_i sets entry i to its neighbours'
     sum minus itself.  A row leaving the orthant still positive raises."""
-    C = np.array(path_cartan(q), dtype=np.int64)
+    C = path_cartan(q)
     rounds = _reflection_rounds(q, C)
     owner, rows = np.arange(q.rank), np.pad(C, ((0, 0), (0, 1)))  # the last column stays 0
     while len(owner):

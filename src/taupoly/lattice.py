@@ -23,9 +23,8 @@ All three models run in numpy blocks of at most ``_BLOCK_ROWS`` rows
 every path or sequence is still built exactly once, but per block rather
 than per tuple, and each block is reduced straight to its total
 (``block_area_rect``, ``block_area_corner``, ``block_sequence_weight``).
-The tuple functions ``rect_paths``, ``area_rect``, ``corner_paths``,
-``area_corner``, ``sign_sequences`` and ``sequence_weight`` are the
-one-element definitions the tests compare the blocks with.
+The tests compare every block with the one-path definition of its
+statistic.
 """
 
 from __future__ import annotations
@@ -37,10 +36,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .dynkin import DynkinDiagram
-from .errors import MalformedPath, UsageError, check_oracle_budget
-
-East = 0
-North = 1
+from .errors import UsageError, check_oracle_budget
 
 # rows per block of every model; within the oracle budget a corner path or
 # a sign sequence has at most 23 entries, and a rectangle block is cut to
@@ -65,34 +61,8 @@ def _sum_blocks(
     return OracleSum(total, count)
 
 
-def rect_paths(s: int, t: int) -> Iterator[tuple[int, ...]]:
-    """All monotone paths from (0,0) to (s,t), as step tuples."""
-    for east_positions in itertools.combinations(range(s + t), s):
-        path = [North] * (s + t)
-        for pos in east_positions:
-            path[pos] = East
-        yield tuple(path)
-
-
-def area_rect(path: tuple[int, ...], s: int, t: int) -> int:
-    """Unit squares of [0,s] x [0,t] lying below the path.
-
-    Each East step at height y covers y squares of its column.
-    """
-    if len(path) != s + t or sum(1 for p in path if p == East) != s:
-        raise MalformedPath(f"path is not a ({s},{t}) rectangle path")
-    height = 0
-    area = 0
-    for step in path:
-        if step == North:
-            height += 1
-        else:
-            area += height
-    return area
-
-
 def rect_path_blocks(s: int, t: int) -> Iterator[np.ndarray]:
-    """The members of ``rect_paths(s, t)`` for s >= 1, each once, as int64
+    """The monotone paths from (0,0) to (s,t) for s >= 1, each once, as int64
     rows of East-step positions (entry j is the index of the j-th East
     step), in arrays of at most ``_BLOCK_ROWS`` rows; long rows cut a
     block to ``_BLOCK_ROWS * 24`` entries, or to a single row.
@@ -111,41 +81,16 @@ def rect_path_blocks(s: int, t: int) -> Iterator[np.ndarray]:
 
 
 def block_area_rect(positions: np.ndarray) -> int:
-    """The sum of ``area_rect`` over a block of ``rect_path_blocks``: the
-    j-th East step (from 0) lies above p_j - j North steps."""
+    """The total area of a block of ``rect_path_blocks``, a path's area
+    being the unit squares of [0,s] x [0,t] below it: the j-th East step
+    (from 0) lies above p_j - j North steps, and covers that many."""
     rows, s = positions.shape
     return int(positions.sum()) - rows * comb(s, 2)
 
 
-def corner_paths(length: int) -> Iterator[tuple[int, ...]]:
-    """All 2**length step sequences of the given length."""
-    return itertools.product((East, North), repeat=length)
-
-
-def area_corner(path: tuple[int, ...], n: int) -> int:
-    """Squares of the staircase {x,y >= 0, x+y <= n} below or right of the path.
-
-    Row j (counted from the bottom) contributes one square for each
-    column position from the path's x-coordinate at height j+1 out to the
-    staircase boundary.  Rows the path never climbs to contribute none.
-    """
-    if len(path) != n - 1:
-        raise MalformedPath(f"corner path must have length {n - 1}")
-    area = 0
-    x = 0
-    j = 0
-    for step in path:
-        if step == East:
-            x += 1
-        else:
-            area += (n - 1) - j - x
-            j += 1
-    return area
-
-
 def corner_path_blocks(length: int) -> Iterator[np.ndarray]:
-    """The members of ``corner_paths(length)``, each once, as int64 rows
-    of steps in arrays of at most ``_BLOCK_ROWS`` rows: step i of the
+    """The 2**length sequences of East (0) and North (1) steps, each once,
+    as int64 rows in arrays of at most ``_BLOCK_ROWS`` rows: step i of the
     m-th path is bit i of m.
 
     >>> next(corner_path_blocks(2)).tolist()
@@ -158,42 +103,19 @@ def corner_path_blocks(length: int) -> Iterator[np.ndarray]:
 
 
 def block_area_corner(steps: np.ndarray, n: int) -> int:
-    """The sum of ``area_corner`` over a block of ``corner_path_blocks``:
-    a North step at index i, after j North and x East steps, adds
-    (n - 1) - j - x = (n - 1) - i."""
+    """The total area of a block of ``corner_path_blocks``, a path's area
+    being the squares of the staircase {x, y >= 0, x + y <= n} below or
+    right of it: a North step at index i, after j North and x East steps,
+    adds (n - 1) - j - x = (n - 1) - i."""
     return int((steps @ np.arange(n - 1, 0, -1)).sum())
 
 
-def sign_sequences(n: int, ell: int) -> Iterator[tuple[int, ...]]:
-    """Strictly decreasing sequences of n-ell values with distinct
-    absolute values drawn from {1..n}, each with either sign.
-
-    There are 2^(n-ell) binom(n, ell) of them.
-    """
-    k = n - ell
-    for absvals in itertools.combinations(range(1, n + 1), k):
-        for signs in itertools.product((1, -1), repeat=k):
-            yield tuple(sorted((a * s for a, s in zip(absvals, signs)), reverse=True))
-
-
-def sequence_weight(u: tuple[int, ...], n: int) -> int:
-    """The statistic sum_i (i + u_i*) with u* = u if u < 0 else u - 2.
-
-    Positions run from n - len(u) + 1 up to n, pairing the largest entry
-    with the smallest position.
-    """
-    ell = n - len(u)
-    total = 0
-    for offset, value in enumerate(u):
-        i = ell + 1 + offset
-        total += i + (value if value < 0 else value - 2)
-    return total
-
-
 def sign_sequence_blocks(n: int, ell: int) -> Iterator[np.ndarray]:
-    """The members of ``sign_sequences(n, ell)``, each once and each up
-    to the order of its entries, as the rows of arrays of at most
-    ``_BLOCK_ROWS`` rows: ``block_sequence_weight`` reads no entry order.
+    """The 2^(n-ell) binom(n, ell) strictly decreasing sequences of n - ell
+    values with distinct absolute values from {1..n}, each with either
+    sign, each once and each up to the order of its entries, as the rows
+    of arrays of at most ``_BLOCK_ROWS`` rows: ``block_sequence_weight``
+    reads no entry order.
 
     Each block pairs a run of sign vectors with a run of absolute-value
     combinations; the combinations are streamed once per run of sign
@@ -222,9 +144,10 @@ def sign_sequence_blocks(n: int, ell: int) -> Iterator[np.ndarray]:
 
 
 def block_sequence_weight(rows: np.ndarray, n: int) -> int:
-    """The sum of ``sequence_weight`` over a block of
-    ``sign_sequence_blocks``: each row adds the positions n - k + 1..n
-    and its entries, less 2 for each positive entry."""
+    """The total weight of a block of ``sign_sequence_blocks``, a
+    sequence u's weight being sum_i (i + u_i*) with u* = u if u < 0 else
+    u - 2, over the positions i = n - k + 1..n: each row adds those
+    positions and its entries, less 2 for each positive entry."""
     count, k = rows.shape
     positions = k * (2 * n - k + 1) // 2
     return count * positions + int(rows.sum()) - 2 * int(np.count_nonzero(rows > 0))

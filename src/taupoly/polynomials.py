@@ -13,10 +13,7 @@ sequences: ``Polynomial`` uses it, and so does the engine on plain lists.
 
 from __future__ import annotations
 
-import re
 from typing import Iterable, Iterator
-
-_DECIMAL_RE = re.compile(r"^-?\d+$")
 
 
 class Polynomial:
@@ -45,17 +42,6 @@ class Polynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def from_decimal_strings(cls, strings: Iterable[str]) -> "Polynomial":
-        coeffs = []
-        for s in strings:
-            if not _DECIMAL_RE.match(s):
-                raise ValueError(f"not a decimal integer string: {s!r}")
-            coeffs.append(int(s))
-        return cls(coeffs)
 
     # -- structure ----------------------------------------------------
 

@@ -30,6 +30,8 @@ from taupoly.oracles import positive_roots
 from taupoly.polynomials import ONE, Polynomial
 from taupoly.weyl import narayana_poly
 
+from reference import path_cartan_by_reachability
+
 
 def catalan(m):
     return comb(2 * m, m) // (m + 1)
@@ -143,7 +145,7 @@ def test_hom_directions_fixed_by_projectives():
     assert hom_dim((1, 0, 0), (0, 0, 1), q) == 0
     # morphisms out of a projective see exactly the support vertex
     projectives = path_cartan(q)
-    assert projectives == [[1, 1, 1], [0, 1, 1], [0, 0, 1]]
+    assert projectives.tolist() == [[1, 1, 1], [0, 1, 1], [0, 0, 1]]
     for k in range(3):
         for root in roots_of(q):
             assert hom_dim(projectives[k], root, q) == root[k]
@@ -165,7 +167,7 @@ def test_projectives_read_off_one_coordinate():
 
 
 def test_flipped_euler_form_raises(monkeypatch):
-    # the form is checked on every call, a memoised complex or not
+    # the form is checked on every call, its face counts memoised or not
     q = OrientedQuiver.from_diagram(DynkinDiagram("D", 4), "101")
     assert tau_rigid_complex(q).maximal_face_count == 50
     original = hereditary.euler_form
@@ -384,36 +386,15 @@ def test_complex_rank_cap():
         tau_rigid_complex(OrientedQuiver.line(9))
 
 
-def test_a_quiver_and_its_opposite_share_one_complex():
-    # Ext^1 over KQ^op is Ext^1 over KQ transposed: the same roots and graph
-    for diagram in [DynkinDiagram("A", n) for n in range(1, 7)] + [
-        DynkinDiagram("D", 4),
-        DynkinDiagram("D", 5),
-        DynkinDiagram("E", 6),
-    ]:
-        for orientation in orientations(diagram):
-            flipped = orientation.translate(str.maketrans("01", "10"))
-            q = OrientedQuiver.from_diagram(diagram, orientation)
-            op = OrientedQuiver.from_diagram(diagram, flipped)
-            assert sorted(op.arrows) == sorted((b, a) for a, b in q.arrows)
-            hereditary._COMPLEXES.clear()
-            c_op = tau_rigid_complex(op)
-            hereditary._COMPLEXES.clear()
-            c = tau_rigid_complex(q)
-            assert c.roots.shape == c_op.roots.shape, (diagram, orientation)
-            assert c.roots.tobytes() == c_op.roots.tobytes(), (diagram, orientation)
-            assert c.compatible.tobytes() == c_op.compatible.tobytes(), (diagram, orientation)
-            assert tau_rigid_complex(op) is c, (diagram, orientation)
+# A1-A6, D4, D5 and E6: 119 quivers over all their orientations
+SMALL_DIAGRAMS = [DynkinDiagram("A", n) for n in range(1, 7)] + [
+    DynkinDiagram(*fn) for fn in (("D", 4), ("D", 5), ("E", 6))
+]
 
 
-def _clear_memos():
-    hereditary._COMPLEXES.clear()
-    hereditary._FACE_COUNTS.clear()
-
-
-def test_each_graph_is_counted_once(monkeypatch):
-    # the 2^(n-1) orientations of A_n are max(1, 2^(n-2)) graphs, and the
-    # flip of A_n leaves 1, 1, 2, 3, 6, 10 classes of them to count
+def _counted_censuses(monkeypatch):
+    """The argument tuples of every census ``tau_rigid_complex`` runs from
+    here on, counted from empty memos."""
     census, calls = hereditary._clique_census, []
 
     def counted(*args):
@@ -421,12 +402,41 @@ def test_each_graph_is_counted_once(monkeypatch):
         return census(*args)
 
     monkeypatch.setattr(hereditary, "_clique_census", counted)
-    _clear_memos()
+    hereditary._FACE_COUNTS.clear()
+    return calls
+
+
+def test_a_quiver_and_its_opposite_share_one_census(monkeypatch):
+    # Ext^1 over KQ^op is Ext^1 over KQ transposed: the same roots and graph
+    calls = _counted_censuses(monkeypatch)
+    for diagram in SMALL_DIAGRAMS:
+        for orientation in orientations(diagram):
+            flipped = orientation.translate(str.maketrans("01", "10"))
+            q = OrientedQuiver.from_diagram(diagram, orientation)
+            op = OrientedQuiver.from_diagram(diagram, flipped)
+            assert sorted(op.arrows) == sorted((b, a) for a, b in q.arrows)
+            hereditary._FACE_COUNTS.clear()
+            c_op = tau_rigid_complex(op)
+            calls.clear()
+            c = tau_rigid_complex(q)
+            assert not calls, (diagram, orientation)
+            assert c.roots.shape == c_op.roots.shape, (diagram, orientation)
+            assert c.roots.tobytes() == c_op.roots.tobytes(), (diagram, orientation)
+            assert c.compatible.tobytes() == c_op.compatible.tobytes(), (diagram, orientation)
+            assert (c.face_counts, c.face_dim_sums) == (c_op.face_counts, c_op.face_dim_sums)
+
+
+def test_each_graph_is_counted_once(monkeypatch):
+    # the 2^(n-1) orientations of A_n are max(1, 2^(n-2)) graphs, and the
+    # flip of A_n leaves 1, 1, 2, 3, 6, 10 classes of them to count
+    calls = _counted_censuses(monkeypatch)
     for n, classes in zip(range(1, 7), (1, 1, 2, 3, 6, 10)):
-        before, counted_before = len(hereditary._COMPLEXES), len(calls)
-        for orientation in orientations(DynkinDiagram("A", n)):
-            tau_rigid_complex(OrientedQuiver.line(n, orientation))
-        assert len(hereditary._COMPLEXES) - before == max(1, 2 ** (n - 2)), n
+        counted_before = len(calls)
+        graphs = {
+            tau_rigid_complex(OrientedQuiver.line(n, orientation)).compatible.tobytes()
+            for orientation in orientations(DynkinDiagram("A", n))
+        }
+        assert len(graphs) == max(1, 2 ** (n - 2)), n
         assert len(calls) - counted_before == classes, n
     assert len(calls) == len(hereditary._FACE_COUNTS)
 
@@ -454,7 +464,8 @@ def test_a_diagram_symmetry_relabels_the_graph(diagram):
     symmetries = _symmetries(diagram)
     assert len(symmetries) == (6 if diagram == DynkinDiagram("D", 4) else 2)
     cartan = tuple(map(tuple, oracles.cartan_matrix(diagram).tolist()))
-    relabellings = hereditary._relabellings(cartan)
+    roots, relabellings = hereditary._roots_and_relabellings(cartan)
+    assert not any(a.flags.writeable for a in (roots, *relabellings.values()))
     assert sorted(map(list, relabellings)) == symmetries
     for orientation in orientations(diagram):
         q = OrientedQuiver.from_diagram(diagram, orientation)
@@ -472,9 +483,9 @@ def test_a_symmetric_quiver_gets_its_own_complex():
         for orientation in orientations(diagram):
             q = OrientedQuiver.from_diagram(diagram, orientation)
             for s in _symmetries(diagram)[1:]:  # the identity comes first
-                _clear_memos()
+                hereditary._FACE_COUNTS.clear()
                 fresh = tau_rigid_complex(_moved(q, s))
-                _clear_memos()
+                hereditary._FACE_COUNTS.clear()
                 tau_rigid_complex(q)
                 c = tau_rigid_complex(_moved(q, s))
                 assert c.roots.tobytes() == fresh.roots.tobytes(), (diagram, orientation, s)
@@ -494,7 +505,20 @@ def test_a_shared_complex_counts_its_own_graph():
 def test_path_cartan_counts_paths():
     q = OrientedQuiver.line(3, "10")  # 1 -> 2 <- 3
     C = path_cartan(q)
-    assert C == [[1, 1, 0], [0, 1, 0], [0, 1, 1]]
+    assert C.tolist() == [[1, 1, 0], [0, 1, 0], [0, 1, 1]]
+
+
+def test_path_cartan_matches_reachability():
+    # the all-1 line A_n has a path of n - 1 arrows, the longest there is
+    for diagram in SMALL_DIAGRAMS:
+        for orientation in orientations(diagram):
+            q = OrientedQuiver.from_diagram(diagram, orientation)
+            C = path_cartan(q)
+            assert C.dtype == np.int64
+            assert C.tolist() == path_cartan_by_reachability(q), (diagram, orientation)
+    for n in (16, 17, 33):  # longest paths of 2^k - 1 and 2^k arrows
+        q = OrientedQuiver.line(n)
+        assert path_cartan(q).tolist() == path_cartan_by_reachability(q), n
 
 
 def test_tau_orbit_type_a():
@@ -539,7 +563,7 @@ def test_path_cartan_runs_once_per_sweep(monkeypatch):
 
 def test_translate_orbits_step_by_the_inverse_coxeter_matrix():
     for diagram, q in every_orientation():
-        C = np.array(path_cartan(q), dtype=np.int64)
+        C = path_cartan(q)
         phi_inv = -(np.eye(q.rank, dtype=np.int64) - q.arrow_counts().T) @ C
         steps = sweep(q)
         for (owner, rows), (next_owner, next_rows) in zip(steps, steps[1:]):
@@ -579,7 +603,7 @@ def test_tau_orbit_totals_stop_an_endless_sweep(monkeypatch):
 
 def test_a_row_leaving_with_a_positive_entry_raises(monkeypatch):
     # (1, 2) is no root of A2: one inverse translate takes it to (1, -1)
-    monkeypatch.setattr(hereditary, "path_cartan", lambda q: [[1, 1], [1, 2]])
+    monkeypatch.setattr(hereditary, "path_cartan", lambda q: np.array([[1, 1], [1, 2]]))
     with pytest.raises(ConventionError, match="without turning negative"):
         sweep(OrientedQuiver.line(2))
 
