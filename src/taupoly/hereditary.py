@@ -37,7 +37,7 @@ orientation of a diagram.  Neither is called by the engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -101,13 +101,15 @@ class OrientedQuiver:
     def rank(self) -> int:
         return len(self.vertices)
 
+    @cached_property
     def arrow_counts(self) -> np.ndarray:
         """Matrix A with A[i, j] the number of arrows from vertex i to
-        vertex j, in vertex order."""
+        vertex j, in vertex order: read-only, made once per quiver."""
         index = {v: k for k, v in enumerate(self.vertices)}
         counts = np.zeros((self.rank, self.rank), dtype=np.int64)
         for a, b in self.arrows:
             counts[index[a], index[b]] += 1
+        counts.flags.writeable = False
         return counts
 
 
@@ -121,7 +123,7 @@ def path_cartan(q: OrientedQuiver) -> np.ndarray:
     j is the number of paths from i to j (0 or 1 on a tree): I + A + A^2
     + ... for the arrow matrix A, nilpotent on an acyclic quiver, summed by
     squaring A until it vanishes, one step per doubling of the longest path."""
-    paths, power = np.eye(q.rank, dtype=np.int64), q.arrow_counts()
+    paths, power = np.eye(q.rank, dtype=np.int64), q.arrow_counts
     while power.any():
         paths = paths + power @ paths
         power = power @ power
@@ -131,7 +133,7 @@ def path_cartan(q: OrientedQuiver) -> np.ndarray:
 def euler_form(x, y, q: OrientedQuiver) -> np.ndarray:
     """<x, y> = x (I - A) y^T for dimension vectors in quiver vertex order;
     for stacks of vectors (one per row) the matrix of all pairs."""
-    euler = np.eye(q.rank, dtype=np.int64) - q.arrow_counts()
+    euler = np.eye(q.rank, dtype=np.int64) - q.arrow_counts
     return np.asarray(x) @ euler @ np.asarray(y).T
 
 
@@ -149,13 +151,17 @@ def ext_dim(m, n, q: OrientedQuiver):
     return int(value) if value.ndim == 0 else value
 
 
-def _check_euler_form(q: OrientedQuiver, roots: np.ndarray) -> None:
-    """Raise ConventionError unless <alpha, alpha> = 1 for every root and
-    <P_l, alpha> = alpha_l for every vertex l, with the projectives P_l
-    taken from ``path_cartan``."""
-    self_forms = np.diagonal(euler_form(roots, roots, q))
-    if (self_forms != 1).any() or (euler_form(path_cartan(q), roots, q) != roots.T).any():
+def _root_forms(q: OrientedQuiver, roots: np.ndarray) -> np.ndarray:
+    """The Euler forms <alpha, beta> of every pair of roots, from one
+    product that also pairs the projectives P_l, taken from
+    ``path_cartan``, with every root.  Raises ConventionError unless
+    <alpha, alpha> = 1 for every root and <P_l, alpha> = alpha_l for
+    every vertex l."""
+    forms = euler_form(np.concatenate((path_cartan(q), roots)), roots, q)
+    projective, forms = forms[: q.rank], forms[q.rank :]
+    if (np.diagonal(forms) != 1).any() or (projective != roots.T).any():
         raise ConventionError("Euler form failed the root and projective self-check")
+    return forms
 
 
 # ---------------------------------------------------------------------------
@@ -280,19 +286,18 @@ def tau_rigid_complex(q: OrientedQuiver) -> CompatibilityComplex:
     """
     if q.rank > _COMPLEX_RANK_CAP:
         raise RankTooLarge(f"complex enumeration capped at rank {_COMPLEX_RANK_CAP}")
-    arrows = q.arrow_counts()
+    arrows = q.arrow_counts
     cartan = 2 * np.eye(q.rank, dtype=np.int64) - arrows - arrows.T
     roots, relabellings = _roots_and_relabellings(tuple(map(tuple, cartan.tolist())))
-    _check_euler_form(q, roots)
-
-    ext = ext_dim(roots, roots, q)
-    unsupported = roots == 0  # entry (i, l): root i vanishes at vertex l
-    compatible = np.block(
-        [
-            [(ext == 0) & (ext.T == 0), unsupported],
-            [unsupported.T, np.ones((q.rank, q.rank), dtype=bool)],
-        ]
-    )
+    forms = _root_forms(q, roots)
+    # Ext^1(M, N) = max(0, -<M, N>): two modules are compatible when both
+    # forms are >= 0, a module and P_l[1] when it vanishes at l, and any
+    # two shifted projectives
+    modules = len(roots)
+    compatible = np.ones((modules + q.rank, modules + q.rank), dtype=bool)
+    compatible[:modules, :modules] = (forms >= 0) & (forms.T >= 0)
+    compatible[:modules, modules:] = roots == 0
+    compatible[modules:, :modules] = roots.T == 0
     np.fill_diagonal(compatible, False)
     compatible.flags.writeable = False
     key = roots.tobytes(), min(compatible[p][:, p].tobytes() for p in relabellings.values())
@@ -324,7 +329,7 @@ def _reflection_rounds(q: OrientedQuiver, C: np.ndarray) -> list[tuple[np.ndarra
     and their neighbours' indices, padded with n.  A tail is reached by
     fewer vertices than its head (column sums of C), so the vertices
     reached by equally many share no arrow: a round, in rising count."""
-    arrows = q.arrow_counts()
+    arrows = q.arrow_counts
     links = arrows + arrows.T
     neighbours = np.full((q.rank, links.sum(axis=1).max()), q.rank)
     for row, link in zip(neighbours, links):

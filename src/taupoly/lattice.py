@@ -18,11 +18,14 @@ Each enumeration also reports its path count so callers can check the
 counting identities alongside the weighted sums; that count, known in
 closed form, is checked against the oracle budget before enumerating.
 
-All three models run in numpy blocks of at most ``_BLOCK_ROWS`` rows
-(``rect_path_blocks``, ``corner_path_blocks``, ``sign_sequence_blocks``):
-every path or sequence is still built exactly once, but per block rather
-than per tuple, and each block is reduced straight to its total
-(``block_area_rect``, ``block_area_corner``, ``block_sequence_weight``).
+All three models run in numpy blocks of at most ``_BLOCK_ROWS`` paths
+or sequences (``rect_path_blocks``, ``corner_path_blocks``,
+``sign_sequence_blocks``): every path or sequence is still built exactly
+once, but per block rather than per tuple, and each block is reduced
+straight to its total (``block_area_rect``, ``block_area_corner``,
+``block_sequence_weight``).  A path is a row of its block; a sign
+sequence is a column, one entry per row, so the short entry axis is
+the outer one.
 The tests compare every block with the one-path definition of its
 statistic.
 """
@@ -38,9 +41,10 @@ import numpy as np
 from .dynkin import DynkinDiagram
 from .errors import UsageError, check_oracle_budget
 
-# rows per block of every model; within the oracle budget a corner path or
-# a sign sequence has at most 23 entries, and a rectangle block is cut to
-# at most _BLOCK_ROWS * 24 entries, so no array of a block passes 400 KB
+# paths or sequences per block of every model; within the oracle budget a
+# corner path or a sign sequence has at most 23 entries, and a rectangle
+# block is cut to at most _BLOCK_ROWS * 24 entries, so no array of a block
+# passes 400 KB
 _BLOCK_ROWS = 2048
 
 
@@ -50,14 +54,15 @@ class OracleSum(NamedTuple):
 
 
 def _sum_blocks(
-    blocks: Iterable[np.ndarray], block_total: Callable[[np.ndarray], int]
+    blocks: Iterable[np.ndarray], block_total: Callable[[np.ndarray], int], axis: int = 0
 ) -> OracleSum:
-    """The exact total and the row count over a stream of blocks."""
+    """The exact total over a stream of blocks, and the count of their
+    members, the rows (axis 0) or the columns (axis 1)."""
     total = 0
     count = 0
     for block in blocks:
         total += block_total(block)
-        count += len(block)
+        count += block.shape[axis]
     return OracleSum(total, count)
 
 
@@ -113,44 +118,43 @@ def block_area_corner(steps: np.ndarray, n: int) -> int:
 def sign_sequence_blocks(n: int, ell: int) -> Iterator[np.ndarray]:
     """The 2^(n-ell) binom(n, ell) strictly decreasing sequences of n - ell
     values with distinct absolute values from {1..n}, each with either
-    sign, each once and each up to the order of its entries, as the rows
-    of arrays of at most ``_BLOCK_ROWS`` rows: ``block_sequence_weight``
-    reads no entry order.
+    sign, each once and each up to the order of its entries, as the
+    columns of (n - ell, at most ``_BLOCK_ROWS``) arrays, one entry per
+    row: ``block_sequence_weight`` reads no entry order.
 
     Each block pairs a run of sign vectors with a run of absolute-value
     combinations; the combinations are streamed once per run of sign
     vectors, so memory depends on the block size and not on n.  The
     dtype is int32, or wider if n needs it.
 
-    >>> next(sign_sequence_blocks(3, 1))[:4].tolist()
+    >>> next(sign_sequence_blocks(3, 1))[:, :4].T.tolist()
     [[1, 2], [-1, 2], [1, -2], [-1, -2]]
     """
     k = n - ell
     dtype = np.promote_types(np.int32, np.min_scalar_type(-n))
     signs_per_block = min(1 << k, _BLOCK_ROWS)
     combos_per_block = _BLOCK_ROWS // signs_per_block
-    bits = np.arange(k)
+    bits = np.arange(k)[:, None]
     for start in range(0, 1 << k, signs_per_block):
         masks = np.arange(start, min(start + signs_per_block, 1 << k))
-        signs = (1 - 2 * ((masks[:, None] >> bits) & 1)).astype(dtype)
+        signs = (1 - 2 * ((masks >> bits) & 1)).astype(dtype)
         combos = itertools.combinations(range(1, n + 1), k)
         while True:
             chunk = itertools.chain.from_iterable(itertools.islice(combos, combos_per_block))
             absvals = np.fromiter(chunk, dtype=dtype).reshape(-1, k)
             if not len(absvals):
                 break
-            rows = (absvals[:, None, :] * signs[None, :, :]).reshape(-1, k)
-            yield rows
+            yield (absvals.T[:, :, None] * signs[:, None, :]).reshape(k, -1)
 
 
-def block_sequence_weight(rows: np.ndarray, n: int) -> int:
+def block_sequence_weight(columns: np.ndarray, n: int) -> int:
     """The total weight of a block of ``sign_sequence_blocks``, a
     sequence u's weight being sum_i (i + u_i*) with u* = u if u < 0 else
-    u - 2, over the positions i = n - k + 1..n: each row adds those
+    u - 2, over the positions i = n - k + 1..n: each column adds those
     positions and its entries, less 2 for each positive entry."""
-    count, k = rows.shape
+    k, count = columns.shape
     positions = k * (2 * n - k + 1) // 2
-    return count * positions + int(rows.sum()) - 2 * int(np.count_nonzero(rows > 0))
+    return count * positions + int(columns.sum()) - 2 * int(np.count_nonzero(columns > 0))
 
 
 def orbit_total(d: DynkinDiagram, ell: int) -> OracleSum:
@@ -177,4 +181,5 @@ def orbit_total(d: DynkinDiagram, ell: int) -> OracleSum:
         check_oracle_budget(f"{d} corner model", 2 ** (n - 1))
         return _sum_blocks(corner_path_blocks(n - 1), lambda steps: block_area_corner(steps, n))
     check_oracle_budget(f"{d} sign-sequence model at vertex {ell}", 2 ** (n - ell) * comb(n, ell))
-    return _sum_blocks(sign_sequence_blocks(n, ell), lambda rows: block_sequence_weight(rows, n))
+    blocks = sign_sequence_blocks(n, ell)
+    return _sum_blocks(blocks, lambda columns: block_sequence_weight(columns, n), axis=1)

@@ -37,10 +37,11 @@ projective at l over the preprojective algebra, of dimension that height
 
 One census, ``_clique_census``, counts the cliques of a graph level by
 level in numpy: a clique is its last vertex and the bitmask of the
-vertices adjacent to all of it.  The antichains of the root poset are
-the cliques of its incomparability graph; ``hereditary`` counts the
-faces of the tau-rigid complex, the cliques of its compatibility graph,
-with the same census.
+vertices adjacent to all of it, and its children are the set bits of
+that mask past its last vertex, unpacked from a chunk of masks at once.
+The antichains of the root poset are the cliques of its incomparability
+graph; ``hereditary`` counts the faces of the tau-rigid complex, the
+cliques of its compatibility graph, with the same census.
 """
 
 from __future__ import annotations
@@ -297,8 +298,9 @@ def eulerian(u) -> Polynomial:
 # Cliques: the faces of a flag complex and the antichains of the root poset
 # ---------------------------------------------------------------------------
 
-# candidate edges the census expands at once: bounds its temporaries
-_CENSUS_EDGES = 1 << 16
+# mask bits the census scans at once, 64 per mask word of each row: bounds
+# its temporaries, the unpacked bools and the indices of the set ones
+_CENSUS_BITS = 1 << 18
 
 
 def _clique_census(compatible: np.ndarray, dims, max_size: int, max_cliques: int = ORACLE_BUDGET):
@@ -311,16 +313,17 @@ def _clique_census(compatible: np.ndarray, dims, max_size: int, max_cliques: int
     The census runs level by level.  A clique of size k is a row: its
     last (largest) vertex, the mask of the vertices adjacent to all of it
     (bit j % 64 of uint64 word j // 64 for vertex j) and its dimension
-    total.  Its children are the later neighbours of its last vertex
-    whose bit is set in the mask, and it is maximal when the mask is
-    empty.  Faces of size max_size are not expanded: one with a nonempty
-    mask extends to a larger clique, so it raises.  Each level is
-    expanded in chunks of at most ``_CENSUS_EDGES`` candidate edges.
-    Dimension totals are summed in int64, far below 2**63 for both
-    callers: a face of a tau-rigid complex (rank at most 8) totals at
-    most 8 * 29 and a level holds at most 163,856 faces (E8); an antichain
-    of roots has zero dimensions, and the census holds at most
-    max_cliques = Catalan(W) rows, which is within the oracle budget.
+    total.  Its children are the set bits of its mask that lie past its
+    last vertex, read off the mask ANDed with that vertex's later
+    neighbours, unpacked to one bool per bit; it is maximal when the mask
+    is empty.  Faces of size max_size are not expanded: one with a
+    nonempty mask extends to a larger clique, so it raises.  Each level
+    is scanned in chunks of at most ``_CENSUS_BITS`` mask bits (one row
+    if a row holds more).  Each row carries its dimension total in int64,
+    and each level is summed in int64, far below 2**63 for both callers:
+    a face of a tau-rigid complex (rank at most 8) totals at most
+    8 * 29 = 232 and a level holds at most 163,856 faces (E8), so a level
+    sums to under 2**26; an antichain of roots has zero dimensions.
 
     >>> _clique_census(~np.eye(3, dtype=bool), [1, 2, 3], 3)
     ([1, 3, 3, 1], [0, 6, 12, 6], [0, 0, 0, 1])
@@ -328,17 +331,14 @@ def _clique_census(compatible: np.ndarray, dims, max_size: int, max_cliques: int
     n = len(compatible)
     dims = np.asarray(dims, dtype=np.int64)
     words = max(1, -(-n // 64))
-    packed = np.zeros((n, 8 * words), dtype=np.uint8)
-    packed[:, : -(-n // 8)] = np.packbits(compatible, axis=1, bitorder="little")
-    bits = packed.view("<u8")
-    # the later neighbours of each vertex, in CSR form
-    later = np.triu(compatible, 1)
-    degree = later.sum(axis=1)
-    start = np.concatenate(([0], np.cumsum(degree)))
-    neighbor = np.nonzero(later)[1]
-    word = neighbor >> 6
-    bit = np.left_shift(np.uint64(1), (neighbor & 63).astype(np.uint64))
-    rows_per_chunk = max(1, _CENSUS_EDGES // max(1, int(degree.max(initial=0))))
+
+    def packed(matrix):
+        rows = np.zeros((n, 8 * words), dtype=np.uint8)
+        rows[:, : -(-n // 8)] = np.packbits(matrix, axis=1, bitorder="little")
+        return rows.view("<u8")
+
+    bits, later = packed(compatible), packed(np.triu(compatible, 1))
+    rows_per_chunk = max(1, _CENSUS_BITS // (64 * words))
 
     counts = [0] * (max_size + 1)
     dim_sums = [0] * (max_size + 1)
@@ -358,12 +358,10 @@ def _clique_census(compatible: np.ndarray, dims, max_size: int, max_cliques: int
             break
         chunks = []
         for lo in range(0, len(last), rows_per_chunk):
-            rows = np.arange(lo, min(lo + rows_per_chunk, len(last)))
-            fan = degree[last[rows]]
-            parent = np.repeat(rows, fan)
-            pos = np.arange(len(parent)) + np.repeat(start[last[rows]] - np.cumsum(fan) + fan, fan)
-            keep = (mask.reshape(-1)[parent * words + word[pos]] & bit[pos]) != 0
-            parent, child = parent[keep], neighbor[pos[keep]]
+            ahead = mask[lo : lo + rows_per_chunk] & later[last[lo : lo + rows_per_chunk]]
+            set_bits = np.unpackbits(ahead.view(np.uint8), bitorder="little").view(bool)
+            parent, child = np.divmod(np.flatnonzero(set_bits), 64 * words)
+            parent += lo
             made += len(child)
             if made > max_cliques:
                 raise ImpurityError(f"more than {max_cliques:,} cliques")

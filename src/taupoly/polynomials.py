@@ -99,13 +99,13 @@ class Polynomial:
         >>> str(Polynomial([1, 6, 6, 1]).shifted(1))
         't^3 + 9t^2 + 21t + 14'
         """
-        out: tuple = ()
+        out: list[int] = []
         for c in reversed(self.coeffs):
-            # out <- out*(t+delta) + c
-            shifted_up = (0,) + out
-            scaled = tuple(delta * v for v in out) + (0,) * (len(shifted_up) - len(out))
-            out = tuple(u + v for u, v in zip(shifted_up, scaled))
-            out = (out[0] + c,) + out[1:] if out else (c,)
+            # out <- out*(t+delta) + c, in place from the top coefficient down
+            out.append(0)
+            for i in range(len(out) - 1, 0, -1):
+                out[i] = out[i - 1] + delta * out[i]
+            out[0] = delta * out[0] + c
         return Polynomial(out)
 
     # -- predicates ---------------------------------------------------

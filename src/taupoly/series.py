@@ -81,22 +81,24 @@ class TruncatedSeries:
         return TruncatedSeries([-c for c in self.coeffs], self.order, self.exponential)
 
     def __mul__(self, other):
+        """Termwise by a scalar or a polynomial; by a series, the Cauchy
+        product (binomially weighted between exponential series), with each
+        term a(t) packed into the integer a(2^width).  Every output
+        coefficient is at most B = (sum_i |a_i|_1)(sum_j |b_j|_1), times
+        C(order, order // 2) if exponential, so with width = B.bit_length()
+        + 2 each is one balanced base-2^width digit of its output term."""
         if isinstance(other, (int, Polynomial)):
             return TruncatedSeries([c * other for c in self.coeffs], self.order, self.exponential)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         order = self._common_order(other)
-        out = [ZERO] * (order + 1)
-        for i in range(order + 1):
-            ci = self.coeffs[i]
-            if not ci:
-                continue
-            for j in range(order + 1 - i):
-                cj = other.coeffs[j]
-                if cj:
-                    weight = comb(i + j, i) if self.exponential else 1
-                    out[i + j] = out[i + j] + ci * cj * weight
-        return TruncatedSeries(out, order, self.exponential)
+        a, b = self.coeffs[: order + 1], other.coeffs[: order + 1]
+        bound = sum(sum(map(abs, c)) for c in a) * sum(sum(map(abs, c)) for c in b)
+        width = (bound * (comb(order, order // 2) if self.exponential else 1)).bit_length() + 2
+        a, b = [c(1 << width) for c in a], [c(1 << width) for c in b]
+        weight = comb if self.exponential else lambda n, i: 1
+        out = [sum(weight(n, i) * a[i] * b[n - i] for i in range(n + 1)) for n in range(order + 1)]
+        return TruncatedSeries([_unpack(v, width) for v in out], order, self.exponential)
 
     __rmul__ = __mul__
 
@@ -136,6 +138,15 @@ class TruncatedSeries:
     def __repr__(self):
         kind = "exponential" if self.exponential else "ordinary"
         return f"TruncatedSeries(order={self.order}, {kind}, coeffs={[str(c) for c in self.coeffs]})"
+
+
+def _unpack(value: int, width: int) -> Polynomial:
+    """The p with p(2^width) = value and coefficients in [-2^(width-1), 2^(width-1))."""
+    digits, half = [], 1 << (width - 1)
+    while value:
+        digits.append(((value + half) & (2 * half - 1)) - half)
+        value = (value - digits[-1]) >> width
+    return Polynomial(digits)
 
 
 # ---------------------------------------------------------------------------

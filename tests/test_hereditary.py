@@ -87,7 +87,7 @@ def every_orientation():
 
 
 def roots_of(q):
-    arrows = q.arrow_counts()
+    arrows = q.arrow_counts
     return positive_roots(2 * np.eye(q.rank, dtype=np.int64) - arrows - arrows.T)
 
 
@@ -184,11 +184,11 @@ def test_flipped_euler_form_raises(monkeypatch):
 def test_both_impurity_branches_raise(monkeypatch):
     q = OrientedQuiver.line(3)
     # every module compatible with every other: a 6-clique in a rank-3 complex
-    monkeypatch.setattr(hereditary, "ext_dim", lambda x, y, q: np.zeros((len(x), len(y)), int))
+    monkeypatch.setattr(hereditary, "_root_forms", lambda q, roots: np.zeros((6, 6), int))
     with pytest.raises(ImpurityError, match="clique larger than the ambient rank"):
         tau_rigid_complex(q)
     # no two modules compatible: the root (1,1,0) with P3[1] is a maximal edge
-    monkeypatch.setattr(hereditary, "ext_dim", lambda x, y, q: np.ones((len(x), len(y)), int))
+    monkeypatch.setattr(hereditary, "_root_forms", lambda q, roots: -np.ones((6, 6), int))
     with pytest.raises(ImpurityError, match="maximal face below full rank"):
         tau_rigid_complex(q)
 
@@ -248,9 +248,9 @@ def test_clique_census_matches_a_set_listing(case):
         compatible[a, b] = compatible[b, a] = a != b
     want = reference_census(n, edges, dims, max_size)
     # one row per chunk as well: every level then crosses chunk boundaries
-    for edges_per_chunk in (1, oracles._CENSUS_EDGES):
+    for bits_per_chunk in (1, oracles._CENSUS_BITS):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(oracles, "_CENSUS_EDGES", edges_per_chunk)
+            patch.setattr(oracles, "_CENSUS_BITS", bits_per_chunk)
             if want is None:
                 with pytest.raises(ImpurityError, match="clique larger than the ambient rank"):
                     oracles._clique_census(compatible, dims, max_size)
@@ -261,7 +261,7 @@ def test_clique_census_matches_a_set_listing(case):
 def test_antichain_census_is_the_same_in_any_chunk_size(monkeypatch):
     a10 = DynkinDiagram("A", 10)
     default = oracles.narayana_oracle(a10)
-    monkeypatch.setattr(oracles, "_CENSUS_EDGES", 1)
+    monkeypatch.setattr(oracles, "_CENSUS_BITS", 1)
     assert oracles.narayana_oracle(a10) == default
 
 
@@ -564,7 +564,7 @@ def test_path_cartan_runs_once_per_sweep(monkeypatch):
 def test_translate_orbits_step_by_the_inverse_coxeter_matrix():
     for diagram, q in every_orientation():
         C = path_cartan(q)
-        phi_inv = -(np.eye(q.rank, dtype=np.int64) - q.arrow_counts().T) @ C
+        phi_inv = -(np.eye(q.rank, dtype=np.int64) - q.arrow_counts.T) @ C
         steps = sweep(q)
         for (owner, rows), (next_owner, next_rows) in zip(steps, steps[1:]):
             image = rows @ phi_inv

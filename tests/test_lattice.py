@@ -219,9 +219,9 @@ def test_sign_sequence_blocks_yield_each_sequence_once(block_rows, monkeypatch):
     for n in range(2, 9):
         for ell in range(1, n):
             blocks = list(sign_sequence_blocks(n, ell))
-            assert all(len(block) <= block_rows for block in blocks)
-            # a row is a member of sign_sequences up to the order of its entries
-            members = [[tuple(sorted(row, reverse=True)) for row in b.tolist()] for b in blocks]
+            assert all(block.shape[1] <= block_rows for block in blocks)
+            # a column is a member of sign_sequences up to the order of its entries
+            members = [[tuple(sorted(col, reverse=True)) for col in b.T.tolist()] for b in blocks]
             seen = Counter(row for block in members for row in block)
             assert set(seen) == set(sign_sequences(n, ell))
             assert set(seen.values()) == {1}

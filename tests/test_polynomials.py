@@ -120,6 +120,14 @@ def test_evaluate_after_shift(p, d, x):
     assert p.shifted(d)(x) == p(x + d)
 
 
+@given(st.lists(st.integers(-(10**12), 10**12), max_size=25).map(Polynomial), st.integers(-3, 3))
+def test_shift_of_degree_up_to_24_is_evaluation_at_25_points(p, d):
+    # its values at 25 points fix a polynomial of degree at most 24
+    shifted = p.shifted(d)
+    assert shifted.degree == p.degree
+    assert all(shifted(x) == p(x + d) for x in range(-12, 13))
+
+
 @given(polys, polys, polys)
 def test_distributive(p, q, r):
     assert p * (q + r) == p * q + p * r

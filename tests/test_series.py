@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from taupoly import series
@@ -170,12 +170,17 @@ def _plus(a, b):
     return _strip(out)
 
 
-small_polys = st.lists(st.integers(-3, 3), max_size=3).map(Polynomial)
-terms = st.lists(small_polys, min_size=1, max_size=6)
+# small and past-64-bit coefficients, zero terms, orders 0-13
+coefficients = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
+terms = st.lists(st.lists(coefficients, max_size=4).map(Polynomial), min_size=1, max_size=14)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.booleans(), terms, terms, st.integers(0, 3))
+# products whose largest coefficient is the packing bound itself: -2^140,
+# and the weight C(13, 6) of z^6 * z^7 between exponential series
+@example(False, [P(2**70)], [P(-(2**70))], 0)
+@example(True, [ZERO] * 6 + [ONE] + [ZERO] * 7, [ZERO] * 7 + [ONE] + [ZERO] * 6, 0)
 def test_integer_series_match_fraction_reference(exponential, a, b, k):
     f = TruncatedSeries(a, len(a) - 1, exponential)
     g = TruncatedSeries(b, len(b) - 1, exponential)
