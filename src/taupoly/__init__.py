@@ -3,29 +3,18 @@ doubled-quiver (preprojective) algebras, with brute-force oracles and
 generating-function identity checks."""
 
 from .dynkin import DiagramUnion, DynkinDiagram, delete_vertex, parse_diagram, parse_union
-from .formulas import (
-    PATH,
-    PREPROJECTIVE,
-    AlgebraSpec,
-    aggregate_dims,
-    d_polynomial,
-    f_polynomial,
-    h_polynomial,
-    reproduce_table,
-)
+from .formulas import PATH, PREPROJECTIVE, d_polynomial, f_polynomial, h_polynomial, reproduce_table
 from .polynomials import Polynomial
 from .series import TruncatedSeries
 from .weyl import eulerian_poly, narayana_poly
 
 __all__ = [
-    "AlgebraSpec",
     "DiagramUnion",
     "DynkinDiagram",
     "PATH",
     "PREPROJECTIVE",
     "Polynomial",
     "TruncatedSeries",
-    "aggregate_dims",
     "d_polynomial",
     "delete_vertex",
     "eulerian_poly",

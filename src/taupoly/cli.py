@@ -26,7 +26,7 @@ from functools import cache
 from . import formulas, series, weyl
 from .dynkin import DynkinDiagram, parse_diagram, parse_union
 from .errors import ConsistencyError, TaupolyError, UsageError, check_oracle_budget
-from .formulas import PATH, PREPROJECTIVE, AlgebraSpec
+from .formulas import PATH, PREPROJECTIVE
 from .polynomials import Polynomial
 
 EXIT_OK = 0
@@ -139,7 +139,6 @@ def _family_arg(value: str) -> str:
 def cmd_poly(args) -> Report:
     family = _family_arg(args.family)
     diagram = parse_diagram(args.diagram)
-    spec = AlgebraSpec(family, diagram)
     kind = args.kind
     report = Report(command=f"poly --family {family} --diagram {diagram} --kind {kind}")
     if args.oracle:
@@ -156,27 +155,29 @@ def cmd_poly(args) -> Report:
     elif args.orientation is not None:
         raise UsageError("--orientation picks the quiver of the --oracle route")
     else:
-        poly = getattr(formulas, f"{kind}_polynomial")(spec)
+        poly = getattr(formulas, f"{kind}_polynomial")(family, diagram)
     report.results["polynomial"] = poly
     report.results["coefficients_ascending"] = poly.to_decimal_strings()
     if args.oracle:
         report.results["maximal_faces"] = complex_.maximal_face_count
     if args.verify:
-        _verify_single_poly(report, spec, kind, poly)
+        _verify_single_poly(report, family, diagram, kind, poly)
     return report
 
 
-def _verify_single_poly(report: Report, spec: AlgebraSpec, kind: str, poly: Polynomial) -> None:
-    n = spec.diagram.rank
+def _verify_single_poly(
+    report: Report, family: str, diagram: DynkinDiagram, kind: str, poly: Polynomial
+) -> None:
+    n = diagram.rank
     if kind == "d":
         shifted = poly.shifted(-1)
         report.add_pass_fail("shifted-palindromic", shifted.is_palindromic(n - 1))
         report.add_pass_fail("shifted-unimodal", shifted.is_unimodal())
-        published = formulas.published_row(spec)
+        published = formulas.published_row(family, diagram)
         if published is not None:
             k, row = published
             report.add_check(f"table-{k}-row-{n}", row, formulas.table_row(poly, n))
-        expected = formulas.expected_aggregates(spec)
+        expected = formulas.expected_aggregates(family, diagram)
         if expected is not None:
             report.add_check("aggregates", expected, formulas.aggregate_coefficients(poly, n))
     elif kind == "f":
@@ -332,10 +333,10 @@ def _suite_examples(report: Report, args) -> None:
     report.add_check("example-path-A3-f", Polynomial([14, 21, 9, 1]), complex_.f_polynomial())
     report.add_check("example-path-A3-h", Polynomial([1, 6, 6, 1]), complex_.h_polynomial())
     report.add_check("example-path-A3-d", Polynomial([46, 46, 10]), complex_.d_polynomial())
-    spec = AlgebraSpec(PREPROJECTIVE, DynkinDiagram("A", 3))
-    report.add_check("example-ppa-A3-f", Polynomial([24, 36, 14, 1]), formulas.f_polynomial(spec))
-    report.add_check("example-ppa-A3-h", Polynomial([1, 11, 11, 1]), formulas.h_polynomial(spec))
-    report.add_check("example-ppa-A3-d", Polynomial([120, 120, 24]), formulas.d_polynomial(spec))
+    a3 = DynkinDiagram("A", 3)
+    for kind, expected in (("f", [24, 36, 14, 1]), ("h", [1, 11, 11, 1]), ("d", [120, 120, 24])):
+        actual = getattr(formulas, f"{kind}_polynomial")(PREPROJECTIVE, a3)
+        report.add_check(f"example-ppa-A3-{kind}", Polynomial(expected), actual)
 
 
 def _suite_oracles(report: Report, args) -> None:
@@ -343,11 +344,11 @@ def _suite_oracles(report: Report, args) -> None:
 
     # every orientation of the type A quivers against the closed engine
     for n in range(1, args.max_rank + 1):
-        spec = AlgebraSpec(PATH, DynkinDiagram("A", n))
-        d = formulas.d_polynomial(spec)
-        h = formulas.h_polynomial(spec)
-        f = formulas.f_polynomial(spec)
-        for orientation in hereditary.orientations(DynkinDiagram("A", n)):
+        a_n = DynkinDiagram("A", n)
+        d = formulas.d_polynomial(PATH, a_n)
+        h = formulas.h_polynomial(PATH, a_n)
+        f = formulas.f_polynomial(PATH, a_n)
+        for orientation in hereditary.orientations(a_n):
             q = hereditary.OrientedQuiver.line(n, orientation)
             complex_ = hereditary.tau_rigid_complex(q)
             ok = (
@@ -408,17 +409,13 @@ def _suite_aggregates(report: Report, args) -> None:
         (PREPROJECTIVE, "D", 4),
     ):
         for n in range(lo, 10):
-            spec = AlgebraSpec(family, DynkinDiagram(dfam, n))
-            report.add_check(
-                f"aggregates-{family}-{dfam}{n}",
-                formulas.expected_aggregates(spec),
-                formulas.aggregate_totals_closed(spec),
-            )
-            report.add_check(
-                f"aggregates-poly-route-{family}-{dfam}{n}",
-                formulas.aggregate_totals_closed(spec),
-                formulas.aggregate_dims(spec),
-            )
+            diagram = DynkinDiagram(dfam, n)
+            closed = formulas.aggregate_totals_closed(family, diagram)
+            expected = formulas.expected_aggregates(family, diagram)
+            report.add_check(f"aggregates-{family}-{dfam}{n}", expected, closed)
+            poly = formulas.d_polynomial(family, diagram)
+            poly_route = formulas.aggregate_coefficients(poly, n)
+            report.add_check(f"aggregates-poly-route-{family}-{dfam}{n}", closed, poly_route)
 
 
 def _suite_structural(report: Report, args) -> None:
@@ -434,7 +431,7 @@ def _suite_structural(report: Report, args) -> None:
     for family in (PREPROJECTIVE, PATH):
         for diagram in diagrams:
             n = diagram.rank
-            shifted = formulas.d_polynomial(AlgebraSpec(family, diagram)).shifted(-1)
+            shifted = formulas.d_polynomial(family, diagram).shifted(-1)
             if not (shifted.is_palindromic(n - 1) and shifted.is_unimodal()):
                 ok = False
     report.add_pass_fail("all-shifted-d-palindromic-unimodal", ok)

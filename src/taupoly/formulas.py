@@ -1,9 +1,13 @@
 """The formula engine: dimension and face-count polynomials per algebra.
 
-For both algebra families the dimension polynomial is assembled the same
-way: group the indecomposables into per-vertex orbits, multiply each
-orbit's dimension total by the face-count polynomial of the diagram with
-that vertex deleted, and sum over vertices,
+An algebra is named by its family, ``PREPROJECTIVE`` or ``PATH``, and
+its Dynkin diagram: every function here that takes a family takes
+``(family, diagram)``, in the order of ``weyl.face_polynomial``, and
+``weyl.check_family`` refuses any other family.  For both families the
+dimension polynomial is assembled the same way: group the
+indecomposables into per-vertex orbits, multiply each orbit's dimension
+total by the face-count polynomial of the diagram with that vertex
+deleted, and sum over vertices,
 
     d = sum over vertices l of Dim_l * P(diagram minus l; t+1),
 
@@ -15,35 +19,23 @@ into one list of integers.  The orbit total is one height formula for
 every type: with ht(w_l) the height of the fundamental weight at l (the
 row-l sum of the inverse Cartan matrix C^-1), Dim_l = [W : W(diagram
 minus l)] * ht(w_l) for the preprojective family and 2 * ht(w_l) for the
-path family.  ``dynkin.weight_height`` gives det(C) ht(w_l), the row-l
-sum of the adjugate of C, so Dim_l is one exact division by det C.
+path family, a factor written once, in ``_orbit_dim``.
+``dynkin.weight_height`` gives det(C) ht(w_l), the row-l sum of the
+adjugate of C, so Dim_l is one exact division by det C.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from . import tables, weyl
-from .dynkin import DiagramUnion, DynkinDiagram, cartan_determinant, delete_vertex, weight_height
+from .dynkin import DynkinDiagram, cartan_determinant, delete_vertex, weight_height
 from .errors import UsageError, exact_quotient
 from .polynomials import Polynomial
-from .weyl import PATH, PREPROJECTIVE
+from .weyl import PATH, PREPROJECTIVE, check_family
 
-
-@dataclass(frozen=True)
-class AlgebraSpec:
-    """A family tag plus a connected Dynkin diagram."""
-
-    family: str
-    diagram: DynkinDiagram
-
-    def __post_init__(self):
-        if self.family not in (PREPROJECTIVE, PATH):
-            raise UsageError(f"family must be {PREPROJECTIVE!r} or {PATH!r}")
-
-    def __str__(self) -> str:
-        return f"{self.family} {self.diagram}"
+# the face-count polynomial of the algebra's complex of rigid objects
+f_polynomial = weyl.face_polynomial
 
 
 def orbit_dim_total(family: str, d: DynkinDiagram, ell: int) -> int:
@@ -59,54 +51,46 @@ def orbit_dim_total(family: str, d: DynkinDiagram, ell: int) -> int:
     >>> orbit_dim_total(PATH, DynkinDiagram("D", 4), 2)
     10
     """
+    check_family(family)
     d.check_vertex(ell)
-    if family == PREPROJECTIVE:
-        factor = weyl.coset_count(d, ell)
-    elif family == PATH:
-        factor = 2
-    else:
-        raise UsageError(f"family must be {PREPROJECTIVE!r} or {PATH!r}")
-    return _times_height(factor, d, ell, cartan_determinant(d))
+    return _orbit_dim(family, d, ell, cartan_determinant(d))
 
 
-def _times_height(factor: int, d: DynkinDiagram, ell: int, det: int) -> int:
-    """factor * ht(w_ell), given det = det C: one checked division of
-    factor * weight_height(d, ell), which is factor * det(C) ht(w_ell)."""
+def _orbit_dim(family: str, d: DynkinDiagram, ell: int, det: int, cosets: int = 0) -> int:
+    """Dim_ell = factor * ht(w_ell), given det = det C: the factor is
+    [W : W(d minus ell)] (``cosets``, counted here if 0) for the
+    preprojective family and 2 for the path family, and Dim_ell is one
+    checked division of factor * weight_height(d, ell), which is
+    factor * det(C) ht(w_ell)."""
+    factor = (cosets or weyl.coset_count(d, ell)) if family == PREPROJECTIVE else 2
     total = factor * weight_height(d, ell)
     return exact_quotient(total, det, lambda: f"{factor} ht(w_{ell}) of {d}")
 
 
-def d_polynomial(spec: AlgebraSpec) -> Polynomial:
+def d_polynomial(family: str, d: DynkinDiagram) -> Polynomial:
     """Dimension polynomial of the algebra, assembled by the link recursion.
 
     >>> from taupoly.dynkin import parse_diagram
-    >>> str(d_polynomial(AlgebraSpec("preprojective", parse_diagram("A3"))))
+    >>> str(d_polynomial(PREPROJECTIVE, parse_diagram("A3")))
     '24t^2 + 120t + 120'
-    >>> str(d_polynomial(AlgebraSpec("path", parse_diagram("A3"))))
+    >>> str(d_polynomial(PATH, parse_diagram("A3")))
     '10t^2 + 46t + 46'
     """
-    d = spec.diagram
     det = cartan_determinant(d)
     # Phi_k of a link is the coefficient of t^(n - 1 - k) in its face polynomial
     top = d.rank - 1
     out = [0] * d.rank
-    for ell, cosets, phi in weyl.links(spec.family, d):
-        # Dim_ell, with the factor orbit_dim_total takes
-        total = _times_height(cosets if spec.family == PREPROJECTIVE else 2, d, ell, det)
+    for ell, cosets, phi in weyl.links(family, d):
+        total = _orbit_dim(family, d, ell, det, cosets)
         for k, count in enumerate(phi):
             out[top - k] += total * count
     return Polynomial(out)
 
 
-def f_polynomial(spec: AlgebraSpec) -> Polynomial:
-    """Face-count polynomial of the algebra's complex of rigid objects."""
-    return weyl.face_polynomial(spec.family, spec.diagram)
-
-
-def h_polynomial(spec: AlgebraSpec) -> Polynomial:
+def h_polynomial(family: str, d: DynkinDiagram) -> Polynomial:
     """Descent polynomial (preprojective family) or Narayana polynomial
     (path family) of the full diagram."""
-    return f_polynomial(spec).shifted(-1)
+    return f_polynomial(family, d).shifted(-1)
 
 
 def aggregate_coefficients(poly: Polynomial, n: int) -> tuple[int, int]:
@@ -119,22 +103,7 @@ def aggregate_coefficients(poly: Polynomial, n: int) -> tuple[int, int]:
     return poly.coefficient(n - 1), poly.coefficient(0)
 
 
-def aggregate_dims(spec: AlgebraSpec) -> tuple[int, int]:
-    """The aggregates of the engine's dimension polynomial."""
-    return aggregate_coefficients(d_polynomial(spec), spec.diagram.rank)
-
-
-def _union_maximal_count(spec: AlgebraSpec, union: DiagramUnion) -> int:
-    total = 1
-    for comp in union:
-        if spec.family == PREPROJECTIVE:
-            total *= comp.group_order()
-        else:
-            total *= comp.catalan_count()
-    return total
-
-
-def aggregate_totals_closed(spec: AlgebraSpec) -> tuple[int, int]:
+def aggregate_totals_closed(family: str, d: DynkinDiagram) -> tuple[int, int]:
     """The aggregates by pure counting, bypassing polynomial assembly.
 
     The per-vertex polynomial factors are monic with constant term equal
@@ -143,31 +112,35 @@ def aggregate_totals_closed(spec: AlgebraSpec) -> tuple[int, int]:
     term weights each by that count.  Agreement with the polynomial route
     is asserted in the test suite.
     """
-    d = spec.diagram
     leading = 0
     constant = 0
     for ell in d.vertices:
-        total = orbit_dim_total(spec.family, d, ell)
+        total = orbit_dim_total(family, d, ell)
         leading += total
-        constant += total * _union_maximal_count(spec, delete_vertex(d, ell))
+        maximal = (
+            comp.group_order() if family == PREPROJECTIVE else comp.catalan_count()
+            for comp in delete_vertex(d, ell)
+        )
+        constant += total * prod(maximal)
     return leading, constant
 
 
-def expected_aggregates(spec: AlgebraSpec) -> tuple[int, int] | None:
+def expected_aggregates(family: str, d: DynkinDiagram) -> tuple[int, int] | None:
     """Closed forms for the aggregates where the families admit one.
 
     Returns None for type E, where only the published grids apply.  The
     second path-D value is the sum over vertices of (projective
     dimension) * (Catalan count of the deleted diagram).
     """
-    n = spec.diagram.rank
-    fam = spec.diagram.family
-    if spec.family == PREPROJECTIVE and fam == "A":
+    check_family(family)
+    n = d.rank
+    fam = d.family
+    if family == PREPROJECTIVE and fam == "A":
         return (
             n * (n + 1) * 2 ** (n - 2) if n >= 2 else n * (n + 1) // 2,
             factorial(n + 2) * comb(n + 1, 2) // 6,
         )
-    if spec.family == PREPROJECTIVE and fam == "D":
+    if family == PREPROJECTIVE and fam == "D":
         first = n * (n - 1) * 2 ** (n - 2) + sum(
             (n + ell - 1) * (n - ell) * 2 ** (n - ell - 1) * comb(n, ell)
             for ell in range(2, n)
@@ -177,12 +150,12 @@ def expected_aggregates(spec: AlgebraSpec) -> tuple[int, int] | None:
             for ell in range(2, n)
         )
         return first, second
-    if spec.family == PATH and fam == "A":
+    if family == PATH and fam == "A":
         return (
             n * (n + 1) * (n + 2) // 6,
             4 ** (n + 1) - (n + 2) * DynkinDiagram("A", n + 1).catalan_count(),
         )
-    if spec.family == PATH and fam == "D":
+    if family == PATH and fam == "D":
         first = n * (n - 1) * (2 * n - 1) // 3
         # the A part of D_n minus ell is empty at ell = n - 1, with count 1
         second = n * (n - 1) * DynkinDiagram("A", n - 1).catalan_count() + sum(
@@ -206,12 +179,13 @@ def table_row(poly: Polynomial, n: int) -> tuple[int, ...]:
     return tuple(poly.coefficient(n - 1 - j) for j in range(n))
 
 
-def published_row(spec: AlgebraSpec) -> tuple[int, tuple[int, ...]] | None:
-    """The number of the published table of the spec's family and type,
-    with its row at the spec's rank; None if no table lists that rank."""
-    for k, (family, diagram_family, published) in tables.TABLES.items():
-        if (family, diagram_family) == (spec.family, spec.diagram.family):
-            row = published.get(spec.diagram.rank)
+def published_row(family: str, d: DynkinDiagram) -> tuple[int, tuple[int, ...]] | None:
+    """The number of the published table of the family and type, with its
+    row at the diagram's rank; None if no table lists that rank."""
+    check_family(family)
+    for k, (table_family, diagram_family, published) in tables.TABLES.items():
+        if (table_family, diagram_family) == (family, d.family):
+            row = published.get(d.rank)
             return None if row is None else (k, row)
     return None
 
@@ -227,5 +201,4 @@ def reproduce_table(k: int) -> dict[int, tuple[int, ...]]:
     the published grid lists."""
     ranks = sorted(golden_table(k))
     family, diagram_family, _ = tables.TABLES[k]
-    specs = {n: AlgebraSpec(family, DynkinDiagram(diagram_family, n)) for n in ranks}
-    return {n: table_row(d_polynomial(spec), n) for n, spec in specs.items()}
+    return {n: table_row(d_polynomial(family, DynkinDiagram(diagram_family, n)), n) for n in ranks}

@@ -137,20 +137,6 @@ def euler_form(x, y, q: OrientedQuiver) -> np.ndarray:
     return np.asarray(x) @ euler @ np.asarray(y).T
 
 
-def ext_dim(m, n, q: OrientedQuiver):
-    """dim Ext^1(M, N) = max(0, -<dim M, dim N>) for indecomposables.
-
-    Takes two dimension vectors and returns an int, or two stacks of them
-    and returns the integer matrix of all pairs.
-
-    >>> q = OrientedQuiver.line(2)  # 1 -> 2
-    >>> ext_dim((1, 0), (0, 1), q), ext_dim((0, 1), (1, 0), q)
-    (1, 0)
-    """
-    value = np.maximum(0, -euler_form(m, n, q))
-    return int(value) if value.ndim == 0 else value
-
-
 def _root_forms(q: OrientedQuiver, roots: np.ndarray) -> np.ndarray:
     """The Euler forms <alpha, beta> of every pair of roots, from one
     product that also pairs the projectives P_l, taken from
@@ -176,7 +162,9 @@ class CompatibilityComplex:
     Vertex i is the module of root ``roots[i]`` for i < len(roots), and
     the shifted projective at quiver vertex i - len(roots) after that.
     ``compatible[i, j]`` is True when vertices i and j are compatible (a
-    read-only boolean matrix with a False diagonal).  ``face_counts`` and
+    read-only boolean matrix with a False diagonal).  ``dims`` are the
+    vertex dimensions: a module's is its root's coefficient sum, a
+    shifted projective's 0.  ``face_counts`` and
     ``face_dim_sums`` are the face counts and dimension-weighted face
     counts per size, from a census that refuses a maximal face of fewer
     than ``rank`` vertices, so the maximal faces are the faces of
@@ -185,18 +173,13 @@ class CompatibilityComplex:
 
     roots: np.ndarray
     compatible: np.ndarray
+    dims: list[int]
     face_counts: tuple[int, ...]
     face_dim_sums: tuple[int, ...]
 
     @property
     def rank(self) -> int:
         return self.roots.shape[1]
-
-    @property
-    def dims(self) -> list[int]:
-        """Vertex dimensions: a module's is its root's coefficient sum, a
-        shifted projective's 0."""
-        return self.roots.sum(axis=1).tolist() + [0] * self.rank
 
     @property
     def maximal_face_count(self) -> int:
@@ -300,14 +283,14 @@ def tau_rigid_complex(q: OrientedQuiver) -> CompatibilityComplex:
     compatible[modules:, :modules] = roots.T == 0
     np.fill_diagonal(compatible, False)
     compatible.flags.writeable = False
+    dims = roots.sum(axis=1).tolist() + [0] * q.rank
     key = roots.tobytes(), min(compatible[p][:, p].tobytes() for p in relabellings.values())
     if key not in _FACE_COUNTS:
-        dims = roots.sum(axis=1).tolist() + [0] * q.rank
         counts, dim_sums, maximal = _clique_census(compatible, dims, q.rank)
         if any(maximal[: q.rank]):
             raise ImpurityError("complex is not pure: maximal face below full rank")
         _FACE_COUNTS[key] = tuple(counts), tuple(dim_sums)
-    return CompatibilityComplex(roots, compatible, *_FACE_COUNTS[key])
+    return CompatibilityComplex(roots, compatible, dims, *_FACE_COUNTS[key])
 
 
 def disjoint_union_d_check(q1: OrientedQuiver, q2: OrientedQuiver) -> bool:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 from math import comb
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -48,14 +48,9 @@ from .errors import UsageError, check_oracle_budget
 _BLOCK_ROWS = 2048
 
 
-class OracleSum(NamedTuple):
-    total: int
-    count: int
-
-
 def _sum_blocks(
     blocks: Iterable[np.ndarray], block_total: Callable[[np.ndarray], int], axis: int = 0
-) -> OracleSum:
+) -> tuple[int, int]:
     """The exact total over a stream of blocks, and the count of their
     members, the rows (axis 0) or the columns (axis 1)."""
     total = 0
@@ -63,7 +58,7 @@ def _sum_blocks(
     for block in blocks:
         total += block_total(block)
         count += block.shape[axis]
-    return OracleSum(total, count)
+    return total, count
 
 
 def rect_path_blocks(s: int, t: int) -> Iterator[np.ndarray]:
@@ -157,7 +152,7 @@ def block_sequence_weight(columns: np.ndarray, n: int) -> int:
     return count * positions + int(columns.sum()) - 2 * int(np.count_nonzero(columns > 0))
 
 
-def orbit_total(d: DynkinDiagram, ell: int) -> OracleSum:
+def orbit_total(d: DynkinDiagram, ell: int) -> tuple[int, int]:
     """The preprojective orbit total at vertex ell of a type A or D
     diagram, and the orbit's size, from the model where ell sits: the
     ell x (n-ell+1) rectangle paths in A_n, the corner paths at a fork
@@ -168,7 +163,7 @@ def orbit_total(d: DynkinDiagram, ell: int) -> OracleSum:
     are listed by their steps along the shorter side.
 
     >>> orbit_total(DynkinDiagram("D", 4), 2)
-    OracleSum(total=120, count=24)
+    (120, 24)
     """
     d.check_vertex(ell)
     n = d.rank

@@ -17,7 +17,7 @@ from math import comb, perm
 
 from .dynkin import DynkinDiagram
 from .errors import InsufficientTerms
-from .formulas import PATH, PREPROJECTIVE, AlgebraSpec, d_polynomial, h_polynomial
+from .formulas import PATH, PREPROJECTIVE, d_polynomial, h_polynomial
 from .polynomials import ONE, T, ZERO, Polynomial
 
 
@@ -160,10 +160,7 @@ def type_a_family(family: str, kind: str, count: int) -> list[Polynomial]:
     empty diagram: 1 for h, 0 for d."""
     poly = h_polynomial if kind == "h" else d_polynomial
     empty = ONE if kind == "h" else ZERO
-    return [
-        poly(AlgebraSpec(family, DynkinDiagram("A", n - 1))) if n > 1 else empty
-        for n in range(count)
-    ]
+    return [poly(family, DynkinDiagram("A", n - 1)) if n > 1 else empty for n in range(count)]
 
 
 def type_a_series(family: str, kind: str, order: int, *, shift: int = 0) -> TruncatedSeries:

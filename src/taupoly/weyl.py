@@ -29,6 +29,10 @@ leaves the engine.  For a diagram of rank n the recursion makes fewer
 than n^4 coefficient products; n^4 is checked against
 ``errors.ENGINE_BUDGET`` before any work.
 
+A family is ``PREPROJECTIVE`` or ``PATH``.  ``check_family`` is the one
+check of it: ``face_polynomial``, ``links`` and the ``formulas`` entries
+call it before any memo entry is written.
+
 The brute-force routes the tests compare these with are in ``oracles``;
 nothing here calls them.
 """
@@ -45,6 +49,12 @@ from .polynomials import Polynomial, convolve
 
 PREPROJECTIVE = "preprojective"
 PATH = "path"
+
+
+def check_family(family: str) -> None:
+    """Raise UsageError unless ``family`` is one of the two families."""
+    if family not in (PREPROJECTIVE, PATH):
+        raise UsageError(f"family must be {PREPROJECTIVE!r} or {PATH!r}")
 
 
 def _coset_index(d: DynkinDiagram, ell: int, minor: DiagramUnion) -> int:
@@ -85,10 +95,8 @@ def _link_recursion(family: str, d: DynkinDiagram) -> tuple[int, ...]:
     """Phi of ``d``, reading the Phi of each link from the memo."""
     if family == PREPROJECTIVE:
         scale = 1
-    elif family == PATH:
-        scale, path_weight = 2, d.coxeter_number() + 2
     else:
-        raise UsageError(f"family must be {PREPROJECTIVE!r} or {PATH!r}")
+        scale, path_weight = 2, d.coxeter_number() + 2
     phi = [1] + [0] * d.rank
     for _, cosets, link in _links(family, d):
         weight = cosets if family == PREPROJECTIVE else path_weight
@@ -125,6 +133,7 @@ def _fill(family: str, d: DynkinDiagram) -> None:
 
 
 def _face_counts(family: str, u) -> Sequence[int]:
+    check_family(family)
     u = as_union(u)
     # the largest first, so that a refusal comes before any work
     for comp in sorted(u, key=lambda c: -c.rank):
@@ -135,6 +144,7 @@ def _face_counts(family: str, u) -> Sequence[int]:
 def links(family: str, d: DynkinDiagram) -> list[tuple[int, int, Sequence[int]]]:
     """``(ell, [W(d) : W(d minus ell)], Phi of d minus ell)`` for each
     vertex ``ell`` of ``d``, Phi as ascending counts."""
+    check_family(family)
     _fill(family, d)
     return list(_links(family, d))
 

@@ -1,13 +1,17 @@
-"""One-element definitions and recurrences that the tests hold the
-package's block kernels and engine to.  Nothing in ``taupoly`` uses them."""
+"""One-element definitions, recurrences and closed forms that the tests
+hold the package's block kernels and engine to.  Nothing in ``taupoly``
+uses them."""
 
 from __future__ import annotations
 
 import itertools
 import re
+from functools import cache
+from math import comb
 from typing import Iterable, Iterator
 
-from taupoly.polynomials import Polynomial
+from taupoly.oracles import narayana_a
+from taupoly.polynomials import ONE, Polynomial
 
 East = 0
 North = 1
@@ -64,6 +68,66 @@ def _eulerian_even_signed(m: int) -> tuple[int, ...]:
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
+
+
+# Closed forms for A_n and D_n at any rank, from the paper's explicit
+# formulas; they share nothing with the engine's diagrams or recursion.
+
+
+@cache
+def closed_h(family: str, letter: str, m: int) -> Polynomial:
+    """The h-polynomial of A_m (m >= 0) or D_m (m >= 2, with D_2 = A1xA1
+    and D_3 = A3): the descents over the symmetric or the even-signed
+    permutations (preprojective), or the Narayana numbers (path), those
+    of type D being C(m,k)^2 - m/(m-1) C(m-1,k) C(m-1,k-1) (Fomin and
+    Reading, "Root systems and generalized associahedra", 2005)."""
+    if family == "preprojective":
+        return Polynomial(_eulerian_sym(m + 1) if letter == "A" else _eulerian_even_signed(m))
+    if letter == "A":
+        return narayana_a(m)
+    coeffs = []
+    for k in range(m + 1):
+        correction, rest = divmod(m * comb(m - 1, k) * (comb(m - 1, k - 1) if k else 0), m - 1)
+        assert rest == 0, (m, k)
+        coeffs.append(comb(m, k) ** 2 - correction)
+    return Polynomial(coeffs)
+
+
+@cache
+def _closed_f(family: str, letter: str, m: int) -> Polynomial:
+    return closed_h(family, letter, m).shifted(1)
+
+
+def closed_links(letter: str, n: int) -> list[tuple[int, int, list[tuple[str, int]]]]:
+    """For each vertex l of A_n or D_n: twice the height of w_l (the
+    Bourbaki heights l(n+1-l)/2 on A_n; i(n-i) + C(i,2) at the i-th chain
+    vertex of D_n from its far end, n(n-1)/4 at a fork), the coset count
+    [W : W(diagram minus l)], and the deleted diagram."""
+    if letter == "A":
+        return [
+            (ell * (n + 1 - ell), comb(n + 1, ell), [("A", ell - 1), ("A", n - ell)])
+            for ell in range(1, n + 1)
+        ]
+    chain = [
+        (2 * i * (n - i) + i * (i - 1), 2**i * comb(n, i), [("A", i - 1), ("D", n - i)])
+        for i in range(1, n - 1)
+    ]
+    return chain + 2 * [(n * (n - 1) // 2, 2 ** (n - 1), [("A", n - 1)])]
+
+
+def closed_d(family: str, letter: str, n: int) -> Polynomial:
+    """d = sum over vertices l of Dim_l * h(diagram minus l; t+1), with
+    Dim_l = [W : W(diagram minus l)] ht(w_l) (preprojective) or 2 ht(w_l)
+    (path)."""
+    d = Polynomial()
+    for double_height, cosets, minor in closed_links(letter, n):
+        dim, rest = divmod((cosets if family == "preprojective" else 2) * double_height, 2)
+        assert rest == 0, (letter, n, double_height)
+        f = ONE
+        for part in minor:
+            f = f * _closed_f(family, *part)
+        d = d + dim * f
+    return d
 
 
 def rect_paths(s: int, t: int) -> Iterator[tuple[int, ...]]:

@@ -111,9 +111,7 @@ def test_aggregates_command(capsys):
     argv = ["poly", "--family", "ppa", "--diagram", "D5", "--kind", "d", "--verify"]
     code, payload = run_json(capsys, *argv)
     assert code == 0
-    expected = formulas.expected_aggregates(
-        formulas.AlgebraSpec(formulas.PREPROJECTIVE, DynkinDiagram("D", 5))
-    )
+    expected = formulas.expected_aggregates(formulas.PREPROJECTIVE, DynkinDiagram("D", 5))
     coefficients = payload["results"]["coefficients_ascending"]
     assert (coefficients[-1], coefficients[0]) == tuple(map(str, expected))
     assert payload["checks"][-1] == {
@@ -148,7 +146,7 @@ def test_plain_format_renders_results_and_checks(capsys):
 
 
 def test_plain_format_renders_a_failing_check(capsys, monkeypatch):
-    monkeypatch.setattr(formulas, "expected_aggregates", lambda spec: (10, 45))
+    monkeypatch.setattr(formulas, "expected_aggregates", lambda family, d: (10, 45))
     argv = ["poly", "--family", "path", "--diagram", "A3", "--kind", "d", "--verify"]
     code, out = run(capsys, *argv)
     assert code == cli.EXIT_CHECK_FAILED == 1

@@ -7,14 +7,13 @@ from pathlib import Path
 import pytest
 
 import taupoly
-from taupoly import oracles
+from taupoly import oracles, weyl
 from taupoly.dynkin import DynkinDiagram, delete_vertex
 from taupoly.errors import NotAVertex, RankTooLarge, UsageError
 from taupoly.formulas import (
     PATH,
     PREPROJECTIVE,
-    AlgebraSpec,
-    aggregate_dims,
+    aggregate_coefficients,
     aggregate_totals_closed,
     d_polynomial,
     expected_aggregates,
@@ -22,37 +21,59 @@ from taupoly.formulas import (
     golden_table,
     h_polynomial,
     orbit_dim_total,
+    published_row,
     reproduce_table,
 )
 from taupoly.polynomials import Polynomial
 from taupoly.hereditary import tau_orbit_totals
 from taupoly.weyl import coset_count
 
+from reference import closed_d, closed_h
 
-def spec(family, dfam, n):
-    return AlgebraSpec(family, DynkinDiagram(dfam, n))
+
+A = lambda n: DynkinDiagram("A", n)
+D = lambda n: DynkinDiagram("D", n)
+E = lambda n: DynkinDiagram("E", n)
+
+
+def poly_aggregates(family, diagram):
+    return aggregate_coefficients(d_polynomial(family, diagram), diagram.rank)
 
 
 def test_worked_examples():
-    assert d_polynomial(spec(PREPROJECTIVE, "A", 3)) == Polynomial([120, 120, 24])
-    assert d_polynomial(spec(PATH, "A", 3)) == Polynomial([46, 46, 10])
-    assert h_polynomial(spec(PATH, "A", 3)) == Polynomial([1, 6, 6, 1])
-    assert h_polynomial(spec(PREPROJECTIVE, "A", 3)) == Polynomial([1, 11, 11, 1])
-    assert h_polynomial(spec(PREPROJECTIVE, "A", 1)) == Polynomial([1, 1])
-    assert f_polynomial(spec(PREPROJECTIVE, "A", 3)) == Polynomial([24, 36, 14, 1])
-    assert f_polynomial(spec(PATH, "A", 3)) == Polynomial([14, 21, 9, 1])
-    assert f_polynomial(spec(PATH, "A", 1)) == Polynomial([2, 1])
-    assert d_polynomial(spec(PATH, "A", 1)) == Polynomial([1])
+    assert d_polynomial(PREPROJECTIVE, A(3)) == Polynomial([120, 120, 24])
+    assert d_polynomial(PATH, A(3)) == Polynomial([46, 46, 10])
+    assert h_polynomial(PATH, A(3)) == Polynomial([1, 6, 6, 1])
+    assert h_polynomial(PREPROJECTIVE, A(3)) == Polynomial([1, 11, 11, 1])
+    assert h_polynomial(PREPROJECTIVE, A(1)) == Polynomial([1, 1])
+    assert f_polynomial(PREPROJECTIVE, A(3)) == Polynomial([24, 36, 14, 1])
+    assert f_polynomial(PATH, A(3)) == Polynomial([14, 21, 9, 1])
+    assert f_polynomial(PATH, A(1)) == Polynomial([2, 1])
+    assert d_polynomial(PATH, A(1)) == Polynomial([1])
+
+
+# the largest rank at which the test below stays under ~1.5 s, cold
+CLOSED_FORM_RANK = 50
+
+
+def test_closed_forms_equal_the_engine_at_every_rank():
+    # h and d of every A_n and D_n, far past the ranks any oracle reaches
+    for family in (PREPROJECTIVE, PATH):
+        for letter, low in (("A", 1), ("D", 4)):
+            for n in range(low, CLOSED_FORM_RANK + 1):
+                diagram = DynkinDiagram(letter, n)
+                assert h_polynomial(family, diagram) == closed_h(family, letter, n), diagram
+                assert d_polynomial(family, diagram) == closed_d(family, letter, n), diagram
 
 
 def test_path_d4_row():
-    assert d_polynomial(spec(PATH, "D", 4)) == Polynomial([332, 498, 222, 28])
+    assert d_polynomial(PATH, D(4)) == Polynomial([332, 498, 222, 28])
 
 
 def test_degree_is_rank_minus_one():
     for family in (PREPROJECTIVE, PATH):
         for dfam, n in (("A", 5), ("D", 5), ("A", 1)):
-            assert d_polynomial(spec(family, dfam, n)).degree == n - 1
+            assert d_polynomial(family, DynkinDiagram(dfam, n)).degree == n - 1
 
 
 def test_closed_tables_match_golden():
@@ -63,7 +84,7 @@ def test_closed_tables_match_golden():
 def test_path_e6_row():
     rows = {
         6: tuple(
-            d_polynomial(spec(PATH, "E", 6)).coefficient(5 - j) for j in range(6)
+            d_polynomial(PATH, E(6)).coefficient(5 - j) for j in range(6)
         )
     }
     assert rows[6] == golden_table(6)[6]
@@ -95,10 +116,10 @@ def test_e_table_identities_without_enumeration():
 
 
 def test_aggregates_worked_examples():
-    assert aggregate_dims(spec(PREPROJECTIVE, "A", 3)) == (24, 120)
-    assert aggregate_dims(spec(PATH, "A", 3)) == (10, 46)
-    assert aggregate_dims(spec(PATH, "D", 4)) == (28, 332)
-    assert aggregate_totals_closed(spec(PATH, "D", 4)) == (28, 332)
+    assert poly_aggregates(PREPROJECTIVE, A(3)) == (24, 120)
+    assert poly_aggregates(PATH, A(3)) == (10, 46)
+    assert poly_aggregates(PATH, D(4)) == (28, 332)
+    assert aggregate_totals_closed(PATH, D(4)) == (28, 332)
 
 
 def test_closed_aggregates_match_polynomial_route():
@@ -109,14 +130,36 @@ def test_closed_aggregates_match_polynomial_route():
         (PATH, "D", range(4, 7)),
     ):
         for n in ranks:
-            s = spec(family, dfam, n)
-            assert aggregate_totals_closed(s) == aggregate_dims(s)
-            expected = expected_aggregates(s)
-            assert expected == aggregate_totals_closed(s)
+            diagram = DynkinDiagram(dfam, n)
+            assert aggregate_totals_closed(family, diagram) == poly_aggregates(family, diagram)
+            expected = expected_aggregates(family, diagram)
+            assert expected == aggregate_totals_closed(family, diagram)
 
 
 def test_expected_aggregates_none_for_e():
-    assert expected_aggregates(spec(PATH, "E", 6)) is None
+    assert expected_aggregates(PATH, E(6)) is None
+
+
+# every entry that takes a family, by name
+FAMILY_ENTRIES = {
+    "d_polynomial": d_polynomial,
+    "f_polynomial": f_polynomial,
+    "h_polynomial": h_polynomial,
+    "orbit_dim_total": lambda family, d: orbit_dim_total(family, d, 1),
+    "aggregate_totals_closed": aggregate_totals_closed,
+    "expected_aggregates": expected_aggregates,
+    "published_row": published_row,
+    "face_polynomial": weyl.face_polynomial,
+    "links": weyl.links,
+}
+
+
+@pytest.mark.parametrize("name", FAMILY_ENTRIES)
+def test_every_entry_refuses_an_unknown_family_before_any_memo_entry(name):
+    memo = dict(weyl._FACE_COUNTS)
+    with pytest.raises(UsageError, match="^family must be 'preprojective' or 'path'$"):
+        FAMILY_ENTRIES[name]("pth", D(5))
+    assert weyl._FACE_COUNTS == memo
 
 
 def test_orbit_dim_totals():
@@ -231,11 +274,11 @@ def test_catalan_count():
 
 def test_rank_bounds_and_usage():
     # the engine runs past the ranks of the published tables
-    assert h_polynomial(spec(PATH, "A", 12)) == oracles.narayana_a(12)
+    assert h_polynomial(PATH, A(12)) == oracles.narayana_a(12)
     d12 = DynkinDiagram("D", 12)
-    assert h_polynomial(spec(PREPROJECTIVE, "D", 12))(1) == d12.group_order()
+    assert h_polynomial(PREPROJECTIVE, D(12))(1) == d12.group_order()
     with pytest.raises(UsageError):
-        AlgebraSpec("pth", DynkinDiagram("A", 2))
+        d_polynomial("pth", DynkinDiagram("A", 2))
     with pytest.raises(UsageError):
         reproduce_table(7)
 
@@ -244,7 +287,7 @@ def test_e8_h_polynomial_is_gated():
     # E8 is far within the engine's budget; the E8 weight orbit is over
     # the oracle budget, the E8 antichain census is not (test_weyl
     # compares it)
-    assert h_polynomial(spec(PATH, "E", 8))(1) == 25080
-    assert h_polynomial(spec(PREPROJECTIVE, "E", 8))(1) == 696729600
+    assert h_polynomial(PATH, E(8))(1) == 25080
+    assert h_polynomial(PREPROJECTIVE, E(8))(1) == 696729600
     with pytest.raises(RankTooLarge, match="696,729,600"):
         oracles.eulerian(DynkinDiagram("E", 8))

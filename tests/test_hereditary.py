@@ -14,12 +14,11 @@ from taupoly.errors import (
     NotAModule,
     RankTooLarge,
 )
-from taupoly.formulas import PATH, AlgebraSpec, golden_table
+from taupoly.formulas import PATH, golden_table
 from taupoly.hereditary import (
     OrientedQuiver,
     disjoint_union_d_check,
     euler_form,
-    ext_dim,
     orientations,
     path_cartan,
     tau_orbit_totals,
@@ -94,6 +93,12 @@ def roots_of(q):
 def hom_dim(m, n, q):
     """dim Hom(M, N) for indecomposables: the Euler form where Ext vanishes."""
     return max(0, int(euler_form(m, n, q)))
+
+
+def ext(m, n, q):
+    """dim Ext^1(M, N) = max(0, -<dim M, dim N>) for indecomposables, the
+    rule the complex's build applies; the matrix of all pairs for stacks."""
+    return np.maximum(0, -euler_form(m, n, q))
 
 
 def test_worked_example_rank_three():
@@ -276,28 +281,26 @@ def test_interval_modules_are_bricks():
         assert set(roots) == intervals
         for root in roots:
             assert hom_dim(root, root, q) == 1
-            assert ext_dim(root, root, q) == 0
+            assert ext(root, root, q) == 0
 
 
 def test_ext_on_the_two_vertex_quiver():
     q = OrientedQuiver.line(2, "1")  # 1 -> 2
-    assert ext_dim((1, 0), (0, 1), q) == 1  # the nonsplit extension is (1,1)
-    assert ext_dim((0, 1), (1, 0), q) == 0
+    assert ext((1, 0), (0, 1), q) == 1  # the nonsplit extension is (1,1)
+    assert ext((0, 1), (1, 0), q) == 0
     far = OrientedQuiver.line(4, "111")
-    assert ext_dim((1, 0, 0, 0), (0, 0, 1, 1), far) == 0
-    assert ext_dim((0, 0, 1, 1), (1, 0, 0, 0), far) == 0
+    assert ext((1, 0, 0, 0), (0, 0, 1, 1), far) == 0
+    assert ext((0, 0, 1, 1), (1, 0, 0, 0), far) == 0
     # stacks of vectors give the matrix of all pairs
     simples = np.eye(2, dtype=np.int64)
-    assert ext_dim(simples, simples, q).tolist() == [[0, 1], [0, 0]]
+    assert ext(simples, simples, q).tolist() == [[0, 1], [0, 0]]
 
 
 def test_orientation_independence_matches_closed_forms():
     for n in range(1, 5):
-        spec = AlgebraSpec(PATH, DynkinDiagram("A", n))
         expected = {
-            "d": formulas.d_polynomial(spec),
-            "f": formulas.f_polynomial(spec),
-            "h": formulas.h_polynomial(spec),
+            kind: getattr(formulas, f"{kind}_polynomial")(PATH, DynkinDiagram("A", n))
+            for kind in "dfh"
         }
         for orientation in orientations(DynkinDiagram("A", n)):
             complex_ = tau_rigid_complex(OrientedQuiver.line(n, orientation))
@@ -364,10 +367,9 @@ def test_complex_matches_engine_on_d_and_e():
     ]
     for diagram, orientation in quivers:
         complex_ = tau_rigid_complex(OrientedQuiver.from_diagram(diagram, orientation))
-        spec = AlgebraSpec(PATH, diagram)
-        assert complex_.f_polynomial() == formulas.f_polynomial(spec), (diagram, orientation)
-        assert complex_.h_polynomial() == formulas.h_polynomial(spec), (diagram, orientation)
-        assert complex_.d_polynomial() == formulas.d_polynomial(spec), (diagram, orientation)
+        for kind in "fhd":
+            engine = getattr(formulas, f"{kind}_polynomial")(PATH, diagram)
+            assert getattr(complex_, f"{kind}_polynomial")() == engine, (diagram, orientation)
         assert complex_.maximal_face_count == diagram.catalan_count()
         assert len(complex_.compatible) == diagram.positive_root_count() + diagram.rank
 
@@ -648,10 +650,9 @@ def test_random_orientations_match_the_engine(case):
     diagram, orientation = case
     q = OrientedQuiver.from_diagram(diagram, orientation)
     complex_ = tau_rigid_complex(q)
-    spec = AlgebraSpec(PATH, diagram)
-    assert complex_.f_polynomial() == formulas.f_polynomial(spec)
-    assert complex_.h_polynomial() == formulas.h_polynomial(spec)
-    assert complex_.d_polynomial() == formulas.d_polynomial(spec)
+    assert complex_.f_polynomial() == formulas.f_polynomial(PATH, diagram)
+    assert complex_.h_polynomial() == formulas.h_polynomial(PATH, diagram)
+    assert complex_.d_polynomial() == formulas.d_polynomial(PATH, diagram)
     assert sweep_totals(q) == {
         ell: formulas.orbit_dim_total(PATH, diagram, ell) for ell in diagram.vertices
     }
