@@ -6,7 +6,6 @@ from .dynkin import DiagramUnion, DynkinDiagram, delete_vertex, parse_diagram, p
 from .formulas import PATH, PREPROJECTIVE, d_polynomial, f_polynomial, h_polynomial, reproduce_table
 from .polynomials import Polynomial
 from .series import TruncatedSeries
-from .weyl import eulerian_poly, narayana_poly
 
 __all__ = [
     "DiagramUnion",
@@ -17,10 +16,8 @@ __all__ = [
     "TruncatedSeries",
     "d_polynomial",
     "delete_vertex",
-    "eulerian_poly",
     "f_polynomial",
     "h_polynomial",
-    "narayana_poly",
     "parse_diagram",
     "parse_union",
     "reproduce_table",

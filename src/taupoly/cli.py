@@ -191,16 +191,20 @@ def _verify_single_poly(
 # ---------------------------------------------------------------------------
 
 
+# the family whose h-polynomial each command names
+_H_FAMILY = {"eulerian": PREPROJECTIVE, "narayana": PATH}
+
+
 def cmd_h_polynomial(args) -> Report:
     # --oracle is the only thing that picks a route: the engine is
-    # weyl.<command>_poly and the brute force oracles.<command>
+    # formulas.h_polynomial and the brute force oracles.<command>
     union = parse_union(args.diagram)
     if args.oracle:
         from . import oracles
 
         poly = getattr(oracles, args.command)(union)
     else:
-        poly = getattr(weyl, f"{args.command}_poly")(union)
+        poly = formulas.h_polynomial(_H_FAMILY[args.command], union)
     report = Report(command=f"{args.command} {union}")
     report.results["polynomial"] = poly
     report.results["coefficients_ascending"] = poly.to_decimal_strings()
@@ -384,9 +388,9 @@ def _suite_oracles(report: Report, args) -> None:
     # translate orbits against the engine's path-family orbit totals
     for rank in (6, 7, 8):
         diagram = DynkinDiagram("E", rank)
-        engine = tuple(formulas.orbit_dim_total(PATH, diagram, ell) for ell in diagram.vertices)
+        totals = tuple(formulas.orbit_dim_total(PATH, diagram, ell) for ell in diagram.vertices)
         orbit = tuple(hereditary.tau_orbit_totals(diagram).values())
-        report.add_check(f"tau-orbit-E{rank}", engine, orbit)
+        report.add_check(f"tau-orbit-E{rank}", totals, orbit)
     # Narayana closed formula vs oracle on small ranks
     for rank in range(1, min(args.max_rank, 5) + 1):
         report.add_check(
@@ -438,13 +442,11 @@ def _suite_structural(report: Report, args) -> None:
     # descent and Narayana polynomials: palindromic, correct totals
     stats_ok = True
     for diagram in diagrams:
-        n = diagram.rank
-        eul = weyl.eulerian_poly(diagram)
-        if not eul.is_palindromic(n) or eul(1) != diagram.group_order():
-            stats_ok = False
-        nar = weyl.narayana_poly(diagram)
-        if not nar.is_palindromic(n) or nar(1) != diagram.catalan_count():
-            stats_ok = False
+        totals = {PREPROJECTIVE: diagram.group_order(), PATH: diagram.catalan_count()}
+        for family, total in totals.items():
+            h = formulas.h_polynomial(family, diagram)
+            if not h.is_palindromic(diagram.rank) or h(1) != total:
+                stats_ok = False
     report.add_pass_fail("group-statistics-palindromic-with-known-totals", stats_ok)
     # purity and maximal-face counts of the complexes
     purity_ok = True

@@ -14,14 +14,14 @@ deleted, and sum over vertices,
 where P is the descent polynomial for the preprojective family and the
 Narayana polynomial for the path family; P(.; t+1) is the face-count
 polynomial that ``weyl.face_polynomial`` computes by the link recursion.
-``d_polynomial`` reads the link counts from ``weyl.links`` and sums them
-into one list of integers.  The orbit total is one height formula for
-every type: with ht(w_l) the height of the fundamental weight at l (the
-row-l sum of the inverse Cartan matrix C^-1), Dim_l = [W : W(diagram
-minus l)] * ht(w_l) for the preprojective family and 2 * ht(w_l) for the
-path family, a factor written once, in ``_orbit_dim``.
-``dynkin.weight_height`` gives det(C) ht(w_l), the row-l sum of the
-adjugate of C, so Dim_l is one exact division by det C.
+``d_polynomial`` is ``weyl.link_sum`` with the weights Dim_l: the face
+counts are the same sum with the weights N_l.  The orbit total is one
+height formula for every type: with ht(w_l) the height of the
+fundamental weight at l (the row-l sum of the inverse Cartan matrix
+C^-1), Dim_l = [W : W(diagram minus l)] * ht(w_l) for the preprojective
+family and 2 * ht(w_l) for the path family, a factor written once, in
+``_orbit_dim``.  ``dynkin.weight_height`` gives det(C) ht(w_l), the
+row-l sum of the adjugate of C, so Dim_l is one exact division by det C.
 """
 
 from __future__ import annotations
@@ -78,19 +78,20 @@ def d_polynomial(family: str, d: DynkinDiagram) -> Polynomial:
     """
     det = cartan_determinant(d)
     # Phi_k of a link is the coefficient of t^(n - 1 - k) in its face polynomial
-    top = d.rank - 1
-    out = [0] * d.rank
-    for ell, cosets, phi in weyl.links(family, d):
-        total = _orbit_dim(family, d, ell, det, cosets)
-        for k, count in enumerate(phi):
-            out[top - k] += total * count
-    return Polynomial(out)
+    dims = weyl.link_sum(family, d, lambda ell, cosets: _orbit_dim(family, d, ell, det, cosets))
+    return Polynomial(dims[::-1])
 
 
-def h_polynomial(family: str, d: DynkinDiagram) -> Polynomial:
+def h_polynomial(family: str, u) -> Polynomial:
     """Descent polynomial (preprojective family) or Narayana polynomial
-    (path family) of the full diagram."""
-    return f_polynomial(family, d).shifted(-1)
+    (path family) of a diagram or union: the h-polynomial of its complex.
+
+    >>> str(h_polynomial(PREPROJECTIVE, DynkinDiagram("A", 3)))
+    't^3 + 11t^2 + 11t + 1'
+    >>> str(h_polynomial(PATH, DynkinDiagram("A", 3)))
+    't^3 + 6t^2 + 6t + 1'
+    """
+    return f_polynomial(family, u).shifted(-1)
 
 
 def aggregate_coefficients(poly: Polynomial, n: int) -> tuple[int, int]:

@@ -18,14 +18,14 @@ Each enumeration also reports its path count so callers can check the
 counting identities alongside the weighted sums; that count, known in
 closed form, is checked against the oracle budget before enumerating.
 
-All three models run in numpy blocks of at most ``_BLOCK_ROWS`` paths
+All three models run in numpy blocks of at most ``_BLOCK_WIDTH`` paths
 or sequences (``rect_path_blocks``, ``corner_path_blocks``,
 ``sign_sequence_blocks``): every path or sequence is still built exactly
 once, but per block rather than per tuple, and each block is reduced
 straight to its total (``block_area_rect``, ``block_area_corner``,
-``block_sequence_weight``).  A path is a row of its block; a sign
-sequence is a column, one entry per row, so the short entry axis is
-the outer one.
+``block_sequence_weight``).  A path or a sequence is a column of its
+block, one step or entry per row, so the short entry axis is the outer
+one.
 The tests compare every block with the one-path definition of its
 statistic.
 """
@@ -43,63 +43,63 @@ from .errors import UsageError, check_oracle_budget
 
 # paths or sequences per block of every model; within the oracle budget a
 # corner path or a sign sequence has at most 23 entries, and a rectangle
-# block is cut to at most _BLOCK_ROWS * 24 entries, so no array of a block
+# block is cut to at most _BLOCK_WIDTH * 24 entries, so no array of a block
 # passes 400 KB
-_BLOCK_ROWS = 2048
+_BLOCK_WIDTH = 2048
 
 
 def _sum_blocks(
-    blocks: Iterable[np.ndarray], block_total: Callable[[np.ndarray], int], axis: int = 0
+    blocks: Iterable[np.ndarray], block_total: Callable[[np.ndarray], int]
 ) -> tuple[int, int]:
     """The exact total over a stream of blocks, and the count of their
-    members, the rows (axis 0) or the columns (axis 1)."""
+    members, the columns."""
     total = 0
     count = 0
     for block in blocks:
         total += block_total(block)
-        count += block.shape[axis]
+        count += block.shape[1]
     return total, count
 
 
 def rect_path_blocks(s: int, t: int) -> Iterator[np.ndarray]:
     """The monotone paths from (0,0) to (s,t) for s >= 1, each once, as int64
-    rows of East-step positions (entry j is the index of the j-th East
-    step), in arrays of at most ``_BLOCK_ROWS`` rows; long rows cut a
-    block to ``_BLOCK_ROWS * 24`` entries, or to a single row.
+    columns of East-step positions (entry j is the index of the j-th East
+    step), in arrays of at most ``_BLOCK_WIDTH`` columns; long columns cut
+    a block to ``_BLOCK_WIDTH * 24`` entries, or to a single column.
 
-    >>> next(rect_path_blocks(2, 2)).tolist()
+    >>> next(rect_path_blocks(2, 2)).T.tolist()
     [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
     """
-    rows_per_block = max(1, min(_BLOCK_ROWS, _BLOCK_ROWS * 24 // s))
+    paths_per_block = max(1, min(_BLOCK_WIDTH, _BLOCK_WIDTH * 24 // s))
     combos = itertools.combinations(range(s + t), s)
     while True:
-        chunk = itertools.chain.from_iterable(itertools.islice(combos, rows_per_block))
+        chunk = itertools.chain.from_iterable(itertools.islice(combos, paths_per_block))
         positions = np.fromiter(chunk, dtype=np.int64).reshape(-1, s)
         if not len(positions):
             return
-        yield positions
+        yield positions.T
 
 
 def block_area_rect(positions: np.ndarray) -> int:
     """The total area of a block of ``rect_path_blocks``, a path's area
     being the unit squares of [0,s] x [0,t] below it: the j-th East step
     (from 0) lies above p_j - j North steps, and covers that many."""
-    rows, s = positions.shape
-    return int(positions.sum()) - rows * comb(s, 2)
+    s, count = positions.shape
+    return int(positions.sum()) - count * comb(s, 2)
 
 
 def corner_path_blocks(length: int) -> Iterator[np.ndarray]:
     """The 2**length sequences of East (0) and North (1) steps, each once,
-    as int64 rows in arrays of at most ``_BLOCK_ROWS`` rows: step i of the
-    m-th path is bit i of m.
+    as int64 columns in arrays of at most ``_BLOCK_WIDTH`` columns: step i
+    of the m-th path is bit i of m.
 
-    >>> next(corner_path_blocks(2)).tolist()
+    >>> next(corner_path_blocks(2)).T.tolist()
     [[0, 0], [1, 0], [0, 1], [1, 1]]
     """
-    bits = np.arange(length)
-    for start in range(0, 1 << length, _BLOCK_ROWS):
-        masks = np.arange(start, min(start + _BLOCK_ROWS, 1 << length))
-        yield (masks[:, None] >> bits) & 1
+    bits = np.arange(length)[:, None]
+    for start in range(0, 1 << length, _BLOCK_WIDTH):
+        masks = np.arange(start, min(start + _BLOCK_WIDTH, 1 << length))
+        yield (masks >> bits) & 1
 
 
 def block_area_corner(steps: np.ndarray, n: int) -> int:
@@ -107,14 +107,14 @@ def block_area_corner(steps: np.ndarray, n: int) -> int:
     being the squares of the staircase {x, y >= 0, x + y <= n} below or
     right of it: a North step at index i, after j North and x East steps,
     adds (n - 1) - j - x = (n - 1) - i."""
-    return int((steps @ np.arange(n - 1, 0, -1)).sum())
+    return int((np.arange(n - 1, 0, -1) @ steps).sum())
 
 
 def sign_sequence_blocks(n: int, ell: int) -> Iterator[np.ndarray]:
     """The 2^(n-ell) binom(n, ell) strictly decreasing sequences of n - ell
     values with distinct absolute values from {1..n}, each with either
     sign, each once and each up to the order of its entries, as the
-    columns of (n - ell, at most ``_BLOCK_ROWS``) arrays, one entry per
+    columns of (n - ell, at most ``_BLOCK_WIDTH``) arrays, one entry per
     row: ``block_sequence_weight`` reads no entry order.
 
     Each block pairs a run of sign vectors with a run of absolute-value
@@ -127,8 +127,8 @@ def sign_sequence_blocks(n: int, ell: int) -> Iterator[np.ndarray]:
     """
     k = n - ell
     dtype = np.promote_types(np.int32, np.min_scalar_type(-n))
-    signs_per_block = min(1 << k, _BLOCK_ROWS)
-    combos_per_block = _BLOCK_ROWS // signs_per_block
+    signs_per_block = min(1 << k, _BLOCK_WIDTH)
+    combos_per_block = _BLOCK_WIDTH // signs_per_block
     bits = np.arange(k)[:, None]
     for start in range(0, 1 << k, signs_per_block):
         masks = np.arange(start, min(start + signs_per_block, 1 << k))
@@ -177,4 +177,4 @@ def orbit_total(d: DynkinDiagram, ell: int) -> tuple[int, int]:
         return _sum_blocks(corner_path_blocks(n - 1), lambda steps: block_area_corner(steps, n))
     check_oracle_budget(f"{d} sign-sequence model at vertex {ell}", 2 ** (n - ell) * comb(n, ell))
     blocks = sign_sequence_blocks(n, ell)
-    return _sum_blocks(blocks, lambda columns: block_sequence_weight(columns, n), axis=1)
+    return _sum_blocks(blocks, lambda columns: block_sequence_weight(columns, n))

@@ -17,8 +17,11 @@ for k = 1..n, where N_l counts the complex's vertices of type l:
 * path: N_l = (h + 2) / 2 with h the Coxeter number, applied as
   2k Phi_k = (h + 2) * sum so that nothing is ever a fraction.
 
-The face polynomial is Phi with its coefficients reversed, and its shift
-by -1 is the h-polynomial: the descent polynomial of the Weyl group
+The sum over links, with any weight per vertex, is ``link_sum``: the
+recursion takes it with N_l, and ``formulas.d_polynomial`` with the
+orbit dimension totals.  The face polynomial is Phi with its
+coefficients reversed, and its shift by -1 is the h-polynomial
+(``formulas.h_polynomial``): the descent polynomial of the Weyl group
 (preprojective) or the W-Narayana polynomial (path).  Every division is
 checked to be exact, and a failure raises ``ConsistencyError``.  The
 connected diagrams below a diagram are filled in by rank, smallest
@@ -30,8 +33,8 @@ than n^4 coefficient products; n^4 is checked against
 ``errors.ENGINE_BUDGET`` before any work.
 
 A family is ``PREPROJECTIVE`` or ``PATH``.  ``check_family`` is the one
-check of it: ``face_polynomial``, ``links`` and the ``formulas`` entries
-call it before any memo entry is written.
+check of it: ``face_polynomial``, ``link_sum`` and the ``formulas``
+entries call it before any memo entry is written.
 
 The brute-force routes the tests compare these with are in ``oracles``;
 nothing here calls them.
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 from functools import reduce
 from math import prod
-from typing import Iterator, Sequence
+from typing import Callable, Sequence
 
 from .dynkin import DiagramUnion, DynkinDiagram, as_union, delete_vertex
 from .errors import ENGINE_BUDGET, RankTooLarge, UsageError, exact_quotient
@@ -82,46 +85,49 @@ def _union_counts(family: str, u: DiagramUnion) -> Sequence[int]:
     return reduce(convolve, counts) if counts else (1,)
 
 
-def _links(family: str, d: DynkinDiagram) -> Iterator[tuple[int, int, Sequence[int]]]:
-    """``(ell, [W(d) : W(d minus ell)], Phi of d minus ell)`` for each
-    vertex ``ell`` of ``d``, reading the Phi of its components from the
-    memo; one deletion serves both."""
-    for ell in d.vertices:
-        minor = delete_vertex(d, ell)
-        yield ell, _coset_index(d, ell, minor), _union_counts(family, minor)
+def link_sum(family: str, d: DynkinDiagram, weight: Callable[[int, int], int]) -> list[int]:
+    """Sum over the vertices ``ell`` of ``d`` of ``weight(ell, [W(d) :
+    W(d minus ell)])`` times the Phi of d minus ell, as ascending counts,
+    after checking the work, estimated from the rank, against the engine
+    budget and memoising the Phi of every connected diagram below ``d``.
 
-
-def _link_recursion(family: str, d: DynkinDiagram) -> tuple[int, ...]:
-    """Phi of ``d``, reading the Phi of each link from the memo."""
-    if family == PREPROJECTIVE:
-        scale = 1
-    else:
-        scale, path_weight = 2, d.coxeter_number() + 2
-    phi = [1] + [0] * d.rank
-    for _, cosets, link in _links(family, d):
-        weight = cosets if family == PREPROJECTIVE else path_weight
-        for k, count in enumerate(link, 1):
-            phi[k] += weight * count
-    faces = f"faces of the {family} complex of {d}"
-    for k in range(1, d.rank + 1):
-        phi[k] = exact_quotient(phi[k], scale * k, lambda: f"{k}-{faces}")
-    return tuple(phi)
-
-
-def _fill(family: str, d: DynkinDiagram) -> None:
-    """Memoise the Phi of ``d`` and of every connected diagram below it.
-    The work, estimated from the rank, is checked against the engine
-    budget before any is done."""
-    if (family, d) in _FACE_COUNTS:
-        return
+    >>> link_sum(PREPROJECTIVE, DynkinDiagram("A", 2), lambda ell, cosets: cosets)
+    [6, 12]
+    """
+    check_family(family)
     if d.rank**4 > ENGINE_BUDGET:
         raise RankTooLarge(
             f"the {family} link recursion of {d} makes up to {d.rank**4:,}"
             f" coefficient products, over the engine budget of {ENGINE_BUDGET:,}"
         )
+    minors = {ell: delete_vertex(d, ell) for ell in d.vertices}
+    _fill(family, [comp for minor in minors.values() for comp in minor])
+    total = [0] * d.rank
+    for ell, minor in minors.items():
+        w = weight(ell, _coset_index(d, ell, minor))
+        for k, count in enumerate(_union_counts(family, minor)):
+            total[k] += w * count
+    return total
+
+
+def _link_recursion(family: str, d: DynkinDiagram) -> tuple[int, ...]:
+    """Phi of ``d``, from the link sum weighted by N_ell."""
+    if family == PREPROJECTIVE:
+        scale, weight = 1, lambda ell, cosets: cosets
+    else:
+        path_weight = d.coxeter_number() + 2
+        scale, weight = 2, lambda ell, cosets: path_weight
+    faces = f"faces of the {family} complex of {d}"
+    sums = enumerate(link_sum(family, d, weight), 1)
+    return (1, *(exact_quotient(s, scale * k, lambda: f"{k}-{faces}") for k, s in sums))
+
+
+def _fill(family: str, diagrams: list[DynkinDiagram]) -> None:
+    """Memoise the Phi of these connected diagrams and of all below them."""
     # the minors of a memoised diagram are memoised, so collect the rest
     # and fill them in by rank: each link is there when read
-    todo, stack = {d}, [d]
+    todo = {m for m in diagrams if (family, m) not in _FACE_COUNTS}
+    stack = list(todo)
     while stack:
         top = stack.pop()
         below = {m for ell in top.vertices for m in delete_vertex(top, ell)}
@@ -137,16 +143,9 @@ def _face_counts(family: str, u) -> Sequence[int]:
     u = as_union(u)
     # the largest first, so that a refusal comes before any work
     for comp in sorted(u, key=lambda c: -c.rank):
-        _fill(family, comp)
+        if (family, comp) not in _FACE_COUNTS:
+            _FACE_COUNTS[family, comp] = _link_recursion(family, comp)
     return _union_counts(family, u)
-
-
-def links(family: str, d: DynkinDiagram) -> list[tuple[int, int, Sequence[int]]]:
-    """``(ell, [W(d) : W(d minus ell)], Phi of d minus ell)`` for each
-    vertex ``ell`` of ``d``, Phi as ascending counts."""
-    check_family(family)
-    _fill(family, d)
-    return list(_links(family, d))
 
 
 def face_polynomial(family: str, u) -> Polynomial:
@@ -157,25 +156,3 @@ def face_polynomial(family: str, u) -> Polynomial:
     't^3 + 9t^2 + 21t + 14'
     """
     return Polynomial(_face_counts(family, u)[::-1])
-
-
-def eulerian_poly(u) -> Polynomial:
-    """Descent-count polynomial of a diagram or union: the h-polynomial of
-    its Coxeter complex.
-
-    >>> from taupoly.dynkin import parse_diagram
-    >>> str(eulerian_poly(parse_diagram("A3")))
-    't^3 + 11t^2 + 11t + 1'
-    """
-    return face_polynomial(PREPROJECTIVE, u).shifted(-1)
-
-
-def narayana_poly(u) -> Polynomial:
-    """Narayana polynomial of a diagram or union: the h-polynomial of its
-    cluster complex.
-
-    >>> from taupoly.dynkin import parse_diagram
-    >>> str(narayana_poly(parse_diagram("A3")))
-    't^3 + 6t^2 + 6t + 1'
-    """
-    return face_polynomial(PATH, u).shifted(-1)

@@ -68,6 +68,22 @@ ENTRIES = [
             "tests/test_formulas.py::test_orbit_dim_totals",
         ],
     ),
+    # the one link sum: without its weight, f and d are both wrong
+    (
+        "src/taupoly/weyl.py",
+        "total[k] += w * count",
+        "total[k] += count",
+        [
+            "tests/test_formulas.py::test_worked_examples",
+            "tests/test_doctests.py::test_every_docstring_example_passes",
+        ],
+    ),
+    (
+        "src/taupoly/formulas.py",
+        "return Polynomial(dims[::-1])",
+        "return Polynomial(dims)",
+        ["tests/test_formulas.py::test_worked_examples"],
+    ),
     (
         "src/taupoly/polynomials.py",
         "for i in range(len(out) - 1, 0, -1):",
@@ -165,8 +181,8 @@ ENTRIES = [
     ),
     (
         "src/taupoly/lattice.py",
-        "lambda columns: block_sequence_weight(columns, n), axis=1)",
-        "lambda columns: block_sequence_weight(columns, n), axis=0)",
+        "count += block.shape[1]",
+        "count += block.shape[0]",
         [
             "tests/test_acceptance.py::test_criterion_3_oracle_equals_formula",
             "tests/test_cli.py::test_verify_oracles_at_max_rank_3",

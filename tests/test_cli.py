@@ -167,7 +167,8 @@ def test_oracle_over_budget_exits_2(capsys):
     code, payload = run_json(capsys, "narayana", "E8", "--oracle")
     assert code == 0
     coeffs = payload["results"]["coefficients_ascending"]
-    assert coeffs == weyl.narayana_poly(DynkinDiagram("E", 8)).to_decimal_strings()
+    engine = formulas.h_polynomial(formulas.PATH, DynkinDiagram("E", 8))
+    assert coeffs == engine.to_decimal_strings()
     assert sum(map(int, coeffs)) == 25080
     assert cli.main(["eulerian", "E8", "--oracle"]) == cli.EXIT_USAGE == 2
     captured = capsys.readouterr()
@@ -663,7 +664,7 @@ def test_engine_divisibility_failure_exits_4(capsys, monkeypatch, fresh_engine_c
     # with h = 3 for A1 the path recursion asks 2 * Phi_1 = 5 * 1
     monkeypatch.setattr(DynkinDiagram, "coxeter_number", lambda self: 3)
     with pytest.raises(ConsistencyError, match="not divisible"):
-        weyl.narayana_poly(DynkinDiagram("A", 1))
+        formulas.h_polynomial(formulas.PATH, DynkinDiagram("A", 1))
     assert cli.main(["narayana", "A1"]) == cli.EXIT_INTERNAL == 4
     assert "internal error" in capsys.readouterr().err
 

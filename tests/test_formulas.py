@@ -150,7 +150,7 @@ FAMILY_ENTRIES = {
     "expected_aggregates": expected_aggregates,
     "published_row": published_row,
     "face_polynomial": weyl.face_polynomial,
-    "links": weyl.links,
+    "link_sum": lambda family, d: weyl.link_sum(family, d, lambda ell, cosets: cosets),
 }
 
 
@@ -198,16 +198,15 @@ _ENGINE_ONLY = textwrap.dedent(
     import contextlib, io, sys
     from taupoly import cli
     from taupoly.dynkin import DynkinDiagram
-    from taupoly.formulas import golden_table, reproduce_table
-    from taupoly.weyl import eulerian_poly, narayana_poly
+    from taupoly.formulas import PATH, PREPROJECTIVE, golden_table, h_polynomial, reproduce_table
 
     for k in range(1, 7):
         assert reproduce_table(k) == golden_table(k), k
     for family, ranks in (("A", range(1, 12)), ("D", range(4, 12)), ("E", (6, 7, 8))):
         for n in ranks:
             diagram = DynkinDiagram(family, n)
-            assert eulerian_poly(diagram)(1) == diagram.group_order(), diagram
-            assert narayana_poly(diagram)(1) == diagram.catalan_count(), diagram
+            assert h_polynomial(PREPROJECTIVE, diagram)(1) == diagram.group_order(), diagram
+            assert h_polynomial(PATH, diagram)(1) == diagram.catalan_count(), diagram
     commands = [
         "table 1",
         "--format csv table 6",
@@ -237,12 +236,12 @@ _SHALLOW_STACK = textwrap.dedent(
     """
     import sys
     from taupoly.dynkin import DynkinDiagram
-    from taupoly.weyl import eulerian_poly, narayana_poly
+    from taupoly.formulas import PATH, PREPROJECTIVE, h_polynomial
 
     sys.setrecursionlimit(150)
     a60, d60 = DynkinDiagram("A", 60), DynkinDiagram("D", 60)
-    assert eulerian_poly(a60)(1) == a60.group_order()
-    assert narayana_poly(d60)(1) == d60.catalan_count()
+    assert h_polynomial(PREPROJECTIVE, a60)(1) == a60.group_order()
+    assert h_polynomial(PATH, d60)(1) == d60.catalan_count()
     """
 )
 

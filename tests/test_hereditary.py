@@ -14,7 +14,7 @@ from taupoly.errors import (
     NotAModule,
     RankTooLarge,
 )
-from taupoly.formulas import PATH, golden_table
+from taupoly.formulas import PATH, golden_table, h_polynomial
 from taupoly.hereditary import (
     OrientedQuiver,
     disjoint_union_d_check,
@@ -27,7 +27,6 @@ from taupoly.hereditary import (
 )
 from taupoly.oracles import positive_roots
 from taupoly.polynomials import ONE, Polynomial
-from taupoly.weyl import narayana_poly
 
 from reference import path_cartan_by_reachability
 
@@ -320,7 +319,7 @@ def test_purity_and_counts():
 def test_h_polynomial_is_narayana():
     for n in range(1, 6):
         complex_ = tau_rigid_complex(OrientedQuiver.line(n))
-        assert complex_.h_polynomial() == narayana_poly(DynkinDiagram("A", n))
+        assert complex_.h_polynomial() == h_polynomial(PATH, DynkinDiagram("A", n))
 
 
 def test_links():

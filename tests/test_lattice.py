@@ -173,22 +173,22 @@ def steps_of(positions, s, t):
     return tuple(path)
 
 
-BLOCK_SIZES = pytest.mark.parametrize("block_rows", [1, 3, 64, lattice._BLOCK_ROWS])
+BLOCK_SIZES = pytest.mark.parametrize("block_width", [1, 3, 64, lattice._BLOCK_WIDTH])
 
 
 @BLOCK_SIZES
-def test_rect_path_blocks_yield_each_path_once(block_rows, monkeypatch):
-    monkeypatch.setattr(lattice, "_BLOCK_ROWS", block_rows)
+def test_rect_path_blocks_yield_each_path_once(block_width, monkeypatch):
+    monkeypatch.setattr(lattice, "_BLOCK_WIDTH", block_width)
     for n in range(1, 9):
         for s in range(1, n + 1):
             t = n - s + 1
             blocks = list(rect_path_blocks(s, t))
-            assert all(len(block) <= block_rows for block in blocks)
-            seen = Counter(steps_of(row, s, t) for block in blocks for row in block.tolist())
+            assert all(block.shape[1] <= block_width for block in blocks)
+            seen = Counter(steps_of(col, s, t) for block in blocks for col in block.T.tolist())
             assert set(seen) == set(rect_paths(s, t))
             assert set(seen.values()) == {1}
             for block in blocks:
-                paths = [steps_of(row, s, t) for row in block.tolist()]
+                paths = [steps_of(col, s, t) for col in block.T.tolist()]
                 assert block_area_rect(block) == sum(area_rect(p, s, t) for p in paths)
 
 
@@ -202,27 +202,27 @@ def test_rectangle_totals_are_symmetric_in_the_sides():
 
 
 @BLOCK_SIZES
-def test_corner_path_blocks_yield_each_path_once(block_rows, monkeypatch):
-    monkeypatch.setattr(lattice, "_BLOCK_ROWS", block_rows)
+def test_corner_path_blocks_yield_each_path_once(block_width, monkeypatch):
+    monkeypatch.setattr(lattice, "_BLOCK_WIDTH", block_width)
     for n in range(2, 10):
         blocks = list(corner_path_blocks(n - 1))
-        assert all(len(block) <= block_rows for block in blocks)
-        seen = Counter(tuple(row) for block in blocks for row in block.tolist())
+        assert all(block.shape[1] <= block_width for block in blocks)
+        seen = Counter(tuple(col) for block in blocks for col in block.T.tolist())
         assert set(seen) == set(corner_paths(n - 1))
         assert set(seen.values()) == {1}
         for block in blocks:
-            expected = sum(area_corner(tuple(row), n) for row in block.tolist())
+            expected = sum(area_corner(tuple(col), n) for col in block.T.tolist())
             assert block_area_corner(block, n) == expected
 
 
 @BLOCK_SIZES
-def test_sign_sequence_blocks_yield_each_sequence_once(block_rows, monkeypatch):
+def test_sign_sequence_blocks_yield_each_sequence_once(block_width, monkeypatch):
     # small blocks split both the combinations and the sign vectors
-    monkeypatch.setattr(lattice, "_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(lattice, "_BLOCK_WIDTH", block_width)
     for n in range(2, 9):
         for ell in range(1, n):
             blocks = list(sign_sequence_blocks(n, ell))
-            assert all(block.shape[1] <= block_rows for block in blocks)
+            assert all(block.shape[1] <= block_width for block in blocks)
             # a column is a member of sign_sequences up to the order of its entries
             members = [[tuple(sorted(col, reverse=True)) for col in b.T.tolist()] for b in blocks]
             seen = Counter(row for block in members for row in block)
@@ -238,8 +238,8 @@ def test_rectangle_oracle_is_exact_at_large_n():
     assert orbit_total(A(200), 2) == (engine_dim_A(200, 2), comb(201, 2))
     assert orbit_total(A(200), 199) == (engine_dim_A(200, 199), comb(201, 199))
     blocks = list(rect_path_blocks(199, 2))
-    assert max(block.size for block in blocks) <= lattice._BLOCK_ROWS * 24
-    assert sum(map(len, blocks)) == comb(201, 199)
+    assert max(block.size for block in blocks) <= lattice._BLOCK_WIDTH * 24
+    assert sum(block.shape[1] for block in blocks) == comb(201, 199)
 
 
 def test_mid_oracle_is_exact_at_large_n():

@@ -29,9 +29,8 @@ from taupoly.oracles import (
     signed_descent_counts,
     weight_orbit_total,
 )
-from taupoly.formulas import PATH, orbit_dim_total
+from taupoly.formulas import PATH, PREPROJECTIVE, h_polynomial, orbit_dim_total
 from taupoly.polynomials import ONE, Polynomial
-from taupoly.weyl import eulerian_poly, narayana_poly
 
 from reference import (
     _eulerian_even_signed,
@@ -46,10 +45,10 @@ E = lambda n: DynkinDiagram("E", n)
 
 
 def test_eulerian_worked_values():
-    assert eulerian_poly(A(3)) == Polynomial([1, 11, 11, 1])
-    assert eulerian_poly(A(1)) == Polynomial([1, 1])
-    assert eulerian_poly(DiagramUnion()) == ONE
-    assert eulerian_poly(parse_union("A1xA1")) == Polynomial([1, 2, 1])
+    assert h_polynomial(PREPROJECTIVE, A(3)) == Polynomial([1, 11, 11, 1])
+    assert h_polynomial(PREPROJECTIVE, A(1)) == Polynomial([1, 1])
+    assert h_polynomial(PREPROJECTIVE, DiagramUnion()) == ONE
+    assert h_polynomial(PREPROJECTIVE, parse_union("A1xA1")) == Polynomial([1, 2, 1])
 
 
 def test_two_letter_even_signed_model_by_hand():
@@ -64,13 +63,13 @@ def test_two_letter_even_signed_model_by_hand():
 def test_eulerian_closed_matches_enumeration_type_a():
     # A9 is the largest rank within the oracle budget
     for rank in range(1, 10):
-        assert eulerian_poly(A(rank)) == eulerian_a_by_enumeration(rank)
+        assert h_polynomial(PREPROJECTIVE, A(rank)) == eulerian_a_by_enumeration(rank)
 
 
 def test_eulerian_closed_matches_enumeration_type_d():
     # D8 is the largest rank within the oracle budget
     for rank in range(4, 9):
-        assert eulerian_poly(D(rank)) == eulerian_d_by_enumeration(rank)
+        assert h_polynomial(PREPROJECTIVE, D(rank)) == eulerian_d_by_enumeration(rank)
 
 
 def _words(blocks):
@@ -163,7 +162,7 @@ def test_eulerian_engine_matches_weight_orbit():
     # type E degrees that DynkinDiagram.group_order multiplies
     for diagram in (D(4), D(5), E(6), E(7)):
         orbit = eulerian_by_orbit(diagram)
-        assert eulerian_poly(diagram) == orbit
+        assert h_polynomial(PREPROJECTIVE, diagram) == orbit
         assert orbit(1) == diagram.group_order()
 
 
@@ -190,16 +189,16 @@ def test_weight_orbit_largest_height_is_the_path_total():
 
 def test_eulerian_engine_matches_triangles():
     for rank in range(1, 12):
-        assert eulerian_poly(A(rank)) == Polynomial(_eulerian_sym(rank + 1))
+        assert h_polynomial(PREPROJECTIVE, A(rank)) == Polynomial(_eulerian_sym(rank + 1))
     for rank in range(4, 12):
-        assert eulerian_poly(D(rank)) == Polynomial(_eulerian_even_signed(rank))
+        assert h_polynomial(PREPROJECTIVE, D(rank)) == Polynomial(_eulerian_even_signed(rank))
 
 
 def test_narayana_engine_matches_antichain_census():
     # A11 and D10 are the last ranks whose census takes under ~40 ms
     diagrams = [A(n) for n in range(1, 12)] + [D(n) for n in range(4, 11)] + [E(6), E(7), E(8)]
     for diagram in diagrams:
-        assert narayana_poly(diagram) == narayana_oracle(diagram), diagram
+        assert h_polynomial(PATH, diagram) == narayana_oracle(diagram), diagram
 
 
 def _support_order(roots):
@@ -212,9 +211,9 @@ def test_narayana_census_tells_the_root_order_from_support_inclusion(monkeypatch
     # supports; D5 and E6 have roots of one support and other coefficients
     monkeypatch.setattr(oracles, "root_order", _support_order)
     for rank in range(1, 8):
-        assert narayana_oracle(A(rank)) == narayana_poly(A(rank))
+        assert narayana_oracle(A(rank)) == h_polynomial(PATH, A(rank))
     for diagram in (D(5), E(6)):
-        assert narayana_oracle(diagram) != narayana_poly(diagram), diagram
+        assert narayana_oracle(diagram) != h_polynomial(PATH, diagram), diagram
 
 
 def test_narayana_census_refuses_a_strict_root_order(monkeypatch):
@@ -230,7 +229,7 @@ def test_narayana_census_refuses_a_strict_root_order(monkeypatch):
 
 def test_narayana_engine_matches_closed_form():
     for rank in range(1, 12):
-        assert narayana_poly(A(rank)) == narayana_a(rank)
+        assert h_polynomial(PATH, A(rank)) == narayana_a(rank)
 
 
 @st.composite
@@ -250,8 +249,8 @@ def diagram_unions(draw, budget: int = 6):
 @given(diagram_unions())
 def test_engine_equals_oracle_on_random_unions(union):
     for poly, oracle in (
-        (eulerian_poly(union), oracles.eulerian(union)),
-        (narayana_poly(union), oracles.narayana(union)),
+        (h_polynomial(PREPROJECTIVE, union), oracles.eulerian(union)),
+        (h_polynomial(PATH, union), oracles.narayana(union)),
     ):
         assert poly == oracle
         assert poly.degree == union.rank
@@ -260,33 +259,34 @@ def test_engine_equals_oracle_on_random_unions(union):
 
 def test_group_orders():
     for rank in range(1, 10):
-        assert eulerian_poly(A(rank))(1) == A(rank).group_order()
+        assert h_polynomial(PREPROJECTIVE, A(rank))(1) == A(rank).group_order()
     for rank in range(4, 9):
-        assert eulerian_poly(D(rank))(1) == D(rank).group_order()
-    assert eulerian_poly(E(6))(1) == 51840
+        assert h_polynomial(PREPROJECTIVE, D(rank))(1) == D(rank).group_order()
+    assert h_polynomial(PREPROJECTIVE, E(6))(1) == 51840
 
 
 def test_eulerian_palindromic():
     for diagram in (A(5), A(8), D(4), D(7), E(6)):
-        assert eulerian_poly(diagram).is_palindromic(diagram.rank)
+        assert h_polynomial(PREPROJECTIVE, diagram).is_palindromic(diagram.rank)
 
 
 def test_product_over_components():
     union = parse_union("A1xA4")
-    assert eulerian_poly(union) == eulerian_poly(A(1)) * eulerian_poly(A(4))
+    factors = h_polynomial(PREPROJECTIVE, A(1)) * h_polynomial(PREPROJECTIVE, A(4))
+    assert h_polynomial(PREPROJECTIVE, union) == factors
     # the rank-5 bullet value printed with these factors is the Narayana
     # one; descent counting gives the honest product
-    assert narayana_poly(union).shifted(1) == Polynomial([84, 210, 196, 84, 16, 1])
+    assert h_polynomial(PATH, union).shifted(1) == Polynomial([84, 210, 196, 84, 16, 1])
 
 
 def test_narayana_worked_values():
-    assert narayana_poly(A(3)) == Polynomial([1, 6, 6, 1])
-    assert narayana_poly(DiagramUnion()) == ONE
+    assert h_polynomial(PATH, A(3)) == Polynomial([1, 6, 6, 1])
+    assert h_polynomial(PATH, DiagramUnion()) == ONE
     assert narayana_oracle(A(2)) == Polynomial([1, 3, 1])
     assert narayana_oracle(A(1)) == Polynomial([1, 1])
-    assert narayana_poly(D(4))(1) == 50
-    assert narayana_poly(D(5))(1) == 182
-    assert narayana_poly(E(6))(1) == 833
+    assert h_polynomial(PATH, D(4))(1) == 50
+    assert h_polynomial(PATH, D(5))(1) == 182
+    assert h_polynomial(PATH, E(6))(1) == 833
 
 
 def test_narayana_closed_matches_oracle():
@@ -418,8 +418,6 @@ def test_estimates_past_60_digits_name_a_power_of_ten():
 
 
 def test_oracle_flag_routes_every_family():
-    assert oracles.eulerian(A(4)) == eulerian_poly(A(4))
-    assert oracles.eulerian(D(4)) == eulerian_poly(D(4))
-    assert oracles.narayana(parse_union("A2xA2")) == narayana_poly(
-        parse_union("A2xA2")
-    )
+    assert oracles.eulerian(A(4)) == h_polynomial(PREPROJECTIVE, A(4))
+    assert oracles.eulerian(D(4)) == h_polynomial(PREPROJECTIVE, D(4))
+    assert oracles.narayana(parse_union("A2xA2")) == h_polynomial(PATH, parse_union("A2xA2"))
