@@ -44,7 +44,8 @@ from .errors import UsageError, check_oracle_budget
 # paths or sequences per block of every model; within the oracle budget a
 # corner path or a sign sequence has at most 23 entries, and a rectangle
 # block is cut to at most _BLOCK_WIDTH * 24 entries, so no array of a block
-# passes 400 KB
+# passes 400 KB; sign sequences are int8 up to n = 127 (+128 would wrap), and
+# ndarray.sum accumulates int8 in the platform integer, so their sums are exact
 _BLOCK_WIDTH = 2048
 
 
@@ -120,13 +121,13 @@ def sign_sequence_blocks(n: int, ell: int) -> Iterator[np.ndarray]:
     Each block pairs a run of sign vectors with a run of absolute-value
     combinations; the combinations are streamed once per run of sign
     vectors, so memory depends on the block size and not on n.  The
-    dtype is int32, or wider if n needs it.
+    dtype is the narrowest signed integer type that holds +n.
 
     >>> next(sign_sequence_blocks(3, 1))[:, :4].T.tolist()
     [[1, 2], [-1, 2], [1, -2], [-1, -2]]
     """
     k = n - ell
-    dtype = np.promote_types(np.int32, np.min_scalar_type(-n))
+    dtype = np.min_scalar_type(-n - 1)
     signs_per_block = min(1 << k, _BLOCK_WIDTH)
     combos_per_block = _BLOCK_WIDTH // signs_per_block
     bits = np.arange(k)[:, None]

@@ -26,7 +26,9 @@ coefficients reversed, and its shift by -1 is the h-polynomial
 checked to be exact, and a failure raises ``ConsistencyError``.  The
 connected diagrams below a diagram are filled in by rank, smallest
 first, so the recursion is a loop and no rank overflows the Python
-stack.  Phi is kept as a tuple of Python integers, multiplied by
+stack.  That walk and ``link_sum`` read one memoised link table per
+diagram, each vertex with its minor and coset index, so each vertex is
+deleted once.  Phi is kept as a tuple of Python integers, multiplied by
 ``polynomials.convolve``, and becomes a ``Polynomial`` only when it
 leaves the engine.  For a diagram of rank n the recursion makes fewer
 than n^4 coefficient products; n^4 is checked against
@@ -66,7 +68,8 @@ def _coset_index(d: DynkinDiagram, ell: int, minor: DiagramUnion) -> int:
 
 
 def coset_count(d: DynkinDiagram, ell: int) -> int:
-    """Index of the parabolic subgroup W(d minus ell) in W(d).
+    """Index of the parabolic subgroup W(d minus ell) in W(d), counted
+    without the link tables, since ``d`` may be past the engine budget.
 
     >>> coset_count(DynkinDiagram("A", 3), 2)
     6
@@ -77,6 +80,17 @@ def coset_count(d: DynkinDiagram, ell: int) -> int:
 # (family, connected A/D/E diagram) -> Phi as ascending counts, for every
 # diagram up to the largest rank asked for, so at most six keys per rank
 _FACE_COUNTS: dict[tuple[str, DynkinDiagram], tuple[int, ...]] = {}
+
+# connected diagram -> (ell, d minus ell, [W(d) : W(d minus ell)]) per vertex,
+# written past link_sum's budget check: at most three keys per rank, up to 200
+_LINKS: dict[DynkinDiagram, tuple[tuple[int, DiagramUnion, int], ...]] = {}
+
+
+def _link_table(d: DynkinDiagram) -> tuple[tuple[int, DiagramUnion, int], ...]:
+    if d not in _LINKS:
+        minors = {ell: delete_vertex(d, ell) for ell in d.vertices}
+        _LINKS[d] = tuple((ell, m, _coset_index(d, ell, m)) for ell, m in minors.items())
+    return _LINKS[d]
 
 
 def _union_counts(family: str, u: DiagramUnion) -> Sequence[int]:
@@ -100,11 +114,11 @@ def link_sum(family: str, d: DynkinDiagram, weight: Callable[[int, int], int]) -
             f"the {family} link recursion of {d} makes up to {d.rank**4:,}"
             f" coefficient products, over the engine budget of {ENGINE_BUDGET:,}"
         )
-    minors = {ell: delete_vertex(d, ell) for ell in d.vertices}
-    _fill(family, [comp for minor in minors.values() for comp in minor])
+    table = _link_table(d)
+    _fill(family, [comp for _, minor, _ in table for comp in minor])
     total = [0] * d.rank
-    for ell, minor in minors.items():
-        w = weight(ell, _coset_index(d, ell, minor))
+    for ell, minor, cosets in table:
+        w = weight(ell, cosets)
         for k, count in enumerate(_union_counts(family, minor)):
             total[k] += w * count
     return total
@@ -130,7 +144,7 @@ def _fill(family: str, diagrams: list[DynkinDiagram]) -> None:
     stack = list(todo)
     while stack:
         top = stack.pop()
-        below = {m for ell in top.vertices for m in delete_vertex(top, ell)}
+        below = {m for _, minor, _ in _link_table(top) for m in minor}
         below = {m for m in below - todo if (family, m) not in _FACE_COUNTS}
         stack += below
         todo |= below

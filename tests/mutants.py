@@ -78,6 +78,25 @@ ENTRIES = [
             "tests/test_doctests.py::test_every_docstring_example_passes",
         ],
     ),
+    # the link table: each vertex keeps its own coset index and its own minor
+    (
+        "src/taupoly/weyl.py",
+        "_coset_index(d, ell, m)) for ell, m in",
+        "_coset_index(d, d.vertices[0], minors[d.vertices[0]])) for ell, m in",
+        [
+            "tests/test_formulas.py::test_worked_examples",
+            "tests/test_formulas.py::test_closed_forms_equal_the_engine_at_every_rank",
+        ],
+    ),
+    (
+        "src/taupoly/weyl.py",
+        "(ell, m, _coset_index(",
+        "(ell, minors[d.vertices[0]], _coset_index(",
+        [
+            "tests/test_formulas.py::test_worked_examples",
+            "tests/test_formulas.py::test_closed_forms_equal_the_engine_at_every_rank",
+        ],
+    ),
     (
         "src/taupoly/formulas.py",
         "return Polynomial(dims[::-1])",
@@ -187,6 +206,13 @@ ENTRIES = [
             "tests/test_acceptance.py::test_criterion_3_oracle_equals_formula",
             "tests/test_cli.py::test_verify_oracles_at_max_rank_3",
         ],
+    ),
+    # +n must fit the sign-sequence dtype: int8 stops at +127
+    (
+        "src/taupoly/lattice.py",
+        "np.min_scalar_type(-n - 1)",
+        "np.min_scalar_type(-n)",
+        ["tests/test_lattice.py::test_sign_sequences_hold_plus_n_in_the_narrowest_type"],
     ),
     # the packed series product
     (

@@ -1,6 +1,7 @@
 from collections import Counter
 from math import comb
 
+import numpy as np
 import pytest
 
 from taupoly import lattice
@@ -250,6 +251,13 @@ def test_mid_oracle_is_exact_at_large_n():
         == (107101800, 179400)
         == (engine_dim_D(300, 298), 179400)
     )
+
+
+def test_sign_sequences_hold_plus_n_in_the_narrowest_type():
+    # D128 at vertex 127 has one entry per sequence, +-1..+-128: +128 is past int8
+    assert orbit_total(D(128), 127) == (engine_dim_D(128, 127), 256)
+    assert next(sign_sequence_blocks(127, 126)).dtype == np.int8
+    assert next(sign_sequence_blocks(128, 127)).dtype == np.int16
 
 
 def test_mid_oracle_matches_formula():

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taupoly import cli, hereditary, lattice, oracles, weyl
-from taupoly.dynkin import DiagramUnion, DynkinDiagram, parse_union
+from taupoly import cli, formulas, hereditary, lattice, oracles, weyl
+from taupoly.dynkin import DiagramUnion, DynkinDiagram, delete_vertex, parse_union
 from taupoly.errors import (
     ORACLE_BUDGET,
     ConsistencyError,
@@ -277,6 +277,34 @@ def test_product_over_components():
     # the rank-5 bullet value printed with these factors is the Narayana
     # one; descent counting gives the honest product
     assert h_polynomial(PATH, union).shifted(1) == Polynomial([84, 210, 196, 84, 16, 1])
+
+
+def test_the_engine_deletes_each_vertex_once(monkeypatch):
+    weyl._FACE_COUNTS.clear()
+    weyl._LINKS.clear()
+    calls = []
+
+    def counted(d, ell):
+        calls.append((d, ell))
+        return delete_vertex(d, ell)
+
+    monkeypatch.setattr(weyl, "delete_vertex", counted)
+    for k in range(1, 7):
+        formulas.reproduce_table(k)
+    # one deletion per distinct (diagram, vertex) pair of tables 1-6
+    assert len(calls) == len(set(calls)) == 105
+    calls.clear()
+    for k in range(1, 7):
+        formulas.reproduce_table(k)
+    assert calls == []
+
+
+def test_counts_past_the_engine_budget_add_no_link_table(capsys):
+    links = dict(weyl._LINKS)
+    assert weyl.coset_count(A(20000), 1) == 20001
+    assert cli.main(["dim-orbit", "--diagram", "A20000", "--oracle"]) == cli.EXIT_USAGE
+    assert "over the oracle budget" in capsys.readouterr().err
+    assert weyl._LINKS == links
 
 
 def test_narayana_worked_values():
