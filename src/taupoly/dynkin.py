@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cache
 from math import prod
 
-from .errors import ConsistencyError, NotAVertex, UsageError, exact_quotient
+from .errors import ConsistencyError, UsageError, exact_quotient
 
 _E_DEGREES = {
     6: (2, 5, 6, 8, 9, 12),
@@ -64,10 +64,10 @@ class DynkinDiagram:
         return tuple(range(1, self.rank + 1))
 
     def check_vertex(self, ell: int) -> None:
-        """Raise ``NotAVertex`` unless ``ell`` labels a vertex."""
+        """Raise ``UsageError`` unless ``ell`` labels a vertex."""
         is_d = self.family == "D"
         if not (1 <= ell <= self.rank - is_d or (is_d and ell == -1)):
-            raise NotAVertex(f"{self} has no vertex {ell}")
+            raise UsageError(f"{self} has no vertex {ell}")
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -260,9 +260,12 @@ def parse_diagram(text: str) -> DynkinDiagram:
 
 
 def parse_union(text: str) -> DiagramUnion:
-    """Parse "A2xA1xA2" into a union; "empty" gives the rank-0 union."""
+    """Parse "A2xA1xA2" into a union; "empty" gives the rank-0 union.  A
+    blank part is refused naming the whole text."""
     body = text.strip()
     if body.lower() in ("", "empty", "a0"):
         return DiagramUnion()
     parts = re.split(r"[x*]", body, flags=re.IGNORECASE)
+    if not all(p.strip() for p in parts):
+        raise UsageError(f"cannot parse diagram union {text!r}; expected like A2xA1xD4")
     return DiagramUnion(tuple(parse_diagram(p) for p in parts))

@@ -8,19 +8,8 @@ class TaupolyError(Exception):
 
 
 class UsageError(TaupolyError):
-    """Malformed user input (bad diagram string, bad flag combination)."""
-
-
-class NotAVertex(TaupolyError):
-    """A vertex label was requested that the diagram does not contain."""
-
-
-class NotAModule(TaupolyError):
-    """A complex operation needed a module vertex but got a shifted projective."""
-
-
-class RankTooLarge(TaupolyError):
-    """An enumeration was requested beyond its feasible size bound."""
+    """Malformed user input (bad diagram string, vertex or flag
+    combination), or an input over the oracle or engine budget."""
 
 
 # Every brute-force oracle visits at most this many elements.
@@ -38,7 +27,7 @@ def check_oracle_budget(what: str, elements: int, at_least: bool = False) -> Non
         count = f"at least {elements:,}" if at_least else f"{elements:,}"
     else:
         count = f"more than 10^{(elements.bit_length() - 1) * 3010299 // 10**7}"
-    raise RankTooLarge(
+    raise UsageError(
         f"{what} visits {count} elements, over the oracle budget of {ORACLE_BUDGET:,}"
     )
 
@@ -50,15 +39,11 @@ def check_oracle_budget(what: str, elements: int, at_least: bool = False) -> Non
 ENGINE_BUDGET = 200**4
 
 
-class InsufficientTerms(TaupolyError):
-    """Not enough coefficient polynomials supplied for the requested order."""
-
-
 class ConsistencyError(TaupolyError):
     """Internal consistency failure: a result the code relies on did not hold.
 
-    Never caused by user input; the run aborts instead of reporting a
-    number built on it.
+    Never caused by user input, and unreachable for the algebras in
+    scope; the run aborts instead of reporting a number built on it.
     """
 
 
@@ -70,15 +55,3 @@ def exact_quotient(numerator: int, denominator: int, what: Callable[[], str]) ->
     if remainder:
         raise ConsistencyError(f"{what()}: {numerator} is not divisible by {denominator}")
     return quotient
-
-
-class ConventionError(ConsistencyError):
-    """Internal consistency failure: a sign or transpose convention failed validation."""
-
-
-class ImpurityError(ConsistencyError):
-    """A compatibility complex produced a maximal face of the wrong size.
-
-    This should be unreachable for the hereditary algebras in scope; the run
-    aborts rather than report a polynomial built on a broken complex.
-    """

@@ -43,8 +43,7 @@ from typing import Iterator
 import numpy as np
 
 from .dynkin import DynkinDiagram, _star
-from .errors import ConventionError, ImpurityError, NotAModule, RankTooLarge, UsageError
-from .errors import check_oracle_budget
+from .errors import ConsistencyError, UsageError, check_oracle_budget
 from .oracles import _clique_census, positive_roots
 from .polynomials import Polynomial
 
@@ -140,13 +139,13 @@ def euler_form(x, y, q: OrientedQuiver) -> np.ndarray:
 def _root_forms(q: OrientedQuiver, roots: np.ndarray) -> np.ndarray:
     """The Euler forms <alpha, beta> of every pair of roots, from one
     product that also pairs the projectives P_l, taken from
-    ``path_cartan``, with every root.  Raises ConventionError unless
+    ``path_cartan``, with every root.  Raises ConsistencyError unless
     <alpha, alpha> = 1 for every root and <P_l, alpha> = alpha_l for
     every vertex l."""
     forms = euler_form(np.concatenate((path_cartan(q), roots)), roots, q)
     projective, forms = forms[: q.rank], forms[q.rank :]
     if (np.diagonal(forms) != 1).any() or (projective != roots.T).any():
-        raise ConventionError("Euler form failed the root and projective self-check")
+        raise ConsistencyError("Euler form failed the root and projective self-check")
     return forms
 
 
@@ -197,7 +196,7 @@ class CompatibilityComplex:
     def link_f_polynomial(self, vertex_index: int) -> Polynomial:
         """Face-count polynomial of the link of a module vertex."""
         if not 0 <= vertex_index < len(self.roots):
-            raise NotAModule(f"vertex {vertex_index} is not a module vertex")
+            raise UsageError(f"vertex {vertex_index} is not a module vertex")
         neighbors = np.flatnonzero(self.compatible[vertex_index])
         sub = self.compatible[np.ix_(neighbors, neighbors)]
         counts, _, _ = _clique_census(sub, [0] * len(neighbors), self.rank)
@@ -268,7 +267,7 @@ def tau_rigid_complex(q: OrientedQuiver) -> CompatibilityComplex:
     symmetry relabels it.
     """
     if q.rank > _COMPLEX_RANK_CAP:
-        raise RankTooLarge(f"complex enumeration capped at rank {_COMPLEX_RANK_CAP}")
+        raise UsageError(f"complex enumeration capped at rank {_COMPLEX_RANK_CAP}")
     arrows = q.arrow_counts
     cartan = 2 * np.eye(q.rank, dtype=np.int64) - arrows - arrows.T
     roots, relabellings = _roots_and_relabellings(tuple(map(tuple, cartan.tolist())))
@@ -288,7 +287,7 @@ def tau_rigid_complex(q: OrientedQuiver) -> CompatibilityComplex:
     if key not in _FACE_COUNTS:
         counts, dim_sums, maximal = _clique_census(compatible, dims, q.rank)
         if any(maximal[: q.rank]):
-            raise ImpurityError("complex is not pure: maximal face below full rank")
+            raise ConsistencyError("complex is not pure: maximal face below full rank")
         _FACE_COUNTS[key] = tuple(counts), tuple(dim_sums)
     return CompatibilityComplex(roots, compatible, dims, *_FACE_COUNTS[key])
 
@@ -339,7 +338,7 @@ def translate_orbits(q: OrientedQuiver) -> Iterator[tuple[np.ndarray, np.ndarray
             rows[:, group] = rows[:, pad].sum(axis=2) - rows[:, group]
         live = (rows >= 0).all(axis=1) & rows.any(axis=1)
         if (rows[~live] > 0).any():
-            raise ConventionError("orbit left the positive orthant without turning negative")
+            raise ConsistencyError("orbit left the positive orthant without turning negative")
         owner, rows = owner[live], rows[live]
 
 
@@ -358,8 +357,8 @@ def tau_orbit_totals(d: DynkinDiagram) -> dict[int, int]:
     for owner, rows in translate_orbits(q):
         count += len(rows)
         if count > roots:
-            raise ConventionError(f"{d} translate orbits passed its {roots:,} positive roots")
+            raise ConsistencyError(f"{d} translate orbits passed its {roots:,} positive roots")
         totals[owner] += rows.sum(axis=1)
     if count < roots:
-        raise ConventionError(f"{d} translate orbits held {count:,} of {roots:,} positive roots")
+        raise ConsistencyError(f"{d} translate orbits held {count:,} of {roots:,} positive roots")
     return dict(zip(q.vertices, totals.tolist()))

@@ -13,7 +13,7 @@ and the ``--oracle`` routes compare the engine with these:
   Mem. AMS 202, 2009, ch. 5).
 
 Each oracle first works out from the diagram how many elements it will
-visit and raises ``RankTooLarge`` over ``errors.ORACLE_BUDGET``, as the
+visit and raises ``UsageError`` over ``errors.ORACLE_BUDGET``, as the
 E8 orbit (696,729,600 elements) does.
 
 The two enumerations visit every word and count its descents, in numpy
@@ -52,7 +52,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .dynkin import DynkinDiagram, as_union, delete_vertex
-from .errors import ORACLE_BUDGET, ConsistencyError, ImpurityError, check_oracle_budget
+from .errors import ORACLE_BUDGET, ConsistencyError, check_oracle_budget
 from .polynomials import ONE, Polynomial
 
 
@@ -306,7 +306,7 @@ _CENSUS_BITS = 1 << 18
 def _clique_census(compatible: np.ndarray, dims, max_size: int, max_cliques: int = ORACLE_BUDGET):
     """Count the cliques of a graph by size, with dimension-weighted
     totals and the number of maximal cliques of each size.  Raises
-    ImpurityError if any clique exceeds max_size, or as soon as a level
+    ConsistencyError if any clique exceeds max_size, or as soon as a level
     takes the count past max_cliques (the empty clique and the vertices
     included), so a graph far denser than expected stops early.
 
@@ -348,13 +348,13 @@ def _clique_census(compatible: np.ndarray, dims, max_size: int, max_cliques: int
     made = 1 + n
     while len(last):
         if size > max_size:  # only when max_size is 0; larger ones stop at their top level
-            raise ImpurityError("clique larger than the ambient rank")
+            raise ConsistencyError("clique larger than the ambient rank")
         counts[size] = len(last)
         dim_sums[size] = int(dim_total.sum())
         maximal[size] = int(np.count_nonzero(~mask.any(axis=1)))
         if size == max_size:
             if maximal[size] < len(last):
-                raise ImpurityError("clique larger than the ambient rank")
+                raise ConsistencyError("clique larger than the ambient rank")
             break
         chunks = []
         for lo in range(0, len(last), rows_per_chunk):
@@ -364,7 +364,7 @@ def _clique_census(compatible: np.ndarray, dims, max_size: int, max_cliques: int
             parent += lo
             made += len(child)
             if made > max_cliques:
-                raise ImpurityError(f"more than {max_cliques:,} cliques")
+                raise ConsistencyError(f"more than {max_cliques:,} cliques")
             chunks.append((child, mask[parent] & bits[child], dim_total[parent] + dims[child]))
         del last, mask, dim_total  # free this level before its children are joined
         last, mask, dim_total = (np.concatenate(level) for level in zip(*chunks))
@@ -392,7 +392,7 @@ def narayana_oracle(d: DynkinDiagram) -> Polynomial:
     the poset's incomparability graph.  The census holds Catalan(W)
     antichains in all, which is checked against the oracle budget first
     (A15 and D14 exceed it); an antichain of more than rank roots, or
-    more than Catalan(W) antichains, raises ImpurityError.
+    more than Catalan(W) antichains, raises ConsistencyError.
 
     >>> narayana_oracle(DynkinDiagram("D", 4)).coeffs
     (1, 12, 24, 12, 1)

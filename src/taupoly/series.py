@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import comb, perm
 
 from .dynkin import DynkinDiagram
-from .errors import InsufficientTerms
+from .errors import UsageError
 from .formulas import PATH, PREPROJECTIVE, d_polynomial, h_polynomial
 from .polynomials import ONE, T, ZERO, Polynomial
 
@@ -43,15 +43,6 @@ class TruncatedSeries:
         raise AttributeError("TruncatedSeries is immutable")
 
     # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def from_polynomials(cls, polys, exponential: bool, order: int) -> "TruncatedSeries":
-        """Series whose term n is polys[n]."""
-        if len(polys) < order + 1:
-            raise InsufficientTerms(
-                f"need {order + 1} coefficient polynomials, got {len(polys)}"
-            )
-        return cls(polys, order, exponential)
 
     @classmethod
     def exp_of_zt(cls, lam: Polynomial, order: int) -> "TruncatedSeries":
@@ -112,7 +103,7 @@ class TruncatedSeries:
     def derivative_z(self) -> "TruncatedSeries":
         """Termwise z-derivative; the order drops by one."""
         if self.order < 1:
-            raise InsufficientTerms("cannot differentiate an order-0 series")
+            raise UsageError("cannot differentiate an order-0 series")
         if self.exponential:
             out = self.coeffs[1:]
         else:
@@ -169,7 +160,7 @@ def type_a_series(family: str, kind: str, order: int, *, shift: int = 0) -> Trun
     polynomials and doubled-quiver dimensions), ordinary for the path
     family (Narayana polynomials and path-algebra dimensions)."""
     polys = [p.shifted(shift) for p in type_a_family(family, kind, order + 1)]
-    return TruncatedSeries.from_polynomials(polys, family == PREPROJECTIVE, order)
+    return TruncatedSeries(polys, order, family == PREPROJECTIVE)
 
 
 # ---------------------------------------------------------------------------

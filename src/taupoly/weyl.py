@@ -49,7 +49,7 @@ from math import prod
 from typing import Callable, Sequence
 
 from .dynkin import DiagramUnion, DynkinDiagram, as_union, delete_vertex
-from .errors import ENGINE_BUDGET, RankTooLarge, UsageError, exact_quotient
+from .errors import ENGINE_BUDGET, UsageError, exact_quotient
 from .polynomials import Polynomial, convolve
 
 PREPROJECTIVE = "preprojective"
@@ -110,7 +110,7 @@ def link_sum(family: str, d: DynkinDiagram, weight: Callable[[int, int], int]) -
     """
     check_family(family)
     if d.rank**4 > ENGINE_BUDGET:
-        raise RankTooLarge(
+        raise UsageError(
             f"the {family} link recursion of {d} makes up to {d.rank**4:,}"
             f" coefficient products, over the engine budget of {ENGINE_BUDGET:,}"
         )

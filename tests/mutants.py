@@ -214,6 +214,19 @@ ENTRIES = [
         "np.min_scalar_type(-n)",
         ["tests/test_lattice.py::test_sign_sequences_hold_plus_n_in_the_narrowest_type"],
     ),
+    # the two kinds of failure: a refusal exits 2, an internal fault 4
+    (
+        "src/taupoly/errors.py",
+        "raise UsageError(",
+        "raise ConsistencyError(",
+        ["tests/test_cli.py::test_oracle_over_budget_exits_2"],
+    ),
+    (
+        "src/taupoly/hereditary.py",
+        'raise ConsistencyError("Euler form failed',
+        'raise UsageError("Euler form failed',
+        ["tests/test_hereditary.py::test_flipped_euler_form_raises"],
+    ),
     # the packed series product
     (
         "src/taupoly/series.py",

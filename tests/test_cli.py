@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from taupoly import formulas, hereditary, lattice, oracles, weyl
+from taupoly import formulas, hereditary, lattice, oracles, series, weyl
 from taupoly.dynkin import DynkinDiagram
 from taupoly.errors import ConsistencyError
+from taupoly.polynomials import ONE, Polynomial
 
 from taupoly import cli
 
@@ -302,6 +303,15 @@ def test_dim_orbit_unknown_type_is_a_usage_error(capsys):
     assert captured.out == ""
 
 
+def test_a_union_with_a_blank_part_is_a_usage_error(capsys):
+    assert cli.main(["eulerian", "D4x"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "usage error: cannot parse diagram union 'D4x'; expected like A2xA1xD4\n"
+    )
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -476,14 +486,16 @@ def test_dim_orbit_path_oracle_over_budget_exits_2(capsys, vertex, monkeypatch):
 
 
 def _plus_one(module, name):
-    """``module.name`` with 1 added to its result, to its first entry, or
-    to each of its values."""
+    """``module.name`` with 1 added to its result (to the constant term of
+    a polynomial), to its first entry, or to each of its values."""
     original = getattr(module, name)
 
     def patched(*args):
         result = original(*args)
         if isinstance(result, dict):
             return {key: value + 1 for key, value in result.items()}
+        if isinstance(result, Polynomial):
+            return result + ONE
         return result + 1 if isinstance(result, int) else (result[0] + 1, *result[1:])
 
     return patched
@@ -549,6 +561,63 @@ def test_genfun_verify(capsys):
     assert code == 0
     assert all(c["pass"] for c in payload["checks"])
     assert len(payload["checks"]) == 2
+
+
+def test_genfun_first_failing_power_is_reported(capsys, monkeypatch):
+    # one more on every d: d(t-1) + 1, doubled, is 4 at z^2, where
+    # z^2 (dS/dz)^2 holds 2
+    monkeypatch.setattr(series, "d_polynomial", _plus_one(series, "d_polynomial"))
+    code, payload = run_json(capsys, "genfun", "exp-d-ppa-A", "--order", "4", "--verify")
+    assert code == cli.EXIT_CHECK_FAILED == 1
+    first, variants = payload["results"]["identity_reports"]
+    assert first == {
+        "identity": "ppa-dim-egf-vs-eulerian",
+        "order": "4",
+        "pass": False,
+        "first_failing_power": "2",
+        "expected": "2",
+        "actual": "4",
+    }
+    assert variants == {"identity": "ppa-closed-form-variants", "order": "4", "pass": True}
+    assert [c["pass"] for c in payload["checks"]] == [False, True]
+
+
+def test_genfun_closed_form_half_fails_alone(capsys, monkeypatch):
+    # t^3 for t^4 on the right of D * 2 (t+1-e^{zt})^4 = z^2 t^4 e^{2zt}:
+    # the first half does not use it, and the two sides of the variants
+    # check share it
+    monkeypatch.setattr(series, "_T4", Polynomial((0, 0, 0, 1)))
+    code, out = run(capsys, "genfun", "exp-d-ppa-A", "--order", "4", "--verify")
+    assert code == cli.EXIT_CHECK_FAILED == 1
+    assert out.splitlines()[-2:] == [
+        "[FAIL] ppa-dim-egf-closed-form (expected pass, got fail at z^2)",
+        "[PASS] ppa-closed-form-variants",
+    ]
+
+
+@pytest.mark.parametrize(
+    "owner, name, wrong, failing",
+    [
+        (formulas, "d_polynomial", None, "all-shifted-d-palindromic-unimodal"),
+        (formulas, "h_polynomial", None, "group-statistics-palindromic-with-known-totals"),
+        (
+            hereditary.CompatibilityComplex,
+            "maximal_face_count",
+            property(lambda self: 0),
+            "complex-purity-and-maximal-face-counts",
+        ),
+        (hereditary.CompatibilityComplex, "link_f_polynomial", None, "link-decomposition-identity"),
+    ],
+    ids=["d", "h", "purity", "link"],
+)
+def test_each_structural_check_can_fail(capsys, monkeypatch, owner, name, wrong, failing):
+    # a polynomial one too large, or no maximal face, fails its own check alone
+    monkeypatch.setattr(owner, name, wrong or _plus_one(owner, name))
+    code, out = run(capsys, "verify", "--suite", "structural", "--max-rank", "3")
+    assert code == cli.EXIT_CHECK_FAILED == 1
+    assert [line for line in out.splitlines() if not line.startswith("[PASS] ")] == [
+        f"[FAIL] {failing} (expected pass, got fail)"
+    ]
 
 
 @pytest.mark.parametrize(

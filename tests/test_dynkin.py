@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from math import comb, factorial
 
@@ -15,7 +16,7 @@ from taupoly.dynkin import (
     parse_union,
     weight_height,
 )
-from taupoly.errors import ConsistencyError, NotAVertex, UsageError
+from taupoly.errors import ConsistencyError, UsageError
 
 
 def u(text):
@@ -56,9 +57,9 @@ def test_deletion_type_d():
 
 
 def test_deletion_errors():
-    with pytest.raises(NotAVertex):
+    with pytest.raises(UsageError, match="^A3 has no vertex 4$"):
         delete_vertex(DynkinDiagram("A", 3), 4)
-    with pytest.raises(NotAVertex):
+    with pytest.raises(UsageError, match="^D4 has no vertex 4$"):
         delete_vertex(DynkinDiagram("D", 4), 4)  # D4 vertices are -1,1,2,3
 
 
@@ -70,7 +71,7 @@ def test_check_vertex_accepts_exactly_the_labels():
                 if ell in d.vertices:
                     d.check_vertex(ell)
                 else:
-                    with pytest.raises(NotAVertex, match=f"{d} has no vertex {ell}"):
+                    with pytest.raises(UsageError, match=f"^{d} has no vertex {ell}$"):
                         d.check_vertex(ell)
 
 
@@ -130,9 +131,29 @@ def test_parse():
     assert parse_union("A2xA1xA2").rank == 5
     assert parse_union("d4*a1") == DiagramUnion((DynkinDiagram("D", 4), DynkinDiagram("A", 1)))
     assert parse_union("empty") == DiagramUnion()
-    for bad in ("X9", "A0", "D3", "E5", "E9", "5A", ""):
-        with pytest.raises(UsageError):
+    unparsed = "cannot parse diagram {!r}; expected like A5, D6, E7".format
+    for bad, message in (
+        ("X9", unparsed("X9")),
+        ("A0", "A_n needs n >= 1, got 0"),
+        ("D3", "D_n needs n >= 4 as a diagram, got 3"),
+        ("E5", "E_n needs n in {6,7,8}, got 5"),
+        ("E9", "E_n needs n in {6,7,8}, got 9"),
+        ("5A", unparsed("5A")),
+        ("", unparsed("")),
+    ):
+        with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
             parse_diagram(bad)
+
+
+def test_a_union_with_a_blank_part_names_the_whole_text():
+    for bad in ("D4x", "xA2", "A2xxA3", "A2x xA3", "A1*"):
+        message = f"cannot parse diagram union {bad!r}; expected like A2xA1xD4"
+        with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+            parse_union(bad)
+    # a part that is not blank is named alone
+    message = "cannot parse diagram 'B3'; expected like A5, D6, E7"
+    with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+        parse_union("A2xB3")
 
 
 def test_union_is_order_insensitive():

@@ -1,3 +1,4 @@
+import re
 from itertools import permutations
 from math import comb
 
@@ -8,12 +9,7 @@ from hypothesis import strategies as st
 
 from taupoly import formulas, hereditary, oracles
 from taupoly.dynkin import DynkinDiagram
-from taupoly.errors import (
-    ConventionError,
-    ImpurityError,
-    NotAModule,
-    RankTooLarge,
-)
+from taupoly.errors import ConsistencyError, UsageError
 from taupoly.formulas import PATH, golden_table, h_polynomial
 from taupoly.hereditary import (
     OrientedQuiver,
@@ -171,17 +167,18 @@ def test_projectives_read_off_one_coordinate():
 
 
 def test_flipped_euler_form_raises(monkeypatch):
+    self_check = "^Euler form failed the root and projective self-check$"
     # the form is checked on every call, its face counts memoised or not
     q = OrientedQuiver.from_diagram(DynkinDiagram("D", 4), "101")
     assert tau_rigid_complex(q).maximal_face_count == 50
     original = hereditary.euler_form
     # x (I - A^T) y^T, the form of the opposite quiver
     monkeypatch.setattr(hereditary, "euler_form", lambda x, y, q: original(y, x, q).T)
-    with pytest.raises(ConventionError):
+    with pytest.raises(ConsistencyError, match=self_check):
         tau_rigid_complex(q)
     # a negated form fails on <alpha, alpha> = 1 even without arrows
     monkeypatch.setattr(hereditary, "euler_form", lambda x, y, q: -original(x, y, q))
-    with pytest.raises(ConventionError):
+    with pytest.raises(ConsistencyError, match=self_check):
         tau_rigid_complex(OrientedQuiver.line(1))
 
 
@@ -189,11 +186,13 @@ def test_both_impurity_branches_raise(monkeypatch):
     q = OrientedQuiver.line(3)
     # every module compatible with every other: a 6-clique in a rank-3 complex
     monkeypatch.setattr(hereditary, "_root_forms", lambda q, roots: np.zeros((6, 6), int))
-    with pytest.raises(ImpurityError, match="clique larger than the ambient rank"):
+    with pytest.raises(ConsistencyError, match="^clique larger than the ambient rank$"):
         tau_rigid_complex(q)
     # no two modules compatible: the root (1,1,0) with P3[1] is a maximal edge
     monkeypatch.setattr(hereditary, "_root_forms", lambda q, roots: -np.ones((6, 6), int))
-    with pytest.raises(ImpurityError, match="maximal face below full rank"):
+    with pytest.raises(
+        ConsistencyError, match="^complex is not pure: maximal face below full rank$"
+    ):
         tau_rigid_complex(q)
 
 
@@ -256,7 +255,7 @@ def test_clique_census_matches_a_set_listing(case):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(oracles, "_CENSUS_BITS", bits_per_chunk)
             if want is None:
-                with pytest.raises(ImpurityError, match="clique larger than the ambient rank"):
+                with pytest.raises(ConsistencyError, match="^clique larger than the ambient rank$"):
                     oracles._clique_census(compatible, dims, max_size)
             else:
                 assert oracles._clique_census(compatible, dims, max_size) == want
@@ -334,7 +333,7 @@ def test_links():
         total = total + sum(vector) * complex_.link_f_polynomial(idx)
     assert total == complex_.d_polynomial()
     # the first shifted projective follows the six modules
-    with pytest.raises(NotAModule, match="vertex 6 is not a module vertex"):
+    with pytest.raises(UsageError, match="^vertex 6 is not a module vertex$"):
         complex_.link_f_polynomial(6)
 
 
@@ -383,7 +382,7 @@ def test_complex_reproduces_tables_5_and_6():
 
 
 def test_complex_rank_cap():
-    with pytest.raises(RankTooLarge):
+    with pytest.raises(UsageError, match="^complex enumeration capped at rank 8$"):
         tau_rigid_complex(OrientedQuiver.line(9))
 
 
@@ -540,7 +539,11 @@ def test_tau_orbit_total_is_checked_against_the_budget_first(monkeypatch):
     a200, a300 = DynkinDiagram("A", 200), DynkinDiagram("A", 300)
     assert tau_orbit_totals(a200)[100] == formulas.orbit_dim_total(PATH, a200, 100)
     monkeypatch.setattr(hereditary, "translate_orbits", None)  # no work may start
-    with pytest.raises(RankTooLarge, match="45,150 modules of 300 entries.* 13,545,000 "):
+    refusal = (
+        "A300 translate orbits (45,150 modules of 300 entries) visits 13,545,000 elements,"
+        " over the oracle budget of 10,000,000"
+    )
+    with pytest.raises(UsageError, match=f"^{re.escape(refusal)}$"):
         tau_orbit_totals(a300)
 
 
@@ -586,8 +589,11 @@ def test_tau_orbit_totals_refuse_reversed_rounds(monkeypatch):
     rounds = hereditary._reflection_rounds
     monkeypatch.setattr(hereditary, "_reflection_rounds", lambda q, C: rounds(q, C)[::-1])
     for family, rank in (("A", 2), ("A", 5), ("D", 5), ("E", 6)):
-        with pytest.raises(ConventionError, match=f"{family}{rank} translate orbits held"):
-            tau_orbit_totals(DynkinDiagram(family, rank))
+        # the projectives alone: each turns negative at its first step
+        d = DynkinDiagram(family, rank)
+        held = f"^{d} translate orbits held {rank} of {d.positive_root_count()} positive roots$"
+        with pytest.raises(ConsistencyError, match=held):
+            tau_orbit_totals(d)
     monkeypatch.undo()
     assert tau_orbit_totals(DynkinDiagram("A", 5)) == {1: 5, 2: 8, 3: 9, 4: 8, 5: 5}
 
@@ -598,14 +604,17 @@ def test_tau_orbit_totals_stop_an_endless_sweep(monkeypatch):
             yield np.arange(1), np.ones((1, q.rank), dtype=np.int64)
 
     monkeypatch.setattr(hereditary, "translate_orbits", endless)
-    with pytest.raises(ConventionError, match="E6 translate orbits passed its 36 positive roots"):
+    passed = "^E6 translate orbits passed its 36 positive roots$"
+    with pytest.raises(ConsistencyError, match=passed):
         tau_orbit_totals(DynkinDiagram("E", 6))
 
 
 def test_a_row_leaving_with_a_positive_entry_raises(monkeypatch):
     # (1, 2) is no root of A2: one inverse translate takes it to (1, -1)
     monkeypatch.setattr(hereditary, "path_cartan", lambda q: np.array([[1, 1], [1, 2]]))
-    with pytest.raises(ConventionError, match="without turning negative"):
+    with pytest.raises(
+        ConsistencyError, match="^orbit left the positive orthant without turning negative$"
+    ):
         sweep(OrientedQuiver.line(2))
 
 

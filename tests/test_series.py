@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from taupoly import series
-from taupoly.errors import InsufficientTerms
+from taupoly.errors import UsageError
 from taupoly.formulas import PATH, PREPROJECTIVE
 from taupoly.polynomials import ONE, T, ZERO, Polynomial
 from taupoly.series import (
@@ -29,15 +29,16 @@ def P(*coeffs):
 
 
 def test_from_polynomials():
-    s = TruncatedSeries.from_polynomials([P(1), P(1)], True, 1)
+    s = TruncatedSeries([P(1), P(1)], 1, True)
     assert s.coeffs == (P(1), P(1))
-    with pytest.raises(InsufficientTerms):
-        TruncatedSeries.from_polynomials([P(1)], False, 1)
+    # the constructor keeps terms 0..order, padding with zeros
+    assert TruncatedSeries([P(1), P(1), P(2)], 1).coeffs == (P(1), P(1))
+    assert TruncatedSeries([P(1)], 1).coeffs == (P(1), ZERO)
 
 
 def test_exponential_scaling():
     # an exponential series stores n! [z^n], so the terms are kept as given
-    s = TruncatedSeries.from_polynomials([P(1), P(1), P(0, 6)], True, 2)
+    s = TruncatedSeries([P(1), P(1), P(0, 6)], 2, True)
     assert s.exponential
     assert s.coeffs[2] == P(0, 6)
 
@@ -74,7 +75,7 @@ def test_derivative():
     # d/dz e^z = e^z: the exponential derivative drops the first term
     e = TruncatedSeries([P(1), P(1), P(1)], 2, True)
     assert e.derivative_z() == TruncatedSeries([P(1), P(1)], 1, True)
-    with pytest.raises(InsufficientTerms):
+    with pytest.raises(UsageError, match="^cannot differentiate an order-0 series$"):
         TruncatedSeries([ONE], 0).derivative_z()
 
 
